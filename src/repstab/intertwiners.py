@@ -16,11 +16,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import IsomorphyError, NumericalError, ValidationError
-from .irreps import (IrrepTable, UnitaryRep, irreducible_components, irrep_table,
-                     multiplicities, unitary_rep)
+from .irreps import (IrrepTable, UnitaryRep, complement, compress,
+                     irreducible_components, irrep_table, multiplicities, unitary_rep)
 from .rng import as_generator
 from .schatten import (nearest_unitary, rep_distance, schatten_norm_normalized,
                        threshold_partial_isometry)
@@ -54,7 +53,8 @@ def averaged_intertwiner(rho1: UnitaryRep, rho2: UnitaryRep) -> np.ndarray:
         raise ValidationError("representations must share a group")
     if rho1.dim != rho2.dim:
         raise ValidationError(f"dimension mismatch: {rho1.dim} vs {rho2.dim}")
-    return np.einsum("gij,gkj->ik", rho2.matrices, rho1.matrices.conj()) / rho1.group.order
+    prods = rho2.matrices @ rho1.matrices.conj().transpose(0, 2, 1)
+    return prods.sum(axis=0) / rho1.group.order
 
 
 def invariant_intertwiner(rho1: UnitaryRep, rho2: UnitaryRep, p: float,
@@ -92,14 +92,6 @@ def invariant_intertwiner(rho1: UnitaryRep, rho2: UnitaryRep, p: float,
     dev = schatten_norm_normalized(t - np.eye(rho1.dim), p)
     return IntertwinerResult(operator=t, source_basis=right, target_basis=left,
                              pair_distance=delta, identity_distance=dev)
-
-
-def _complement_basis(basis: np.ndarray, dim: int) -> np.ndarray:
-    if basis.shape[1] == 0:
-        return np.eye(dim, dtype=complex)
-    if basis.shape[1] == dim:
-        return np.zeros((dim, 0), dtype=complex)
-    return scipy.linalg.null_space(basis.conj().T)
 
 
 def _schur_unitary(sig1: UnitaryRep, sig2: UnitaryRep) -> np.ndarray:
@@ -148,14 +140,14 @@ def unitary_intertwiner(rho1: UnitaryRep, rho2: UnitaryRep, p: float,
     res = invariant_intertwiner(rho1, rho2, p, threshold=threshold, warn_far=warn_far)
     dim = rho1.dim
     t_full = res.operator.copy()
-    comp1 = _complement_basis(res.source_basis, dim)
-    comp2 = _complement_basis(res.target_basis, dim)
+    comp1 = complement(res.source_basis, dim)
+    comp2 = complement(res.target_basis, dim)
     if comp1.shape[1] != comp2.shape[1]:
         raise NumericalError("complement dimensions disagree; threshold straddles a cluster")
 
     if comp1.shape[1] > 0:
-        rest1 = unitary_rep(rho1.group, np.einsum("ij,gjk,kl->gil", comp1.conj().T, rho1.matrices, comp1), check=False)
-        rest2 = unitary_rep(rho2.group, np.einsum("ij,gjk,kl->gil", comp2.conj().T, rho2.matrices, comp2), check=False)
+        rest1 = unitary_rep(rho1.group, compress(rho1.matrices, comp1), check=False)
+        rest2 = unitary_rep(rho2.group, compress(rho2.matrices, comp2), check=False)
         parts1 = irreducible_components(rest1, rng)
         parts2 = irreducible_components(rest2, rng)
         buckets1: dict[int, list] = {}
@@ -167,8 +159,8 @@ def unitary_intertwiner(rho1: UnitaryRep, rho2: UnitaryRep, p: float,
             raise NumericalError("complements decompose with different multiplicities")
         for k in sorted(buckets1):
             for c1, c2 in zip(buckets1[k], buckets2[k]):
-                sig1 = unitary_rep(rho1.group, np.einsum("ij,gjk,kl->gil", c1.basis.conj().T, rest1.matrices, c1.basis), check=False)
-                sig2 = unitary_rep(rho2.group, np.einsum("ij,gjk,kl->gil", c2.basis.conj().T, rest2.matrices, c2.basis), check=False)
+                sig1 = unitary_rep(rho1.group, compress(rest1.matrices, c1.basis), check=False)
+                sig2 = unitary_rep(rho2.group, compress(rest2.matrices, c2.basis), check=False)
                 w = _schur_unitary(sig1, sig2)
                 full1 = comp1 @ c1.basis
                 full2 = comp2 @ c2.basis

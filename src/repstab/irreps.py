@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import MultiplicityError, NumericalError, ValidationError
 from .groups import FiniteGroup, GroupHom
@@ -57,7 +58,7 @@ def unitary_rep(group: FiniteGroup, matrices, check: bool = True,
     if check:
         d = mats.shape[1]
         eye = np.eye(d)
-        uerr = np.abs(np.einsum("gij,gkj->gik", mats, mats.conj()) - eye).max()
+        uerr = np.abs(mats @ mats.conj().transpose(0, 2, 1) - eye).max()
         if uerr > atol:
             raise ValidationError(f"matrices not unitary: max deviation {uerr:.3e}")
         prod = np.matmul(mats[:, None], mats[None, :])
@@ -108,15 +109,27 @@ def pullback(hom: GroupHom, rep: UnitaryRep) -> UnitaryRep:
     return unitary_rep(hom.source, rep.matrices[hom.map], check=False)
 
 
-def restrict_to_subspace(rep: UnitaryRep, basis: np.ndarray,
-                         check: bool = False, atol: float = 1e-8) -> UnitaryRep:
-    """Compress onto an invariant subspace given by orthonormal columns."""
-    sub = np.einsum("ij,gjk,kl->gil", basis.conj().T, rep.matrices, basis)
-    if check:
-        err = np.abs(np.matmul(rep.matrices, basis) - np.matmul(basis, sub)).max()
-        if err > atol:
-            raise NumericalError(f"subspace is not invariant: deviation {err:.3e}")
-    return unitary_rep(rep.group, sub, check=False)
+def compress(mats: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """basis^H M basis for each M in a stack: the compression onto span(basis).
+
+    On a subspace invariant under the stack this is the restricted
+    representation in the coordinates of the orthonormal columns of `basis`.
+    """
+    return basis.conj().T @ mats @ basis
+
+
+def complement(basis: np.ndarray, dim: int) -> np.ndarray:
+    """Orthonormal columns spanning the orthogonal complement of span(basis)."""
+    if basis.shape[1] == 0:
+        return np.eye(dim, dtype=complex)
+    if basis.shape[1] == dim:
+        return np.zeros((dim, 0), dtype=complex)
+    return scipy.linalg.null_space(basis.conj().T)
+
+
+def commutant_average(mats: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Group average of M h M^H over a stack of unitaries: an element of the commutant."""
+    return (mats @ h @ mats.conj().transpose(0, 2, 1)).sum(axis=0) / mats.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,13 +212,13 @@ def irreducible_components(rep: UnitaryRep, rng=None, *,
     last_err = ""
     for attempt in range(retries + 1):
         h = random_hermitian(n, rng)
-        avg = np.einsum("gij,jk,glk->il", mats, h, mats.conj()) / group.order
+        avg = commutant_average(mats, h)
         w, q = np.linalg.eigh((avg + avg.conj().T) / 2.0)
         comps: list[Component] = []
         ok = True
         for idxs in _cluster_eigenvalues(w, gap_rtol):
             basis = q[:, idxs]
-            sub = np.einsum("ij,gjk,kl->gil", basis.conj().T, mats, basis)
+            sub = compress(mats, basis)
             inv_err = np.abs(np.matmul(mats, basis) - np.matmul(basis, sub)).max()
             if inv_err > 1e-8:
                 ok, last_err = False, f"cluster not invariant (deviation {inv_err:.3e})"
@@ -244,7 +257,7 @@ def irrep_table(group: FiniteGroup, seed=0) -> IrrepTable:
 
     entries = []
     for key, comp in by_char.items():
-        sub = np.einsum("ij,gjk,kl->gil", comp.basis.conj().T, reg.matrices, comp.basis)
+        sub = compress(reg.matrices, comp.basis)
         rep = unitary_rep(group, sub, check=True)  # certifies unitary homomorphism
         entries.append(Irrep(group=group, dim=comp.dim, matrices=rep.matrices,
                              character=comp.character))

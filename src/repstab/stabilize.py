@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg
 
 from .cones import (BoundaryMap, MultiplicityVector, pad_with_trivial,
                     project_to_kernel_cone)
@@ -29,8 +28,8 @@ from .graphs import (AlmostRep, GraphOfGroups, SpanningTree, almost_rep,
                      boundary_map, generator_distance, measure_defect,
                      rep_multiplicities, spanning_tree)
 from .groups import GroupHom, trivial_embedding
-from .irreps import (IrrepTable, UnitaryRep, conjugate_rep, irrep_table,
-                     irreducible_components, multiplicities, pullback,
+from .irreps import (IrrepTable, UnitaryRep, complement, compress, conjugate_rep,
+                     irrep_table, irreducible_components, multiplicities, pullback,
                      rep_from_multiplicities, restriction_matrix, unitary_rep)
 from .intertwiners import DEFAULT_THRESHOLD, unitary_intertwiner
 from .presets import cyclic_group
@@ -119,14 +118,6 @@ def uniform_lambda(ctx: CorrectionContext, dim: int) -> MultiplicityVector:
     return lam
 
 
-def _complement(basis: np.ndarray, dim: int) -> np.ndarray:
-    if basis.shape[1] == 0:
-        return np.eye(dim, dtype=complex)
-    if basis.shape[1] == dim:
-        return np.zeros((dim, 0), dtype=complex)
-    return scipy.linalg.null_space(basis.conj().T)
-
-
 def replace_summands(rho: UnitaryRep, target, table: IrrepTable, rng=None) -> UnitaryRep:
     """Representation with the target multiplicities sharing rho's common part.
 
@@ -155,17 +146,16 @@ def replace_summands(rho: UnitaryRep, target, table: IrrepTable, rng=None) -> Un
                     f"decomposition found {len(have)} components of irrep {k}, expected {lam[k]}")
             kept.extend(c.basis for c in have[:int(common[k])])
     q1 = np.hstack(kept) if kept else np.zeros((rho.dim, 0), dtype=complex)
-    q2 = _complement(q1, rho.dim)
+    q2 = complement(q1, rho.dim)
     mats = np.zeros_like(rho.matrices)
     if q1.shape[1] > 0:
-        sub = np.einsum("ij,gjk,kl->gil", q1.conj().T, rho.matrices, q1)
-        mats += np.einsum("ij,gjk,kl->gil", q1, sub, q1.conj().T)
+        mats += q1 @ compress(rho.matrices, q1) @ q1.conj().T
     fresh = target - common
     if fresh.sum() > 0:
         sigma = rep_from_multiplicities(table, fresh)
         if sigma.dim != q2.shape[1]:
             raise NumericalError("complement dimension does not match the replacement block")
-        mats += np.einsum("ij,gjk,kl->gil", q2, sigma.matrices, q2.conj().T)
+        mats += q2 @ sigma.matrices @ q2.conj().T
     return unitary_rep(rho.group, mats, check=True)
 
 

@@ -3,7 +3,8 @@ import pytest
 
 import repstab as rs
 from repstab.errors import MultiplicityError, ValidationError
-from repstab.irreps import UnitaryRep
+from repstab.irreps import UnitaryRep, commutant_average, compress
+from repstab.rng import random_unitary
 
 from conftest import random_rep
 
@@ -158,8 +159,52 @@ def test_irreducible_components_counts(s3_table):
         assert s3_table.irreps[k].dim == c.dim
 
 
-def test_unitary_rep_rejects_bad_input(z2):
+def test_unitary_rep_rejects_bad_input(z2, s3):
     with pytest.raises(ValidationError, match="unitary"):
         rs.unitary_rep(z2, np.stack([np.eye(2), 2 * np.eye(2)]))
     with pytest.raises(ValidationError, match="homomorphism"):
         rs.unitary_rep(z2, np.stack([np.eye(2), 1j * np.eye(2)]))
+    # larger stacks: one element off unitarity just above the tolerance, and
+    # unitaries that do not multiply like the group
+    rng = np.random.default_rng(5)
+    mats = rs.regular_representation(s3).matrices.copy()
+    mats[4] *= 1.0 + 1e-9
+    with pytest.raises(ValidationError, match="unitary"):
+        rs.unitary_rep(s3, mats)
+    with pytest.raises(ValidationError, match="homomorphism"):
+        rs.unitary_rep(s3, np.stack([np.eye(5)] + [random_unitary(5, rng) for _ in range(5)]))
+
+
+def _complex_stack(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+# Oracles: the einsum formulas that compress, commutant_average and
+# averaged_intertwiner replaced, on random complex (non-unitary) stacks.
+
+@pytest.mark.parametrize("kind", ["rectangular", "identity"])
+def test_compress_matches_einsum(kind):
+    rng = np.random.default_rng(7)
+    mats = _complex_stack(rng, 6, 7, 7)
+    basis = np.linalg.qr(_complex_stack(rng, 7, 3))[0] if kind == "rectangular" else np.eye(7)
+    ref = np.einsum("ij,gjk,kl->gil", basis.conj().T, mats, basis)
+    out = compress(mats, basis)
+    assert out.shape == ref.shape
+    assert np.abs(out - ref).max() <= 1e-12
+
+
+def test_commutant_average_matches_einsum():
+    rng = np.random.default_rng(8)
+    mats = _complex_stack(rng, 6, 9, 9)
+    h = _complex_stack(rng, 9, 9)
+    ref = np.einsum("gij,jk,glk->il", mats, h, mats.conj()) / 6
+    assert np.abs(commutant_average(mats, h) - ref).max() <= 1e-12
+
+
+def test_averaged_intertwiner_matches_einsum(s3):
+    rng = np.random.default_rng(9)
+    m1, m2 = _complex_stack(rng, 6, 8, 8), _complex_stack(rng, 6, 8, 8)
+    rho1 = rs.unitary_rep(s3, m1, check=False)
+    rho2 = rs.unitary_rep(s3, m2, check=False)
+    ref = np.einsum("gij,gkj->ik", m2, m1.conj()) / 6
+    assert np.abs(rs.averaged_intertwiner(rho1, rho2) - ref).max() <= 1e-12
