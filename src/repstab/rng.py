@@ -13,8 +13,6 @@ def as_generator(seed=None) -> np.random.Generator:
     """Coerce a seed, SeedSequence, or Generator into a Generator."""
     if isinstance(seed, np.random.Generator):
         return seed
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.default_rng(seed)
     return np.random.default_rng(seed)
 
 

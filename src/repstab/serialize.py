@@ -26,10 +26,6 @@ def matrix_to_json(m) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in arr]
 
 
-def matrix_from_json(obj) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in obj])
-
-
 def _group_ref(obj) -> FiniteGroup:
     if isinstance(obj, str):
         return group_preset(obj)
@@ -103,13 +99,6 @@ def irrep_table_to_json(table: IrrepTable) -> dict:
 
 def theta_to_json(vec: MultiplicityVector) -> dict:
     return {"side": vec.side, "blocks": [list(b) for b in vec.blocks]}
-
-
-def theta_from_json(obj) -> MultiplicityVector:
-    if not isinstance(obj, dict) or "blocks" not in obj:
-        raise ValidationError("multiplicity vector JSON needs 'blocks'")
-    return MultiplicityVector(str(obj.get("side", "vertex")),
-                              tuple(tuple(int(x) for x in b) for b in obj["blocks"]))
 
 
 def _fraction_to_json(x: Fraction) -> dict:

@@ -3,11 +3,11 @@
 The pipeline: measure the defect, read off the per-vertex multiplicity
 vector, project it onto the kernel cone of the boundary map, pad with
 trivial summands back to the input dimension, then rebuild exact vertex
-representations by induction over a spanning tree (correcting each vertex
-against the edge restriction of its already-corrected parent) and solve the
-stable-letter unitaries on the remaining edges. The output is an exact
-representation whose generator distance to the input is of the order of the
-input defect.
+representations by induction over a spanning tree (the root swaps only the
+summands whose multiplicities change, each child is corrected against the
+edge restriction of its already-corrected parent) and solve the stable-letter
+unitaries on the remaining edges. The output is an exact representation
+whose generator distance to the input is of the order of the input defect.
 """
 
 from __future__ import annotations
@@ -27,12 +27,11 @@ from .errors import (GuardExceededError, IsomorphyError, NumericalError,
 from .graphs import (AlmostRep, GraphOfGroups, SpanningTree, almost_rep,
                      boundary_map, generator_distance, measure_defect,
                      rep_multiplicities, spanning_tree)
-from .groups import GroupHom, trivial_embedding
+from .groups import GroupHom
 from .irreps import (IrrepTable, UnitaryRep, complement, compress, conjugate_rep,
                      irrep_table, irreducible_components, multiplicities, pullback,
                      rep_from_multiplicities, restriction_matrix, unitary_rep)
 from .intertwiners import DEFAULT_THRESHOLD, unitary_intertwiner
-from .presets import cyclic_group
 from .rng import as_generator, derived_generator
 from .schatten import rep_distance
 
@@ -57,7 +56,6 @@ class CorrectionContext:
     p: float
     vertex_tables: tuple[IrrepTable, ...]
     edge_tables: tuple[IrrepTable, ...]
-    trivial_table: IrrepTable
     boundary: BoundaryMap
     threshold: float = DEFAULT_THRESHOLD
 
@@ -70,11 +68,10 @@ class CorrectionContext:
                               for v, g in enumerate(gog.vertex_groups))
         edge_tables = tuple(irrep_table(g, seed=derived_generator(seed, 1, k))
                             for k, g in enumerate(gog.edge_groups))
-        trivial_table = irrep_table(cyclic_group(1), seed=0)
         bmap = boundary_map(gog, vertex_tables, edge_tables)
         return cls(gog=gog, tree=spanning_tree(gog.graph), p=float(p),
                    vertex_tables=vertex_tables, edge_tables=edge_tables,
-                   trivial_table=trivial_table, boundary=bmap, threshold=threshold)
+                   boundary=bmap, threshold=threshold)
 
 
 @dataclass(frozen=True)
@@ -159,6 +156,15 @@ def replace_summands(rho: UnitaryRep, target, table: IrrepTable, rng=None) -> Un
     return unitary_rep(rho.group, mats, check=True)
 
 
+def _warn_gap(rho: UnitaryRep, target, table: IrrepTable, allowance: float, p: float):
+    """Warn when the summands swapped to reach `target` exceed allowance^p * dim."""
+    gap = int(np.abs(multiplicities(rho, table) - target) @ table.dims)
+    if gap > 0 and gap > (allowance ** p) * rho.dim:
+        warnings.warn(
+            f"multiplicity gap {gap} exceeds delta^p * dim = {(allowance ** p) * rho.dim:.3g}; "
+            "correction runs but the distance bound is not guaranteed", stacklevel=3)
+
+
 def correct_vertex(hom: GroupHom, tau: UnitaryRep, rho: UnitaryRep, target,
                    table_sub: IrrepTable, table: IrrepTable, p: float,
                    rng=None, threshold: float = DEFAULT_THRESHOLD,
@@ -182,13 +188,7 @@ def correct_vertex(hom: GroupHom, tau: UnitaryRep, rho: UnitaryRep, target,
             left=restricted, right=tau_mults)
 
     measured = rep_distance(pullback(hom, rho), tau, p)
-    allowance = max(measured, delta_hint or 0.0)
-    lam = multiplicities(rho, table)
-    gap = int(np.abs(lam - target) @ table.dims)
-    if gap > 0 and gap > (allowance ** p) * rho.dim:
-        warnings.warn(
-            f"multiplicity gap {gap} exceeds delta^p * dim = {(allowance ** p) * rho.dim:.3g}; "
-            "correction runs but the distance bound is not guaranteed", stacklevel=2)
+    _warn_gap(rho, target, table, max(measured, delta_hint or 0.0), p)
     if delta_hint is not None and measured > delta_hint + 1e-12:
         warnings.warn(f"measured edge distance {measured:.3e} exceeds the hint {delta_hint:.3e}",
                       stacklevel=2)
@@ -201,6 +201,43 @@ def correct_vertex(hom: GroupHom, tau: UnitaryRep, rho: UnitaryRep, target,
     if err > 1e-8:
         raise NumericalError(f"corrected vertex fails the edge constraint (deviation {err:.3e})")
     return rho_out
+
+
+def _walk_tree(ctx: CorrectionContext, root_rep: UnitaryRep, fit_child) -> tuple[UnitaryRep, ...]:
+    """Vertex representations by induction over the spanning tree.
+
+    The root gets `root_rep`; each child, in tree order, gets
+    `fit_child(child, into_child, tau, edge_table)`, which must pull back
+    along `into_child` to `tau`, the restriction of the already-fitted
+    parent to the group of the tree edge between them.
+    """
+    graph = ctx.gog.graph
+    reps = {ctx.tree.root: root_rep}
+    for step in ctx.tree.steps:
+        into_parent = ctx.gog.injection(step.edge_to_parent)
+        into_child = ctx.gog.injection(graph.opposite(step.edge_to_parent))
+        reps[step.child] = fit_child(step.child, into_child,
+                                     pullback(into_parent, reps[step.parent]),
+                                     ctx.edge_tables[step.edge_to_parent // 2])
+    return tuple(reps[v] for v in range(graph.n_vertices))
+
+
+def _stable_letters(ctx: CorrectionContext, reps, fit_edge) -> list[np.ndarray]:
+    """Stable-letter unitaries: the identity on tree edges, and on every other
+    geometric edge k, `fit_edge(k, origin, terminus)` from the restrictions
+    of the origin and terminus representations to the edge group."""
+    graph = ctx.gog.graph
+    eye = np.eye(reps[0].dim, dtype=complex)
+    edges = []
+    for k in range(graph.n_geometric_edges):
+        if k in ctx.tree.geometric_edges:
+            edges.append(eye)
+            continue
+        e = 2 * k
+        origin = pullback(ctx.gog.injection(graph.opposite(e)), reps[graph.origin(e)])
+        terminus = pullback(ctx.gog.injection(e), reps[graph.terminus(e)])
+        edges.append(fit_edge(k, origin, terminus))
+    return edges
 
 
 def realize(lam: MultiplicityVector, ctx: CorrectionContext, seed=0) -> AlmostRep:
@@ -220,40 +257,22 @@ def realize(lam: MultiplicityVector, ctx: CorrectionContext, seed=0) -> AlmostRe
     norm = ctx.boundary.vertex_norm(lam)
     if norm.denominator != 1 or norm <= 0:
         raise ValidationError("kernel vector must have positive integer norm")
-    dim = int(norm)
     rng = as_generator(seed)
-    graph = ctx.gog.graph
 
-    reps: dict[int, UnitaryRep] = {
-        ctx.tree.root: rep_from_multiplicities(ctx.vertex_tables[ctx.tree.root],
-                                               lam.blocks[ctx.tree.root])}
-    for step in ctx.tree.steps:
-        k = step.edge_to_parent // 2
-        into_parent = ctx.gog.injection(step.edge_to_parent)
-        into_child = ctx.gog.injection(graph.opposite(step.edge_to_parent))
-        fresh = rep_from_multiplicities(ctx.vertex_tables[step.child], lam.blocks[step.child])
-        s = unitary_intertwiner(pullback(into_child, fresh),
-                                pullback(into_parent, reps[step.parent]),
-                                ctx.p, table=ctx.edge_tables[k], rng=rng,
-                                threshold=ctx.threshold, warn_far=False)
-        reps[step.child] = conjugate_rep(fresh, s)
+    def fit_child(child, into_child, tau, edge_table):
+        fresh = rep_from_multiplicities(ctx.vertex_tables[child], lam.blocks[child])
+        s = unitary_intertwiner(pullback(into_child, fresh), tau, ctx.p, table=edge_table,
+                                rng=rng, threshold=ctx.threshold, warn_far=False)
+        return conjugate_rep(fresh, s)
 
-    edges = []
-    eye = np.eye(dim, dtype=complex)
-    for k in range(graph.n_geometric_edges):
-        if k in ctx.tree.geometric_edges:
-            edges.append(eye)
-            continue
-        e = 2 * k
-        into_t = ctx.gog.injection(e)
-        into_o = ctx.gog.injection(graph.opposite(e))
-        u = unitary_intertwiner(pullback(into_o, reps[graph.origin(e)]),
-                                pullback(into_t, reps[graph.terminus(e)]),
-                                ctx.p, table=ctx.edge_tables[k], rng=rng,
-                                threshold=ctx.threshold, warn_far=False)
-        edges.append(u)
-    return almost_rep(ctx.gog, tuple(reps[v] for v in range(graph.n_vertices)), edges,
-                      check=False)
+    def fit_edge(k, origin, terminus):
+        return unitary_intertwiner(origin, terminus, ctx.p, table=ctx.edge_tables[k],
+                                   rng=rng, threshold=ctx.threshold, warn_far=False)
+
+    root = ctx.tree.root
+    reps = _walk_tree(ctx, rep_from_multiplicities(ctx.vertex_tables[root], lam.blocks[root]),
+                      fit_child)
+    return almost_rep(ctx.gog, reps, _stable_letters(ctx, reps, fit_edge), check=False)
 
 
 def stabilize(rho: AlmostRep, ctx: CorrectionContext, seed=0,
@@ -264,7 +283,6 @@ def stabilize(rho: AlmostRep, ctx: CorrectionContext, seed=0,
     are vacuous for large defects; raise the guard to experiment anyway).
     """
     rng = as_generator(seed)
-    graph = ctx.gog.graph
     dim = rho.dim
     timings: dict[str, float] = {}
 
@@ -287,53 +305,33 @@ def stabilize(rho: AlmostRep, ctx: CorrectionContext, seed=0,
 
     # per-vertex allowance: the vector-norm hypothesis concentrates on a
     # vertex with a factor of the vertex count
-    hint = delta * graph.n_vertices ** (1.0 / ctx.p)
+    hint = delta * ctx.gog.graph.n_vertices ** (1.0 / ctx.p)
+
+    def fit_child(child, into_child, tau, edge_table):
+        return correct_vertex(into_child, tau, rho.vertex_reps[child], lam_out.blocks[child],
+                              edge_table, ctx.vertex_tables[child], ctx.p,
+                              rng=rng, threshold=ctx.threshold, delta_hint=hint)
+
+    def fit_edge(k, origin, terminus):
+        s = rho.edge_unitaries[k]
+        t = unitary_intertwiner(conjugate_rep(origin, s), terminus, ctx.p,
+                                table=ctx.edge_tables[k], rng=rng, threshold=ctx.threshold)
+        return t @ s
 
     tic = time.perf_counter()
     with _stage("vertex_corrections"):
-        trivial_group = ctx.trivial_table.group
-        tau0 = unitary_rep(trivial_group, np.eye(dim, dtype=complex)[None], check=False)
         root = ctx.tree.root
-        new_reps: dict[int, UnitaryRep] = {
-            root: correct_vertex(trivial_embedding(ctx.gog.vertex_groups[root], trivial_group),
-                                 tau0, rho.vertex_reps[root], lam_out.blocks[root],
-                                 ctx.trivial_table, ctx.vertex_tables[root], ctx.p,
-                                 rng=rng, threshold=ctx.threshold, delta_hint=hint)}
-        for step in ctx.tree.steps:
-            k = step.edge_to_parent // 2
-            into_parent = ctx.gog.injection(step.edge_to_parent)
-            into_child = ctx.gog.injection(graph.opposite(step.edge_to_parent))
-            tau = pullback(into_parent, new_reps[step.parent])
-            new_reps[step.child] = correct_vertex(
-                into_child, tau, rho.vertex_reps[step.child], lam_out.blocks[step.child],
-                ctx.edge_tables[k], ctx.vertex_tables[step.child], ctx.p,
-                rng=rng, threshold=ctx.threshold, delta_hint=hint)
+        at_root = (rho.vertex_reps[root], lam_out.blocks[root], ctx.vertex_tables[root])
+        _warn_gap(*at_root, hint, ctx.p)
+        new_reps = _walk_tree(ctx, replace_summands(*at_root, rng), fit_child)
     timings["vertex_corrections"] = (time.perf_counter() - tic) * 1e3
 
     tic = time.perf_counter()
-    edges = []
-    eye = np.eye(dim, dtype=complex)
     with _stage("edge_corrections"):
-        for k in range(graph.n_geometric_edges):
-            if k in ctx.tree.geometric_edges:
-                edges.append(eye)
-                continue
-            e = 2 * k
-            into_t = ctx.gog.injection(e)
-            into_o = ctx.gog.injection(graph.opposite(e))
-            s = rho.edge_unitaries[k]
-            pulled = pullback(into_o, new_reps[graph.origin(e)])
-            conjugated = unitary_rep(pulled.group,
-                                     np.matmul(np.matmul(s, pulled.matrices), s.conj().T),
-                                     check=False)
-            t = unitary_intertwiner(conjugated, pullback(into_t, new_reps[graph.terminus(e)]),
-                                    ctx.p, table=ctx.edge_tables[k], rng=rng,
-                                    threshold=ctx.threshold)
-            edges.append(t @ s)
+        edges = _stable_letters(ctx, new_reps, fit_edge)
     timings["edge_corrections"] = (time.perf_counter() - tic) * 1e3
 
-    out = almost_rep(ctx.gog, tuple(new_reps[v] for v in range(graph.n_vertices)),
-                     edges, check=False)
+    out = almost_rep(ctx.gog, new_reps, edges, check=False)
     tic = time.perf_counter()
     output_defect = measure_defect(out, ctx.gog, ctx.p, ctx.tree)
     epsilon = generator_distance(rho, out, ctx.p)

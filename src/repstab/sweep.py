@@ -2,17 +2,15 @@
 
 Cells are independent pure computations keyed by (preset, eps, p, seed)
 indices; each derives its own random stream from the master seed, so the
-CSV output is byte-identical across reruns and worker counts, except for
-the runtime column. Failures are recorded per cell and do not stop the
+CSV output is byte-identical across reruns, except for the runtime column.
+Cells run in order. Failures are recorded per cell and do not stop the
 sweep.
 """
 
 from __future__ import annotations
 
 import csv
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import RepStabError, ValidationError
@@ -23,7 +21,6 @@ from .stabilize import (DEFAULT_GUARD, CorrectionContext, realize, stabilize,
 
 CSV_HEADER = ("preset", "seed", "p", "dim", "epsilon_in", "delta",
               "epsilon_out", "cone_gap", "runtime_ms", "error")
-THREADS_ENV = "REPSTAB_THREADS"
 
 DEFAULT_EPS_GRID = (1e-1, 1e-2, 1e-3, 1e-4)
 DEFAULT_P_GRID = (1.0, 2.0, 4.0)
@@ -76,16 +73,6 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _worker_count() -> int:
-    env = os.environ.get(THREADS_ENV, "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValidationError(f"{THREADS_ENV} must be an integer, got {env!r}") from None
-    return min(4, os.cpu_count() or 1)
-
-
 def run_sweep(config: SweepConfig, graphs=None) -> list[SweepRow]:
     """Execute every cell of the grid; one row per (preset, eps, p, seed).
 
@@ -135,13 +122,7 @@ def run_sweep(config: SweepConfig, graphs=None) -> list[SweepRow]:
                             cone_gap=None, runtime_ms=None,
                             error=f"{type(exc).__name__}: {exc}")
 
-    workers = _worker_count()
-    if workers == 1:
-        results = [run_cell(c) for c in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_cell, cells))
-    return results
+    return [run_cell(c) for c in cells]
 
 
 def write_csv(rows, path) -> None:

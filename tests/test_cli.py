@@ -152,12 +152,11 @@ def _strip_runtime(text):
     return rows
 
 
-def test_sweep_deterministic_modulo_runtime(capsys, tmp_path, monkeypatch):
+def test_sweep_deterministic_modulo_runtime(capsys, tmp_path):
     args = ("sweep", "--preset", "hnn_Z4_over_Z2", "--eps", "1e-2", "--eps", "1e-3",
             "--p", "1", "--p", "2", "--seeds", "2", "--seed", "7")
     path1, path2 = tmp_path / "a.csv", tmp_path / "b.csv"
     assert run_cli(capsys, *args, "--out", str(path1))[0] == 0
-    monkeypatch.setenv("REPSTAB_THREADS", "2")
     assert run_cli(capsys, *args, "--out", str(path2))[0] == 0
     assert _strip_runtime(path1.read_text()) == _strip_runtime(path2.read_text())
 

@@ -192,6 +192,21 @@ def test_stabilize_tree_edges_are_identity(preset_contexts):
         assert np.abs(out.edge_unitaries[k] - np.eye(6)).max() == 0.0
 
 
+@pytest.mark.parametrize("name", ["Z2_free_Z3", "infinite_dihedral", "hnn_Z4_over_Z2"])
+def test_stabilize_keeps_root_with_target_multiplicities(preset_contexts, name):
+    # a conjugated root is still exact with the lambda_out multiplicities,
+    # so there is no summand to swap and it must come back bit-for-bit
+    ctx = preset_contexts[(name, 2.0)]
+    base = rs.realize(rs.uniform_lambda(ctx, 12), ctx, seed=0)
+    inst = rs.perturb(base, ctx.gog, 1e-3, mode="edges-and-conjugate-vertices",
+                      rng=np.random.default_rng(4))
+    out, report = rs.stabilize(inst, ctx, seed=5)
+    root = ctx.tree.root
+    assert report.lambda_out.blocks[root] == report.lambda_in.blocks[root]
+    assert np.array_equal(out.vertex_reps[root].matrices, inst.vertex_reps[root].matrices)
+    assert report.output_defect <= 1e-9
+
+
 def test_stabilize_guard_refusal(preset_contexts):
     ctx = preset_contexts[("hnn_Z4_over_Z2", 2.0)]
     base = rs.realize(rs.uniform_lambda(ctx, 6), ctx, seed=0)
