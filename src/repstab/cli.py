@@ -62,6 +62,14 @@ def _resolve_graph(args) -> GraphOfGroups:
     raise ValidationError("pass --preset NAME or --config PATH")
 
 
+def _multiplicity(x) -> int:
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    if isinstance(x, float) and x.is_integer():
+        return int(x)
+    raise ValidationError(f"--lam entries must be integers, got {x!r}")
+
+
 def _resolve_lambda(args, ctx) -> MultiplicityVector:
     raw = getattr(args, "lam", None)
     if raw:
@@ -69,8 +77,11 @@ def _resolve_lambda(args, ctx) -> MultiplicityVector:
             obj = json.loads(raw)
         except json.JSONDecodeError:
             obj = _load_json_file(raw)
-        blocks = obj["blocks"] if isinstance(obj, dict) else obj
-        lam = MultiplicityVector("vertex", tuple(tuple(int(x) for x in b) for b in blocks))
+        blocks = obj.get("blocks") if isinstance(obj, dict) else obj
+        if not (isinstance(blocks, list) and all(isinstance(b, list) for b in blocks)):
+            raise ValidationError(
+                '--lam must be a list of per-vertex lists, or an object with a "blocks" list')
+        lam = MultiplicityVector("vertex", tuple(tuple(_multiplicity(x) for x in b) for b in blocks))
         ctx.boundary._require(lam, "vertex")
         return lam
     return uniform_lambda(ctx, args.dim)

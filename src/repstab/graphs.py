@@ -23,7 +23,7 @@ import numpy as np
 from .cones import VERTEX_SIDE, BoundaryMap, MultiplicityVector
 from .errors import ValidationError
 from .groups import FiniteGroup, GroupHom, group_hom
-from .irreps import (UnitaryRep, conjugate_rep, multiplicities,
+from .irreps import (UNITARY_ATOL, UnitaryRep, conjugate_rep, multiplicities,
                      restriction_matrix, unitary_rep)
 from .rng import as_generator, random_hermitian
 from .schatten import rep_distance, schatten_norm_normalized
@@ -210,7 +210,7 @@ class AlmostRep:
 
 
 def almost_rep(gog: GraphOfGroups, vertex_reps, edge_unitaries,
-               check: bool = True, atol: float = 1e-10) -> AlmostRep:
+               check: bool = True) -> AlmostRep:
     """Validated almost-representation container.
 
     Vertex representations must be exact unitary representations of the
@@ -235,11 +235,11 @@ def almost_rep(gog: GraphOfGroups, vertex_reps, edge_unitaries,
     if check:
         eye = np.eye(dim)
         for v, rep in enumerate(vreps):
-            unitary_rep(rep.group, rep.matrices, check=True, atol=atol)
+            unitary_rep(rep.group, rep.matrices, check=True)
         for k, u in enumerate(edges):
             if u.shape != (dim, dim):
                 raise ValidationError(f"edge {k} unitary has shape {u.shape}, expected {(dim, dim)}")
-            if np.abs(u @ u.conj().T - eye).max() > atol:
+            if np.abs(u @ u.conj().T - eye).max() > UNITARY_ATOL:
                 raise ValidationError(f"edge {k} matrix is not unitary")
     for u in edges:
         u.setflags(write=False)
@@ -262,14 +262,11 @@ def evaluate_word(rho: AlmostRep, word: tuple) -> np.ndarray:
 
 
 def measure_defect(rho: AlmostRep, gog: GraphOfGroups, p: float,
-                   tree: SpanningTree | None = None,
-                   words: tuple[tuple, ...] | None = None) -> float:
+                   tree: SpanningTree | None = None) -> float:
     """Largest normalized p-Schatten distance from a relator image to I."""
-    if words is None:
-        words = relators(gog, tree)
     eye = np.eye(rho.dim)
     worst = 0.0
-    for word in words:
+    for word in relators(gog, tree):
         worst = max(worst, schatten_norm_normalized(evaluate_word(rho, word) - eye, p))
     return worst
 

@@ -54,9 +54,6 @@ class FiniteGroup:
     def elements(self) -> range:
         return range(self.order)
 
-    def is_trivial(self) -> bool:
-        return self.order == 1
-
     def __repr__(self) -> str:
         label = self.name or f"order-{self.order}"
         return f"FiniteGroup({label})"

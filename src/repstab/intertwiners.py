@@ -19,13 +19,14 @@ import numpy as np
 
 from .errors import IsomorphyError, NumericalError, ValidationError
 from .irreps import (IrrepTable, UnitaryRep, complement, compress,
-                     irreducible_components, irrep_table, multiplicities, unitary_rep)
+                     irrep_table, isotypic_components, multiplicities, unitary_rep)
 from .rng import as_generator
 from .schatten import (nearest_unitary, rep_distance, schatten_norm_normalized,
                        threshold_partial_isometry)
 
 DEFAULT_THRESHOLD = 0.5   # singular value cutoff for the kept subspaces
 SCHUR_SEED_MIN = 1e-9     # Frobenius floor below which a seed average counts as zero
+INTERTWINE_ATOL = 1e-8    # max |rho2(x) T - T rho1(x)| of an assembled unitary intertwiner
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,8 +116,6 @@ def _schur_unitary(sig1: UnitaryRep, sig2: UnitaryRep) -> np.ndarray:
 def unitary_intertwiner(rho1: UnitaryRep, rho2: UnitaryRep, p: float,
                         table: IrrepTable | None = None,
                         rng=None,
-                        threshold: float = DEFAULT_THRESHOLD,
-                        atol: float = 1e-8,
                         warn_far: bool = True) -> np.ndarray:
     """Unitary T with rho2(x) T = T rho1(x), close to I for close inputs.
 
@@ -125,7 +124,8 @@ def unitary_intertwiner(rho1: UnitaryRep, rho2: UnitaryRep, p: float,
     subspaces exactly; the orthogonal complements, which are isomorphic to
     each other, are decomposed into irreducibles and paired in canonical
     table order, first come first paired within each isotypic block. The
-    result conjugates rho1 onto rho2 exactly and is verified to `atol`.
+    kept subspaces are cut at DEFAULT_THRESHOLD; the result conjugates rho1
+    onto rho2 exactly and is verified to INTERTWINE_ATOL.
     """
     rng = as_generator(rng)
     if table is None:
@@ -137,7 +137,7 @@ def unitary_intertwiner(rho1: UnitaryRep, rho2: UnitaryRep, p: float,
             f"representations are not isomorphic: multiplicities {m1.tolist()} vs {m2.tolist()}",
             left=m1, right=m2)
 
-    res = invariant_intertwiner(rho1, rho2, p, threshold=threshold, warn_far=warn_far)
+    res = invariant_intertwiner(rho1, rho2, p, warn_far=warn_far)
     dim = rho1.dim
     t_full = res.operator.copy()
     comp1 = complement(res.source_basis, dim)
@@ -148,17 +148,12 @@ def unitary_intertwiner(rho1: UnitaryRep, rho2: UnitaryRep, p: float,
     if comp1.shape[1] > 0:
         rest1 = unitary_rep(rho1.group, compress(rho1.matrices, comp1), check=False)
         rest2 = unitary_rep(rho2.group, compress(rho2.matrices, comp2), check=False)
-        parts1 = irreducible_components(rest1, rng)
-        parts2 = irreducible_components(rest2, rng)
-        buckets1: dict[int, list] = {}
-        buckets2: dict[int, list] = {}
-        for parts, buckets in ((parts1, buckets1), (parts2, buckets2)):
-            for c in parts:
-                buckets.setdefault(table.match_character(c.character), []).append(c)
-        if {k: len(v) for k, v in buckets1.items()} != {k: len(v) for k, v in buckets2.items()}:
+        iso1 = isotypic_components(rest1, table, rng)
+        iso2 = isotypic_components(rest2, table, rng)
+        if [len(cs) for cs in iso1] != [len(cs) for cs in iso2]:
             raise NumericalError("complements decompose with different multiplicities")
-        for k in sorted(buckets1):
-            for c1, c2 in zip(buckets1[k], buckets2[k]):
+        for cs1, cs2 in zip(iso1, iso2):
+            for c1, c2 in zip(cs1, cs2):
                 sig1 = unitary_rep(rho1.group, compress(rest1.matrices, c1.basis), check=False)
                 sig2 = unitary_rep(rho2.group, compress(rest2.matrices, c2.basis), check=False)
                 w = _schur_unitary(sig1, sig2)
@@ -170,7 +165,7 @@ def unitary_intertwiner(rho1: UnitaryRep, rho2: UnitaryRep, p: float,
     if uerr > 1e-10:
         raise NumericalError(f"assembled intertwiner is not unitary (deviation {uerr:.3e})")
     ierr = np.abs(np.matmul(rho2.matrices, t_full) - np.matmul(t_full, rho1.matrices)).max()
-    if ierr > atol:
+    if ierr > INTERTWINE_ATOL:
         raise NumericalError(f"assembled operator fails to intertwine (deviation {ierr:.3e})")
     return t_full
 

@@ -24,6 +24,8 @@ UNITARY_ATOL = 1e-10      # construction-time exactness for reps
 MULT_ATOL = 1e-6          # integrality tolerance for multiplicities
 IRREDUCIBLE_ATOL = 1e-8   # |sum |chi|^2 / |G| - 1| for irreducibility
 CLUSTER_GAP_RTOL = 1e-7   # relative eigenvalue gap for commutant clustering
+CLUSTER_RETRIES = 3       # fresh commutant draws after a failed clustering
+CHARACTER_ATOL = 1e-6     # max character deviation when matching an irreducible
 CHARACTER_DECIMALS = 6    # rounding used to deduplicate and order characters
 
 
@@ -47,8 +49,7 @@ class UnitaryRep:
         return f"UnitaryRep({self.group!r}, dim={self.dim})"
 
 
-def unitary_rep(group: FiniteGroup, matrices, check: bool = True,
-                atol: float = UNITARY_ATOL) -> UnitaryRep:
+def unitary_rep(group: FiniteGroup, matrices, check: bool = True) -> UnitaryRep:
     """Build a UnitaryRep, verifying unitarity and the homomorphism property."""
     mats = np.ascontiguousarray(matrices, dtype=complex)
     if mats.shape != (group.order, mats.shape[1], mats.shape[1]) or mats.shape[1] == 0:
@@ -59,11 +60,11 @@ def unitary_rep(group: FiniteGroup, matrices, check: bool = True,
         d = mats.shape[1]
         eye = np.eye(d)
         uerr = np.abs(mats @ mats.conj().transpose(0, 2, 1) - eye).max()
-        if uerr > atol:
+        if uerr > UNITARY_ATOL:
             raise ValidationError(f"matrices not unitary: max deviation {uerr:.3e}")
         prod = np.matmul(mats[:, None], mats[None, :])
         herr = np.abs(prod - mats[group.mult]).max()
-        if herr > atol:
+        if herr > UNITARY_ATOL:
             raise ValidationError(f"not a homomorphism: max deviation {herr:.3e}")
     mats.setflags(write=False)
     return UnitaryRep(group=group, matrices=mats)
@@ -166,10 +167,10 @@ class IrrepTable:
                 return k
         raise NumericalError("table has no trivial irreducible")
 
-    def match_character(self, character: np.ndarray, atol: float = 1e-6) -> int:
+    def match_character(self, character: np.ndarray) -> int:
         """Index of the irrep with this character, else NumericalError."""
         for k, p in enumerate(self.irreps):
-            if np.abs(p.character - character).max() <= atol:
+            if np.abs(p.character - character).max() <= CHARACTER_ATOL:
                 return k
         raise NumericalError("character does not match any irreducible in the table")
 
@@ -186,23 +187,20 @@ class Component:
         return self.basis.shape[1]
 
 
-def _cluster_eigenvalues(w: np.ndarray, rtol: float) -> list[np.ndarray]:
+def _cluster_eigenvalues(w: np.ndarray) -> list[np.ndarray]:
     scale = max(float(np.abs(w).max()), 1.0)
-    cuts = np.flatnonzero(np.diff(w) > rtol * scale)
+    cuts = np.flatnonzero(np.diff(w) > CLUSTER_GAP_RTOL * scale)
     return np.split(np.arange(w.size), cuts + 1)
 
 
-def irreducible_components(rep: UnitaryRep, rng=None, *,
-                           gap_rtol: float = CLUSTER_GAP_RTOL,
-                           retries: int = 3,
-                           atol: float = IRREDUCIBLE_ATOL) -> list[Component]:
+def irreducible_components(rep: UnitaryRep, rng=None) -> list[Component]:
     """Split a representation into irreducible invariant subspaces.
 
     Averages a random Hermitian matrix over the group action; the eigenspaces
     of the result are generically irreducible invariant subspaces. Each
-    candidate cluster is checked for invariance and irreducibility; on
-    failure (eigenvalue collision across components) the seed is re-drawn,
-    up to `retries` additional times.
+    candidate cluster (eigenvalues closer than CLUSTER_GAP_RTOL) is checked
+    for invariance and irreducibility; on failure (eigenvalue collision
+    across components) the seed is re-drawn, up to CLUSTER_RETRIES more times.
     """
     rng = as_generator(rng)
     group, mats = rep.group, rep.matrices
@@ -210,13 +208,13 @@ def irreducible_components(rep: UnitaryRep, rng=None, *,
     sizes = group.class_sizes
     reps_idx = list(group.class_representatives)
     last_err = ""
-    for attempt in range(retries + 1):
+    for attempt in range(CLUSTER_RETRIES + 1):
         h = random_hermitian(n, rng)
         avg = commutant_average(mats, h)
         w, q = np.linalg.eigh((avg + avg.conj().T) / 2.0)
         comps: list[Component] = []
         ok = True
-        for idxs in _cluster_eigenvalues(w, gap_rtol):
+        for idxs in _cluster_eigenvalues(w):
             basis = q[:, idxs]
             sub = compress(mats, basis)
             inv_err = np.abs(np.matmul(mats, basis) - np.matmul(basis, sub)).max()
@@ -225,7 +223,7 @@ def irreducible_components(rep: UnitaryRep, rng=None, *,
                 break
             chi = np.trace(sub[reps_idx], axis1=1, axis2=2)
             norm2 = float(np.sum(sizes * np.abs(chi) ** 2)) / group.order
-            if abs(norm2 - 1.0) > atol:
+            if abs(norm2 - 1.0) > IRREDUCIBLE_ATOL:
                 ok, last_err = False, f"cluster reducible (|chi|^2 = {norm2:.6f})"
                 break
             comps.append(Component(basis=basis, character=chi))
@@ -234,7 +232,19 @@ def irreducible_components(rep: UnitaryRep, rng=None, *,
                 raise NumericalError("component dimensions do not sum to the total")
             return comps
     raise NumericalError(
-        f"eigenvalue clustering failed after {retries + 1} attempts: {last_err}")
+        f"eigenvalue clustering failed after {CLUSTER_RETRIES + 1} attempts: {last_err}")
+
+
+def isotypic_components(rep: UnitaryRep, table: IrrepTable, rng=None) -> list[list[Component]]:
+    """Irreducible components of rep grouped by irreducible, in table order.
+
+    Entry k lists, in decomposition order, the components whose character
+    matches the k-th irreducible of `table`.
+    """
+    groups: list[list[Component]] = [[] for _ in range(len(table))]
+    for comp in irreducible_components(rep, rng):
+        groups[table.match_character(comp.character)].append(comp)
+    return groups
 
 
 def _character_key(character: np.ndarray) -> tuple:
@@ -275,12 +285,11 @@ def irrep_table(group: FiniteGroup, seed=0) -> IrrepTable:
     return IrrepTable(group=group, irreps=tuple(entries))
 
 
-def multiplicities(rep: UnitaryRep, table: IrrepTable,
-                   atol: float = MULT_ATOL) -> np.ndarray:
+def multiplicities(rep: UnitaryRep, table: IrrepTable) -> np.ndarray:
     """Integer multiplicity of each irreducible in a representation.
 
     Computed as the class-weighted character inner product and rounded;
-    raises MultiplicityError if any value is farther than `atol` from an
+    raises MultiplicityError if any value is farther than MULT_ATOL from an
     integer (the input is then not an exact representation).
     """
     if rep.group is not table.group:
@@ -288,7 +297,7 @@ def multiplicities(rep: UnitaryRep, table: IrrepTable,
     sizes = rep.group.class_sizes
     chi = rep.character()
     raw = np.array([np.sum(sizes * chi * p.character.conj()) for p in table.irreps]) / rep.group.order
-    if np.abs(raw.imag).max() > atol or np.abs(raw.real - np.round(raw.real)).max() > atol:
+    if np.abs(raw.imag).max() > MULT_ATOL or np.abs(raw.real - np.round(raw.real)).max() > MULT_ATOL:
         worst = np.abs(raw - np.round(raw.real)).max()
         raise MultiplicityError(
             f"multiplicities are not integers (max deviation {worst:.3e}); "

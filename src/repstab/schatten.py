@@ -12,6 +12,8 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 
+RANK_RTOL = 1e-12   # smallest singular value, relative to max(largest, 1), of a full-rank factor
+
 
 def _as_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
@@ -70,25 +72,22 @@ def _matrices_of(rho) -> np.ndarray:
     return mats
 
 
-def rep_distance(rho1, rho2, p: float, elements=None) -> float:
-    """Max normalized p-Schatten distance over a set of elements.
+def rep_distance(rho1, rho2, p: float) -> float:
+    """Max normalized p-Schatten distance over all group elements.
 
     `rho1` and `rho2` are stacks of unitaries (or objects exposing
-    `.matrices`); `elements` selects indices, defaulting to all of them.
+    `.matrices`), compared index by index.
     """
     m1, m2 = _matrices_of(rho1), _matrices_of(rho2)
     if m1.shape != m2.shape:
         raise ValidationError(f"dimension mismatch: {m1.shape} vs {m2.shape}")
-    if elements is not None:
-        idx = list(elements)
-        m1, m2 = m1[idx], m2[idx]
     best = 0.0
     for a, b in zip(m1, m2):
         best = max(best, schatten_norm_normalized(a - b, p))
     return best
 
 
-def nearest_unitary(a, rank_rtol: float = 1e-12) -> np.ndarray:
+def nearest_unitary(a) -> np.ndarray:
     """Unitary polar factor, the Frobenius-closest unitary to `a`.
 
     Requires full rank; a singular factor would leave the closest unitary
@@ -98,7 +97,7 @@ def nearest_unitary(a, rank_rtol: float = 1e-12) -> np.ndarray:
     if m.shape[0] != m.shape[1]:
         raise ValidationError("polar factor requires a square matrix")
     u, sv, vh = np.linalg.svd(m)
-    if sv.size == 0 or sv[-1] <= rank_rtol * max(sv[0], 1.0):
+    if sv.size == 0 or sv[-1] <= RANK_RTOL * max(sv[0], 1.0):
         raise NumericalError(
             f"matrix is rank deficient (smallest singular value {sv[-1] if sv.size else 0.0:.3e}); "
             "polar factor is not unique")

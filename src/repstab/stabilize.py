@@ -29,9 +29,9 @@ from .graphs import (AlmostRep, GraphOfGroups, SpanningTree, almost_rep,
                      rep_multiplicities, spanning_tree)
 from .groups import GroupHom
 from .irreps import (IrrepTable, UnitaryRep, complement, compress, conjugate_rep,
-                     irrep_table, irreducible_components, multiplicities, pullback,
+                     irrep_table, isotypic_components, multiplicities, pullback,
                      rep_from_multiplicities, restriction_matrix, unitary_rep)
-from .intertwiners import DEFAULT_THRESHOLD, unitary_intertwiner
+from .intertwiners import unitary_intertwiner
 from .rng import as_generator, derived_generator
 from .schatten import rep_distance
 
@@ -57,11 +57,9 @@ class CorrectionContext:
     vertex_tables: tuple[IrrepTable, ...]
     edge_tables: tuple[IrrepTable, ...]
     boundary: BoundaryMap
-    threshold: float = DEFAULT_THRESHOLD
 
     @classmethod
-    def build(cls, gog: GraphOfGroups, p: float, seed: int = 0,
-              threshold: float = DEFAULT_THRESHOLD) -> "CorrectionContext":
+    def build(cls, gog: GraphOfGroups, p: float, seed: int = 0) -> "CorrectionContext":
         if not p >= 1.0:
             raise ValidationError(f"Schatten exponent must be >= 1, got {p}")
         vertex_tables = tuple(irrep_table(g, seed=derived_generator(seed, 0, v))
@@ -71,7 +69,7 @@ class CorrectionContext:
         bmap = boundary_map(gog, vertex_tables, edge_tables)
         return cls(gog=gog, tree=spanning_tree(gog.graph), p=float(p),
                    vertex_tables=vertex_tables, edge_tables=edge_tables,
-                   boundary=bmap, threshold=threshold)
+                   boundary=bmap)
 
 
 @dataclass(frozen=True)
@@ -133,11 +131,7 @@ def replace_summands(rho: UnitaryRep, target, table: IrrepTable, rng=None) -> Un
     common = np.minimum(lam, target)
     kept = []
     if common.sum() > 0:
-        buckets: dict[int, list] = {}
-        for comp in irreducible_components(rho, rng):
-            buckets.setdefault(table.match_character(comp.character), []).append(comp)
-        for k in range(len(table)):
-            have = buckets.get(k, [])
+        for k, have in enumerate(isotypic_components(rho, table, rng)):
             if len(have) != lam[k]:
                 raise NumericalError(
                     f"decomposition found {len(have)} components of irrep {k}, expected {lam[k]}")
@@ -167,8 +161,7 @@ def _warn_gap(rho: UnitaryRep, target, table: IrrepTable, allowance: float, p: f
 
 def correct_vertex(hom: GroupHom, tau: UnitaryRep, rho: UnitaryRep, target,
                    table_sub: IrrepTable, table: IrrepTable, p: float,
-                   rng=None, threshold: float = DEFAULT_THRESHOLD,
-                   delta_hint: float | None = None) -> UnitaryRep:
+                   rng=None, delta_hint: float | None = None) -> UnitaryRep:
     """Correct one vertex representation against an edge constraint.
 
     Returns a representation with the target multiplicities whose pullback
@@ -194,8 +187,7 @@ def correct_vertex(hom: GroupHom, tau: UnitaryRep, rho: UnitaryRep, target,
                       stacklevel=2)
 
     rho1 = replace_summands(rho, target, table, rng)
-    t = unitary_intertwiner(tau, pullback(hom, rho1), p, table=table_sub,
-                            rng=rng, threshold=threshold)
+    t = unitary_intertwiner(tau, pullback(hom, rho1), p, table=table_sub, rng=rng)
     rho_out = conjugate_rep(rho1, t.conj().T)
     err = np.abs(pullback(hom, rho_out).matrices - tau.matrices).max()
     if err > 1e-8:
@@ -262,12 +254,12 @@ def realize(lam: MultiplicityVector, ctx: CorrectionContext, seed=0) -> AlmostRe
     def fit_child(child, into_child, tau, edge_table):
         fresh = rep_from_multiplicities(ctx.vertex_tables[child], lam.blocks[child])
         s = unitary_intertwiner(pullback(into_child, fresh), tau, ctx.p, table=edge_table,
-                                rng=rng, threshold=ctx.threshold, warn_far=False)
+                                rng=rng, warn_far=False)
         return conjugate_rep(fresh, s)
 
     def fit_edge(k, origin, terminus):
         return unitary_intertwiner(origin, terminus, ctx.p, table=ctx.edge_tables[k],
-                                   rng=rng, threshold=ctx.threshold, warn_far=False)
+                                   rng=rng, warn_far=False)
 
     root = ctx.tree.root
     reps = _walk_tree(ctx, rep_from_multiplicities(ctx.vertex_tables[root], lam.blocks[root]),
@@ -310,12 +302,12 @@ def stabilize(rho: AlmostRep, ctx: CorrectionContext, seed=0,
     def fit_child(child, into_child, tau, edge_table):
         return correct_vertex(into_child, tau, rho.vertex_reps[child], lam_out.blocks[child],
                               edge_table, ctx.vertex_tables[child], ctx.p,
-                              rng=rng, threshold=ctx.threshold, delta_hint=hint)
+                              rng=rng, delta_hint=hint)
 
     def fit_edge(k, origin, terminus):
         s = rho.edge_unitaries[k]
         t = unitary_intertwiner(conjugate_rep(origin, s), terminus, ctx.p,
-                                table=ctx.edge_tables[k], rng=rng, threshold=ctx.threshold)
+                                table=ctx.edge_tables[k], rng=rng)
         return t @ s
 
     tic = time.perf_counter()

@@ -73,15 +73,13 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def run_sweep(config: SweepConfig, graphs=None) -> list[SweepRow]:
+def run_sweep(config: SweepConfig) -> list[SweepRow]:
     """Execute every cell of the grid; one row per (preset, eps, p, seed).
 
-    `graphs` maps preset names to GraphOfGroups; by default names are
-    resolved through the preset registry.
+    Preset names are resolved through the preset registry.
     """
     from .presets import graph_preset
-    if graphs is None:
-        graphs = {name: graph_preset(name) for name in config.presets}
+    graphs = {name: graph_preset(name) for name in config.presets}
 
     contexts = {}
     lambdas = {}

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from repstab.cli import main
 from repstab.sweep import CSV_HEADER
 
@@ -124,6 +126,15 @@ def test_structurally_bad_config_exit_2(capsys, tmp_path):
         path.write_text(json.dumps(obj))
         code, _, err = run_cli(capsys, "stabilize", "--config", str(path), "--eps", "0")
         assert code == 2, obj
+
+
+@pytest.mark.parametrize("lam", ['{"x": 1}', "[1, 2]", "null", '[["a", 1], [1,1,1]]',
+                                 "[[1.5, 2.5], [1, 1, 1]]"])
+def test_malformed_lambda_exit_2(capsys, lam):
+    code, out, err = run_cli(capsys, "realize", "--preset", "Z2_free_Z3", "--lam", lam)
+    assert code == 2
+    assert out == ""
+    assert "--lam" in err
 
 
 def test_missing_graph_argument_exit_2(capsys):

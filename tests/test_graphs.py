@@ -123,7 +123,7 @@ def test_perturb_vertex_mode_keeps_exactness(preset_contexts):
     out = rs.perturb(rho, ctx.gog, 0.05, mode="edges-and-conjugate-vertices",
                      rng=np.random.default_rng(3))
     for rep in out.vertex_reps:
-        rs.unitary_rep(rep.group, rep.matrices, check=True, atol=1e-10)
+        rs.unitary_rep(rep.group, rep.matrices, check=True)
     assert rs.measure_defect(out, ctx.gog, 2.0) > 0
 
 

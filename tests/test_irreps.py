@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 import repstab as rs
-from repstab.errors import MultiplicityError, ValidationError
-from repstab.irreps import UnitaryRep, commutant_average, compress
+import repstab.irreps as irreps_mod
+from repstab.errors import MultiplicityError, NumericalError, ValidationError
+from repstab.irreps import (CLUSTER_RETRIES, UnitaryRep, commutant_average, compress,
+                            isotypic_components)
 from repstab.rng import random_unitary
 
 from conftest import random_rep
@@ -157,6 +159,46 @@ def test_irreducible_components_counts(s3_table):
     for c in comps:
         k = s3_table.match_character(c.character)
         assert s3_table.irreps[k].dim == c.dim
+
+
+def test_isotypic_components_in_table_order(s3_table):
+    rep = rs.rep_from_multiplicities(s3_table, [2, 0, 1])
+    groups = isotypic_components(rep, s3_table, np.random.default_rng(1))
+    assert [len(cs) for cs in groups] == [2, 0, 1]
+    for p, cs in zip(s3_table.irreps, groups):
+        for c in cs:
+            assert c.dim == p.dim
+            np.testing.assert_allclose(c.character, p.character, atol=1e-8)
+
+
+def _zero_draws(monkeypatch, n_zero):
+    """Make the first n_zero commutant seeds the zero matrix; count all draws."""
+    draws = []
+    real = irreps_mod.random_hermitian
+
+    def draw(n, rng):
+        draws.append(n)
+        return np.zeros((n, n), dtype=complex) if len(draws) <= n_zero else real(n, rng)
+
+    monkeypatch.setattr(irreps_mod, "random_hermitian", draw)
+    return draws
+
+
+def test_irreducible_components_retries_after_degenerate_draw(s3_table, monkeypatch):
+    # a zero seed averages to zero: the whole space is one reducible cluster
+    rep = rs.rep_from_multiplicities(s3_table, [1, 1, 2])
+    draws = _zero_draws(monkeypatch, 1)
+    comps = rs.irreducible_components(rep, np.random.default_rng(0))
+    assert len(draws) == 2
+    assert sorted(c.dim for c in comps) == [1, 1, 2, 2]
+
+
+def test_irreducible_components_gives_up_after_retries(s3_table, monkeypatch):
+    rep = rs.rep_from_multiplicities(s3_table, [1, 1, 2])
+    draws = _zero_draws(monkeypatch, 100)
+    with pytest.raises(NumericalError, match="after 4 attempts.*reducible"):
+        rs.irreducible_components(rep, np.random.default_rng(0))
+    assert len(draws) == CLUSTER_RETRIES + 1 == 4
 
 
 def test_unitary_rep_rejects_bad_input(z2, s3):
