@@ -24,6 +24,7 @@ from .errors import NumericalError, ValidationError
 
 VERTEX_SIDE = "vertex"
 EDGE_SIDE = "edge"
+MILP_ROUNDING_ATOL = 0.25  # |exact distance of the rounded MILP point - solver optimum|
 
 
 @dataclass(frozen=True)
@@ -85,26 +86,23 @@ def zero_vector(side: str, block_lengths) -> MultiplicityVector:
 class BoundaryMap:
     """Integer boundary map from vertex space to edge space.
 
-    For each oriented edge the block row is (+ restriction at the terminus,
-    - restriction at the origin): applying the map to the multiplicity
+    `matrix` has one row block per oriented edge: + the restriction at the
+    terminus, - the restriction at the origin, so the block of edge 2k+1 is
+    the negation of the block of 2k. Applying the map to the multiplicity
     vector of a genuine representation gives zero on every oriented edge.
     """
 
     vertex_dims: tuple[tuple[int, ...], ...]       # irrep dims per vertex block
     edge_dims: tuple[tuple[int, ...], ...]         # irrep dims per oriented edge block
-    termini: tuple[int, ...]                       # terminus vertex per oriented edge
-    origins: tuple[int, ...]                       # origin vertex per oriented edge
-    terminus_maps: tuple[np.ndarray, ...]          # restriction matrix into edge coords
-    origin_maps: tuple[np.ndarray, ...]
+    matrix: np.ndarray                             # edge coordinates x vertex coordinates
     trivial_indices: tuple[int, ...]               # trivial-irrep coordinate per vertex
+
+    def __post_init__(self):
+        self.matrix.setflags(write=False)
 
     @property
     def n_vertices(self) -> int:
         return len(self.vertex_dims)
-
-    @property
-    def n_oriented_edges(self) -> int:
-        return len(self.edge_dims)
 
     @property
     def vertex_block_lengths(self) -> tuple[int, ...]:
@@ -119,49 +117,42 @@ class BoundaryMap:
         if vec.side != side or tuple(len(b) for b in vec.blocks) != lengths:
             raise ValidationError(f"vector does not live in the {side} space of this map")
 
+    def _norm(self, vec: MultiplicityVector, side: str) -> Fraction:
+        """Average over blocks of the dimension-weighted l1 block norms."""
+        self._require(vec, side)
+        dims = self.vertex_dims if side == VERTEX_SIDE else self.edge_dims
+        if not dims:
+            return Fraction(0)
+        total = sum(abs(x) * d for ds, b in zip(dims, vec.blocks) for d, x in zip(ds, b))
+        return Fraction(total, len(dims))
+
     def vertex_norm(self, vec: MultiplicityVector) -> Fraction:
         """Average over vertices of the dimension-weighted l1 block norms."""
-        self._require(vec, VERTEX_SIDE)
-        total = sum(abs(x) * d for dims, b in zip(self.vertex_dims, vec.blocks)
-                    for d, x in zip(dims, b))
-        return Fraction(total, self.n_vertices)
+        return self._norm(vec, VERTEX_SIDE)
 
     def edge_norm(self, vec: MultiplicityVector) -> Fraction:
         """Average over all oriented edges of the weighted block norms."""
-        self._require(vec, EDGE_SIDE)
-        if self.n_oriented_edges == 0:
-            return Fraction(0)
-        total = sum(abs(x) * d for dims, b in zip(self.edge_dims, vec.blocks)
-                    for d, x in zip(dims, b))
-        return Fraction(total, self.n_oriented_edges)
+        return self._norm(vec, EDGE_SIDE)
 
     def apply(self, vec: MultiplicityVector) -> MultiplicityVector:
         """Exact integer image of a vertex-space vector in edge space."""
         self._require(vec, VERTEX_SIDE)
-        blocks = []
-        for e in range(self.n_oriented_edges):
-            t_block = np.array(vec.blocks[self.termini[e]], dtype=object)
-            o_block = np.array(vec.blocks[self.origins[e]], dtype=object)
-            val = self.terminus_maps[e] @ t_block - self.origin_maps[e] @ o_block
-            blocks.append(tuple(int(x) for x in val))
-        return MultiplicityVector(EDGE_SIDE, tuple(blocks))
+        image = self.matrix @ np.array(vec.flatten(), dtype=object)
+        return MultiplicityVector.from_flat(EDGE_SIDE, image.tolist(), self.edge_block_lengths)
 
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """Dense integer matrix (edge coordinates x vertex coordinates)."""
-        v_len = self.vertex_block_lengths
-        v_off = np.concatenate([[0], np.cumsum(v_len)])
-        e_len = self.edge_block_lengths
-        rows = int(sum(e_len))
-        a = np.zeros((rows, int(v_off[-1])), dtype=np.int64)
-        r = 0
-        for e in range(self.n_oriented_edges):
-            k = e_len[e]
-            t, o = self.termini[e], self.origins[e]
-            a[r:r + k, v_off[t]:v_off[t] + v_len[t]] += self.terminus_maps[e]
-            a[r:r + k, v_off[o]:v_off[o] + v_len[o]] -= self.origin_maps[e]
-            r += k
-        return a
+    def kernel_norm(self, vec: MultiplicityVector) -> int:
+        """Vertex norm of a kernel-cone vector, which must be an integer.
+
+        Raises ValidationError unless `vec` is a nonnegative vertex-space
+        vector with zero boundary.
+        """
+        self._require(vec, VERTEX_SIDE)
+        if not vec.is_nonnegative() or not self.apply(vec).is_zero():
+            raise ValidationError("vector is not in the kernel cone of the boundary map")
+        norm = self.vertex_norm(vec)
+        if norm.denominator != 1:
+            raise ValidationError("kernel cone vector has non-integer norm; inconsistent blocks")
+        return int(norm)
 
     @cached_property
     def vertex_weights(self) -> np.ndarray:
@@ -185,10 +176,6 @@ def _solve_milp(c, constraints, integrality, bounds, context: str):
     return res
 
 
-def _exact_distance(weights, lam_flat, x) -> int:
-    return int(sum(int(w) * abs(int(a) - int(b)) for w, a, b in zip(weights, lam_flat, x)))
-
-
 def project_to_kernel_cone(lam: MultiplicityVector, bmap: BoundaryMap) -> MultiplicityVector:
     """Nearest point of the kernel cone, in the vertex norm, not larger than lam.
 
@@ -209,6 +196,10 @@ def project_to_kernel_cone(lam: MultiplicityVector, bmap: BoundaryMap) -> Multip
     n = lam_flat.size
     cap = int(w @ lam_flat)
     a_kernel = bmap.matrix
+
+    def distance(x) -> int:
+        return int(np.abs(lam_flat - x) @ w)
+
     ub = np.array([cap // int(wi) if wi > 0 else cap for wi in w], dtype=float)
 
     # variables: [mu (integer), s (continuous slack with s >= |lam - mu|)]
@@ -226,8 +217,8 @@ def project_to_kernel_cone(lam: MultiplicityVector, bmap: BoundaryMap) -> Multip
     c_dist = np.concatenate([np.zeros(n), w.astype(float)])
     res = _solve_milp(c_dist, constraints, integrality, bounds, "distance minimization")
     mu = np.round(res.x[:n]).astype(np.int64)
-    best = _exact_distance(w, lam_flat, mu)
-    if abs(best - res.fun) > 0.25:
+    best = distance(mu)
+    if abs(best - res.fun) > MILP_ROUNDING_ATOL:
         raise NumericalError(
             f"rounded solution has distance {best} but the solver reported {res.fun:.6f}")
 
@@ -251,7 +242,7 @@ def project_to_kernel_cone(lam: MultiplicityVector, bmap: BoundaryMap) -> Multip
             ek[k] = 1.0
             fixed.append(LinearConstraint(ek, v, v))
             cand[k] = v
-    if _exact_distance(w, lam_flat, cand) != best:
+    if distance(cand) != best:
         raise NumericalError("tie-break stage drifted from the optimal distance")
     mu = cand
 
@@ -273,15 +264,8 @@ def pad_with_trivial(lam_kernel: MultiplicityVector, target: int,
     vertex; the trivial vector lies in the kernel, so the result does too,
     with vertex norm exactly `target`.
     """
-    bmap._require(lam_kernel, VERTEX_SIDE)
-    if not lam_kernel.is_nonnegative():
-        raise ValidationError("padding input must lie in the nonnegative cone")
-    if not bmap.apply(lam_kernel).is_zero():
-        raise ValidationError("padding input must lie in the kernel")
-    norm = bmap.vertex_norm(lam_kernel)
-    if norm.denominator != 1:
-        raise ValidationError("kernel vector has non-integer norm; blocks are inconsistent")
-    deficit = int(target) - int(norm)
+    norm = bmap.kernel_norm(lam_kernel)
+    deficit = int(target) - norm
     if deficit < 0:
         raise ValidationError(f"target {target} is below the current norm {norm}")
     if deficit == 0:

@@ -71,22 +71,9 @@ def serre_graph(n_vertices: int, endpoints) -> SerreGraph:
     for o, t in eps:
         if not (0 <= o < n_vertices and 0 <= t < n_vertices):
             raise ValidationError(f"edge endpoint out of range: ({o}, {t})")
-    seen = {0}
-    queue = deque([0])
-    adj: dict[int, set[int]] = {v: set() for v in range(n_vertices)}
-    for o, t in eps:
-        adj[o].add(t)
-        adj[t].add(o)
-    while queue:
-        v = queue.popleft()
-        for u in adj[v]:
-            if u not in seen:
-                seen.add(u)
-                queue.append(u)
-    if len(seen) != n_vertices:
-        missing = sorted(set(range(n_vertices)) - seen)
-        raise ValidationError(f"graph is not connected; unreachable vertices {missing}")
-    return SerreGraph(n_vertices=n_vertices, endpoints=eps)
+    graph = SerreGraph(n_vertices=n_vertices, endpoints=eps)
+    spanning_tree(graph)  # rejects a disconnected graph
+    return graph
 
 
 @dataclass(frozen=True)
@@ -107,7 +94,11 @@ class SpanningTree:
 
 
 def spanning_tree(graph: SerreGraph) -> SpanningTree:
-    """Deterministic BFS tree from the least vertex, least edge index first."""
+    """BFS tree from vertex 0, least edge index first, the same on every call.
+
+    Raises ValidationError naming the unreachable vertices if the graph is
+    not connected.
+    """
     out_edges: dict[int, list[int]] = {v: [] for v in range(graph.n_vertices)}
     for e in range(graph.n_oriented_edges):
         out_edges[graph.origin(e)].append(e)
@@ -125,7 +116,8 @@ def spanning_tree(graph: SerreGraph) -> SpanningTree:
                                       edge_to_parent=graph.opposite(e)))
                 queue.append(u)
     if len(seen) != graph.n_vertices:
-        raise ValidationError("graph is not connected")
+        missing = sorted(set(range(graph.n_vertices)) - seen)
+        raise ValidationError(f"graph is not connected; unreachable vertices {missing}")
     return SpanningTree(root=root, steps=tuple(steps),
                         geometric_edges=frozenset(s.edge_to_parent // 2 for s in steps))
 
@@ -327,23 +319,28 @@ def perturb(rho: AlmostRep, gog: GraphOfGroups, eps: float, mode: str = PERTURB_
 
 
 def boundary_map(gog: GraphOfGroups, vertex_tables, edge_tables) -> BoundaryMap:
-    """Boundary map of a graph of groups in the given canonical tables."""
+    """Boundary map of a graph of groups in the given canonical tables.
+
+    The row block of oriented edge 2k holds + the restriction along its
+    injection at the terminus and - the restriction along the opposite
+    injection at the origin; the block of 2k+1 is its negation.
+    """
     graph = gog.graph
     vertex_tables = tuple(vertex_tables)
     edge_tables = tuple(edge_tables)
-    termini, origins, t_maps, o_maps, e_dims = [], [], [], [], []
-    for e in range(graph.n_oriented_edges):
-        k = e // 2
-        termini.append(graph.terminus(e))
-        origins.append(graph.origin(e))
-        t_maps.append(restriction_matrix(gog.injection(e), edge_tables[k],
-                                         vertex_tables[graph.terminus(e)]))
-        o_maps.append(restriction_matrix(gog.injection(graph.opposite(e)), edge_tables[k],
-                                         vertex_tables[graph.origin(e)]))
-        e_dims.append(tuple(int(d) for d in edge_tables[k].dims))
     v_dims = tuple(tuple(int(d) for d in t.dims) for t in vertex_tables)
+    e_dims = tuple(tuple(int(d) for d in edge_tables[e // 2].dims)
+                   for e in range(graph.n_oriented_edges))
+    v_off = np.cumsum([0] + [len(d) for d in v_dims])
+    e_off = np.cumsum([0] + [len(d) for d in e_dims])
+    a = np.zeros((e_off[-1], v_off[-1]), dtype=np.int64)
+    for e in graph.orientation():
+        k = e // 2
+        block = a[e_off[e]:e_off[e + 1]]
+        for sign, hom_e, v in ((1, e, graph.terminus(e)),
+                               (-1, graph.opposite(e), graph.origin(e))):
+            block[:, v_off[v]:v_off[v + 1]] += sign * restriction_matrix(
+                gog.injection(hom_e), edge_tables[k], vertex_tables[v])
+        a[e_off[e + 1]:e_off[e + 2]] = -block
     trivial = tuple(t.trivial_index for t in vertex_tables)
-    return BoundaryMap(vertex_dims=v_dims, edge_dims=tuple(e_dims),
-                       termini=tuple(termini), origins=tuple(origins),
-                       terminus_maps=tuple(t_maps), origin_maps=tuple(o_maps),
-                       trivial_indices=trivial)
+    return BoundaryMap(vertex_dims=v_dims, edge_dims=e_dims, matrix=a, trivial_indices=trivial)

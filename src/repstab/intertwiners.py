@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IsomorphyError, NumericalError, ValidationError
-from .irreps import (IrrepTable, UnitaryRep, complement, compress,
-                     irrep_table, isotypic_components, multiplicities, unitary_rep)
+from .irreps import (INVARIANCE_ATOL, UNITARY_ATOL, IrrepTable, UnitaryRep, complement,
+                     compress, isotypic_components, multiplicities, unitary_rep)
 from .rng import as_generator
 from .schatten import (nearest_unitary, rep_distance, schatten_norm_normalized,
                        threshold_partial_isometry)
@@ -27,6 +27,8 @@ from .schatten import (nearest_unitary, rep_distance, schatten_norm_normalized,
 DEFAULT_THRESHOLD = 0.5   # singular value cutoff for the kept subspaces
 SCHUR_SEED_MIN = 1e-9     # Frobenius floor below which a seed average counts as zero
 INTERTWINE_ATOL = 1e-8    # max |rho2(x) T - T rho1(x)| of an assembled unitary intertwiner
+FAR_DISTANCE = 0.25       # input distance from which invariant_intertwiner warns
+NEAR_THRESHOLD = 0.05     # window of singular values reported when invariance fails
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,7 +76,7 @@ def invariant_intertwiner(rho1: UnitaryRep, rho2: UnitaryRep, p: float,
     if warn_far and delta_hint is not None and delta > delta_hint:
         warnings.warn(f"measured distance {delta:.3e} exceeds the supplied hint {delta_hint:.3e}",
                       stacklevel=2)
-    if warn_far and delta >= 0.25:
+    if warn_far and delta >= FAR_DISTANCE:
         warnings.warn(f"measured distance {delta:.3e} is not below 1/4; "
                       "the kept subspaces may be small", stacklevel=2)
     t0 = averaged_intertwiner(rho1, rho2)
@@ -84,9 +86,9 @@ def invariant_intertwiner(rho1: UnitaryRep, rho2: UnitaryRep, p: float,
             continue
         proj = basis @ basis.conj().T
         err = np.abs(np.matmul(rep.matrices, proj) - np.matmul(proj, rep.matrices)).max()
-        if err > 1e-8:
+        if err > INVARIANCE_ATOL:
             sv = np.linalg.svd(t0, compute_uv=False)
-            near = sv[np.abs(sv - threshold) < 0.05]
+            near = sv[np.abs(sv - threshold) < NEAR_THRESHOLD]
             raise NumericalError(
                 f"{side} subspace not invariant (deviation {err:.3e}); "
                 f"singular values near the threshold: {np.array2string(near, precision=6)}")
@@ -114,8 +116,7 @@ def _schur_unitary(sig1: UnitaryRep, sig2: UnitaryRep) -> np.ndarray:
 
 
 def unitary_intertwiner(rho1: UnitaryRep, rho2: UnitaryRep, p: float,
-                        table: IrrepTable | None = None,
-                        rng=None,
+                        table: IrrepTable, rng=None,
                         warn_far: bool = True) -> np.ndarray:
     """Unitary T with rho2(x) T = T rho1(x), close to I for close inputs.
 
@@ -128,8 +129,6 @@ def unitary_intertwiner(rho1: UnitaryRep, rho2: UnitaryRep, p: float,
     onto rho2 exactly and is verified to INTERTWINE_ATOL.
     """
     rng = as_generator(rng)
-    if table is None:
-        table = irrep_table(rho1.group, seed=0)
     m1 = multiplicities(rho1, table)
     m2 = multiplicities(rho2, table)
     if not np.array_equal(m1, m2):
@@ -162,7 +161,7 @@ def unitary_intertwiner(rho1: UnitaryRep, rho2: UnitaryRep, p: float,
                 t_full += full2 @ w @ full1.conj().T
 
     uerr = np.abs(t_full @ t_full.conj().T - np.eye(dim)).max()
-    if uerr > 1e-10:
+    if uerr > UNITARY_ATOL:
         raise NumericalError(f"assembled intertwiner is not unitary (deviation {uerr:.3e})")
     ierr = np.abs(np.matmul(rho2.matrices, t_full) - np.matmul(t_full, rho1.matrices)).max()
     if ierr > INTERTWINE_ATOL:

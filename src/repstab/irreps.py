@@ -22,7 +22,9 @@ from .rng import as_generator, derived_generator, random_hermitian
 
 UNITARY_ATOL = 1e-10      # construction-time exactness for reps
 MULT_ATOL = 1e-6          # integrality tolerance for multiplicities
-IRREDUCIBLE_ATOL = 1e-8   # |sum |chi|^2 / |G| - 1| for irreducibility
+IRREDUCIBLE_ATOL = 1e-8   # |<chi, chi'> - delta| for irreducibility and table orthonormality
+INVARIANCE_ATOL = 1e-8    # max |M B - B B^H M B| of a subspace B counted as invariant
+TRIVIAL_ATOL = 1e-8       # np.allclose atol at which a character counts as constant 1
 CLUSTER_GAP_RTOL = 1e-7   # relative eigenvalue gap for commutant clustering
 CLUSTER_RETRIES = 3       # fresh commutant draws after a failed clustering
 CHARACTER_ATOL = 1e-6     # max character deviation when matching an irreducible
@@ -163,7 +165,7 @@ class IrrepTable:
     @property
     def trivial_index(self) -> int:
         for k, p in enumerate(self.irreps):
-            if p.dim == 1 and np.allclose(p.character, 1.0, atol=1e-8):
+            if p.dim == 1 and np.allclose(p.character, 1.0, atol=TRIVIAL_ATOL):
                 return k
         raise NumericalError("table has no trivial irreducible")
 
@@ -218,7 +220,7 @@ def irreducible_components(rep: UnitaryRep, rng=None) -> list[Component]:
             basis = q[:, idxs]
             sub = compress(mats, basis)
             inv_err = np.abs(np.matmul(mats, basis) - np.matmul(basis, sub)).max()
-            if inv_err > 1e-8:
+            if inv_err > INVARIANCE_ATOL:
                 ok, last_err = False, f"cluster not invariant (deviation {inv_err:.3e})"
                 break
             chi = np.trace(sub[reps_idx], axis1=1, axis2=2)
@@ -280,7 +282,7 @@ def irrep_table(group: FiniteGroup, seed=0) -> IrrepTable:
     sizes = group.class_sizes
     chars = np.array([p.character for p in entries])
     gram = (chars * sizes) @ chars.conj().T / group.order
-    if np.abs(gram - np.eye(len(entries))).max() > 1e-8:
+    if np.abs(gram - np.eye(len(entries))).max() > IRREDUCIBLE_ATOL:
         raise NumericalError("characters are not orthonormal")
     return IrrepTable(group=group, irreps=tuple(entries))
 

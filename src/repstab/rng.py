@@ -9,16 +9,26 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ValidationError
+
+
+def _check_seed(seed):
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise ValidationError(f"seed must be a nonnegative integer, got {seed}")
+    return seed
+
+
 def as_generator(seed=None) -> np.random.Generator:
     """Coerce a seed, SeedSequence, or Generator into a Generator."""
     if isinstance(seed, np.random.Generator):
         return seed
-    return np.random.default_rng(seed)
+    return np.random.default_rng(_check_seed(seed))
 
 
 def derived_generator(master_seed: int, *key: int) -> np.random.Generator:
     """Generator for a cell of a larger experiment, keyed by integer indices."""
-    ss = np.random.SeedSequence(entropy=int(master_seed), spawn_key=tuple(int(k) for k in key))
+    ss = np.random.SeedSequence(entropy=int(_check_seed(master_seed)),
+                                spawn_key=tuple(int(k) for k in key))
     return np.random.default_rng(ss)
 
 

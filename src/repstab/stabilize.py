@@ -31,11 +31,12 @@ from .groups import GroupHom
 from .irreps import (IrrepTable, UnitaryRep, complement, compress, conjugate_rep,
                      irrep_table, isotypic_components, multiplicities, pullback,
                      rep_from_multiplicities, restriction_matrix, unitary_rep)
-from .intertwiners import unitary_intertwiner
+from .intertwiners import INTERTWINE_ATOL, unitary_intertwiner
 from .rng import as_generator, derived_generator
 from .schatten import rep_distance
 
 DEFAULT_GUARD = 0.2
+HINT_SLACK = 1e-12  # how far a measured edge distance may exceed delta_hint unwarned
 
 
 @contextmanager
@@ -182,7 +183,7 @@ def correct_vertex(hom: GroupHom, tau: UnitaryRep, rho: UnitaryRep, target,
 
     measured = rep_distance(pullback(hom, rho), tau, p)
     _warn_gap(rho, target, table, max(measured, delta_hint or 0.0), p)
-    if delta_hint is not None and measured > delta_hint + 1e-12:
+    if delta_hint is not None and measured > delta_hint + HINT_SLACK:
         warnings.warn(f"measured edge distance {measured:.3e} exceeds the hint {delta_hint:.3e}",
                       stacklevel=2)
 
@@ -190,7 +191,7 @@ def correct_vertex(hom: GroupHom, tau: UnitaryRep, rho: UnitaryRep, target,
     t = unitary_intertwiner(tau, pullback(hom, rho1), p, table=table_sub, rng=rng)
     rho_out = conjugate_rep(rho1, t.conj().T)
     err = np.abs(pullback(hom, rho_out).matrices - tau.matrices).max()
-    if err > 1e-8:
+    if err > INTERTWINE_ATOL:
         raise NumericalError(f"corrected vertex fails the edge constraint (deviation {err:.3e})")
     return rho_out
 
@@ -241,14 +242,8 @@ def realize(lam: MultiplicityVector, ctx: CorrectionContext, seed=0) -> AlmostRe
     Tree stable letters are the identity; the remaining stable letters are
     unitary intertwiners between the two restrictions across their edge.
     """
-    ctx.boundary._require(lam, "vertex")
-    if not lam.is_nonnegative():
-        raise ValidationError("multiplicity vector must be nonnegative")
-    if not ctx.boundary.apply(lam).is_zero():
-        raise ValidationError("multiplicity vector is not in the kernel of the boundary map")
-    norm = ctx.boundary.vertex_norm(lam)
-    if norm.denominator != 1 or norm <= 0:
-        raise ValidationError("kernel vector must have positive integer norm")
+    if ctx.boundary.kernel_norm(lam) <= 0:
+        raise ValidationError("kernel cone vector must have positive norm")
     rng = as_generator(seed)
 
     def fit_child(child, into_child, tau, edge_table):

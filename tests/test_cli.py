@@ -137,6 +137,19 @@ def test_malformed_lambda_exit_2(capsys, lam):
     assert "--lam" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("realize", "--preset", "Z2_free_Z3", "--seed", "-1"),
+    ("irreps", "--preset", "S3", "--seed", "-2"),
+    ("sweep", "--preset", "Z2_free_Z3", "--seeds", "1", "--seed", "-3", "--out", "sweep.csv"),
+])
+def test_negative_seed_exit_2(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "seed" in err
+
+
 def test_missing_graph_argument_exit_2(capsys):
     code, _, err = run_cli(capsys, "realize")
     assert code == 2

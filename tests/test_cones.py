@@ -70,6 +70,34 @@ def test_boundary_amalgam_identity_inclusions(amalgam_ctx):
     assert set(image.blocks) == {(-1, 1), (1, -1)}
 
 
+def test_apply_matches_per_edge_restrictions(preset_contexts, amalgam_ctx, s3_loop_ctx):
+    # reference: on each oriented edge, the restriction at the terminus minus
+    # the restriction at the origin, in Python integers; the entries are
+    # large enough that int64 arithmetic would overflow
+    rng = np.random.default_rng(0)
+    presets = [ctx for (_, p), ctx in preset_contexts.items() if p == 2.0]
+    for ctx in (*presets, amalgam_ctx, s3_loop_ctx):
+        b, graph = ctx.boundary, ctx.gog.graph
+        lam = rs.MultiplicityVector("vertex", tuple(
+            tuple(int(x) * 2 ** 62 + 1 for x in rng.integers(0, 5, size=n))
+            for n in b.vertex_block_lengths))
+        expected = []
+        for e in range(graph.n_oriented_edges):
+            image = 0
+            for sign, hom_e, v in ((1, e, graph.terminus(e)),
+                                   (-1, graph.opposite(e), graph.origin(e))):
+                r = rs.restriction_matrix(ctx.gog.injection(hom_e), ctx.edge_tables[e // 2],
+                                          ctx.vertex_tables[v]).astype(object)
+                image = image + sign * (r @ np.array(lam.blocks[v], dtype=object))
+            expected.append(tuple(image))
+        assert b.apply(lam).blocks == tuple(expected)
+
+
+def test_matrix_is_read_only(dihedral_ctx):
+    with pytest.raises(ValueError):
+        dihedral_ctx.boundary.matrix[0, 0] = 7
+
+
 def test_project_fixes_kernel_points(dihedral_ctx):
     lam = rs.MultiplicityVector("vertex", ((2, 1), (1, 2)))
     assert rs.project_to_kernel_cone(lam, dihedral_ctx.boundary) == lam
@@ -184,8 +212,7 @@ def test_projection_sequential_lexicographic_branch():
     b = rs.BoundaryMap(
         vertex_dims=((1, 1, 1, 1), (1, 1, 1, 1)),
         edge_dims=((1, 1, 1, 1), (1, 1, 1, 1)),
-        termini=(1, 0), origins=(0, 1),
-        terminus_maps=(eye4, eye4), origin_maps=(eye4, eye4),
+        matrix=np.block([[-eye4, eye4], [eye4, -eye4]]),
         trivial_indices=(0, 0))
     lam = rs.MultiplicityVector("vertex", ((100, 50, 30, 20), (90, 60, 25, 25)))
     n = 8

@@ -169,5 +169,5 @@ def test_nonabelian_edge_table_has_two_dim_irrep(s3_twisted_amalgam):
     assert ctx.edge_tables[0].dims.tolist() == [1, 1, 2]
     # restriction along the twisted inclusion is a permutation-free identity
     # on multiplicities (inner twists preserve characters)
-    m = ctx.boundary.origin_maps[0]
+    m = -ctx.boundary.matrix[:3, :3]  # origin block of oriented edge 0
     assert m.tolist() == np.eye(3, dtype=int).tolist()
