@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from .cones import MultiplicityVector
+from .cones import MultiplicityVector, as_integer
 from .errors import (GuardExceededError, NumericalError, RepStabError,
                      ValidationError)
 from .graphs import GraphOfGroups, measure_defect, perturb, rep_multiplicities
@@ -62,14 +62,6 @@ def _resolve_graph(args) -> GraphOfGroups:
     raise ValidationError("pass --preset NAME or --config PATH")
 
 
-def _multiplicity(x) -> int:
-    if isinstance(x, int) and not isinstance(x, bool):
-        return x
-    if isinstance(x, float) and x.is_integer():
-        return int(x)
-    raise ValidationError(f"--lam entries must be integers, got {x!r}")
-
-
 def _resolve_lambda(args, ctx) -> MultiplicityVector:
     raw = getattr(args, "lam", None)
     if raw:
@@ -81,7 +73,8 @@ def _resolve_lambda(args, ctx) -> MultiplicityVector:
         if not (isinstance(blocks, list) and all(isinstance(b, list) for b in blocks)):
             raise ValidationError(
                 '--lam must be a list of per-vertex lists, or an object with a "blocks" list')
-        lam = MultiplicityVector("vertex", tuple(tuple(_multiplicity(x) for x in b) for b in blocks))
+        lam = MultiplicityVector("vertex", tuple(tuple(as_integer(x, "--lam entry") for x in b)
+                                                 for b in blocks))
         ctx.boundary._require(lam, "vertex")
         return lam
     return uniform_lambda(ctx, args.dim)

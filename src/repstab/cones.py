@@ -27,6 +27,15 @@ EDGE_SIDE = "edge"
 MILP_ROUNDING_ATOL = 0.25  # |exact distance of the rounded MILP point - solver optimum|
 
 
+def as_integer(x, what: str) -> int:
+    """`x` as an int; ints, numpy integers and integral floats are accepted."""
+    if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
+        return int(x)
+    if isinstance(x, float) and x.is_integer():
+        return int(x)
+    raise ValidationError(f"{what} must be an integer, got {x!r}")
+
+
 @dataclass(frozen=True)
 class MultiplicityVector:
     """Integer blocks per vertex (or per oriented edge)."""
@@ -37,8 +46,8 @@ class MultiplicityVector:
     def __post_init__(self):
         if self.side not in (VERTEX_SIDE, EDGE_SIDE):
             raise ValidationError(f"side must be '{VERTEX_SIDE}' or '{EDGE_SIDE}'")
-        object.__setattr__(self, "blocks",
-                           tuple(tuple(int(x) for x in b) for b in self.blocks))
+        object.__setattr__(self, "blocks", tuple(
+            tuple(as_integer(x, "multiplicity") for x in b) for b in self.blocks))
 
     def _binary(self, other: "MultiplicityVector", op) -> "MultiplicityVector":
         if self.side != other.side or [len(b) for b in self.blocks] != [len(b) for b in other.blocks]:
@@ -265,7 +274,7 @@ def pad_with_trivial(lam_kernel: MultiplicityVector, target: int,
     with vertex norm exactly `target`.
     """
     norm = bmap.kernel_norm(lam_kernel)
-    deficit = int(target) - norm
+    deficit = as_integer(target, "target norm") - norm
     if deficit < 0:
         raise ValidationError(f"target {target} is below the current norm {norm}")
     if deficit == 0:

@@ -26,7 +26,7 @@ from .groups import FiniteGroup, GroupHom, group_hom
 from .irreps import (UNITARY_ATOL, UnitaryRep, conjugate_rep, multiplicities,
                      restriction_matrix, unitary_rep)
 from .rng import as_generator, random_hermitian
-from .schatten import rep_distance, schatten_norm_normalized
+from .schatten import max_normalized_norm, singular_values
 
 PERTURB_EDGES = "edges-only"
 PERTURB_FULL = "edges-and-conjugate-vertices"
@@ -257,10 +257,11 @@ def measure_defect(rho: AlmostRep, gog: GraphOfGroups, p: float,
                    tree: SpanningTree | None = None) -> float:
     """Largest normalized p-Schatten distance from a relator image to I."""
     eye = np.eye(rho.dim)
-    worst = 0.0
-    for word in relators(gog, tree):
-        worst = max(worst, schatten_norm_normalized(evaluate_word(rho, word) - eye, p))
-    return worst
+    words = relators(gog, tree)
+    diffs = np.empty((len(words), rho.dim, rho.dim), dtype=complex)
+    for k, word in enumerate(words):
+        diffs[k] = evaluate_word(rho, word) - eye
+    return max_normalized_norm(diffs, p)
 
 
 def rep_multiplicities(rho: AlmostRep, vertex_tables) -> MultiplicityVector:
@@ -272,19 +273,24 @@ def rep_multiplicities(rho: AlmostRep, vertex_tables) -> MultiplicityVector:
 
 def generator_distance(rho1: AlmostRep, rho2: AlmostRep, p: float) -> float:
     """Max distance over the generating set: vertex elements and stable letters."""
-    if rho1.dim != rho2.dim or len(rho1.vertex_reps) != len(rho2.vertex_reps):
+    def shapes(rho):
+        return [r.matrices.shape for r in rho.vertex_reps] + [u.shape for u in rho.edge_unitaries]
+
+    if shapes(rho1) != shapes(rho2):
         raise ValidationError("almost-representations are not comparable")
-    worst = 0.0
-    for r1, r2 in zip(rho1.vertex_reps, rho2.vertex_reps):
-        worst = max(worst, rep_distance(r1, r2, p))
-    for u1, u2 in zip(rho1.edge_unitaries, rho2.edge_unitaries):
-        worst = max(worst, schatten_norm_normalized(u1 - u2, p))
-    return worst
+    diffs = [r1.matrices - r2.matrices for r1, r2 in zip(rho1.vertex_reps, rho2.vertex_reps)]
+    diffs += [(u1 - u2)[None] for u1, u2 in zip(rho1.edge_unitaries, rho2.edge_unitaries)]
+    return max_normalized_norm(np.concatenate(diffs), p)
 
 
 def _unit_frobenius_hermitian(dim: int, rng) -> np.ndarray:
     h = random_hermitian(dim, rng)
-    scale = schatten_norm_normalized(h, 2.0)
+    # Kept on the singular values, in the arithmetic of the SVD route of
+    # schatten_norm_normalized(h, 2.0): this scale fixes every perturbed
+    # input, and the Frobenius form of the same norm can differ in the last
+    # bit, which would change the perturbed inputs of every sweep.
+    sv = singular_values(h)
+    scale = float(sv[0] * np.sum((sv / sv[0]) ** 2.0) ** 0.5) / dim ** 0.5
     return h / scale
 
 

@@ -60,25 +60,18 @@ def averaged_intertwiner(rho1: UnitaryRep, rho2: UnitaryRep) -> np.ndarray:
     return prods.sum(axis=0) / rho1.group.order
 
 
-def invariant_intertwiner(rho1: UnitaryRep, rho2: UnitaryRep, p: float,
-                          delta_hint: float | None = None,
-                          threshold: float = DEFAULT_THRESHOLD,
-                          warn_far: bool = True) -> IntertwinerResult:
-    """Partial isometry between invariant subspaces of two close representations.
-
-    Thresholds the averaged intertwiner at `threshold`; the kept singular
-    subspaces are spectral subspaces of exact intertwiners and therefore
-    invariant. Invariance is verified numerically and a failure reports the
-    singular values straddling the threshold. `warn_far=False` silences the
-    distance warnings for callers that expect far-apart inputs.
-    """
-    delta = rep_distance(rho1, rho2, p)
-    if warn_far and delta_hint is not None and delta > delta_hint:
+def _warn_far(delta: float, delta_hint: float | None, stacklevel: int):
+    """Distance warnings; `stacklevel` counts from the caller, as in warnings.warn."""
+    if delta_hint is not None and delta > delta_hint:
         warnings.warn(f"measured distance {delta:.3e} exceeds the supplied hint {delta_hint:.3e}",
-                      stacklevel=2)
-    if warn_far and delta >= FAR_DISTANCE:
+                      stacklevel=stacklevel + 1)
+    if delta >= FAR_DISTANCE:
         warnings.warn(f"measured distance {delta:.3e} is not below 1/4; "
-                      "the kept subspaces may be small", stacklevel=2)
+                      "the kept subspaces may be small", stacklevel=stacklevel + 1)
+
+
+def _kept_isometry(rho1: UnitaryRep, rho2: UnitaryRep, threshold: float):
+    """Thresholded group average (T, right, left), with invariance verified."""
     t0 = averaged_intertwiner(rho1, rho2)
     t, right, left = threshold_partial_isometry(t0, threshold)
     for rep, basis, side in ((rho1, right, "source"), (rho2, left, "target")):
@@ -92,6 +85,25 @@ def invariant_intertwiner(rho1: UnitaryRep, rho2: UnitaryRep, p: float,
             raise NumericalError(
                 f"{side} subspace not invariant (deviation {err:.3e}); "
                 f"singular values near the threshold: {np.array2string(near, precision=6)}")
+    return t, right, left
+
+
+def invariant_intertwiner(rho1: UnitaryRep, rho2: UnitaryRep, p: float,
+                          delta_hint: float | None = None,
+                          threshold: float = DEFAULT_THRESHOLD,
+                          warn_far: bool = True) -> IntertwinerResult:
+    """Partial isometry between invariant subspaces of two close representations.
+
+    Thresholds the averaged intertwiner at `threshold`; the kept singular
+    subspaces are spectral subspaces of exact intertwiners and therefore
+    invariant. Invariance is verified numerically and a failure reports the
+    singular values straddling the threshold. `warn_far=False` silences the
+    distance warnings for callers that expect far-apart inputs.
+    """
+    delta = rep_distance(rho1, rho2, p)
+    if warn_far:
+        _warn_far(delta, delta_hint, stacklevel=2)
+    t, right, left = _kept_isometry(rho1, rho2, threshold)
     dev = schatten_norm_normalized(t - np.eye(rho1.dim), p)
     return IntertwinerResult(operator=t, source_basis=right, target_basis=left,
                              pair_distance=delta, identity_distance=dev)
@@ -136,11 +148,12 @@ def unitary_intertwiner(rho1: UnitaryRep, rho2: UnitaryRep, p: float,
             f"representations are not isomorphic: multiplicities {m1.tolist()} vs {m2.tolist()}",
             left=m1, right=m2)
 
-    res = invariant_intertwiner(rho1, rho2, p, warn_far=warn_far)
+    if warn_far:
+        _warn_far(rep_distance(rho1, rho2, p), None, stacklevel=1)
+    t_full, right, left = _kept_isometry(rho1, rho2, DEFAULT_THRESHOLD)
     dim = rho1.dim
-    t_full = res.operator.copy()
-    comp1 = complement(res.source_basis, dim)
-    comp2 = complement(res.target_basis, dim)
+    comp1 = complement(right, dim)
+    comp2 = complement(left, dim)
     if comp1.shape[1] != comp2.shape[1]:
         raise NumericalError("complement dimensions disagree; threshold straddles a cluster")
 

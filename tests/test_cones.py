@@ -175,6 +175,27 @@ def test_pad_with_trivial_rejects_small_target(dihedral_ctx):
         rs.pad_with_trivial(lam, 2, dihedral_ctx.boundary)
 
 
+def test_pad_with_trivial_rejects_non_integral_target(dihedral_ctx):
+    b = dihedral_ctx.boundary
+    lam = rs.MultiplicityVector("vertex", ((2, 1), (1, 2)))
+    with pytest.raises(ValidationError, match="target norm must be an integer"):
+        rs.pad_with_trivial(lam, 4.9, b)
+    for target in (4, 4.0, np.int64(4), np.float64(4.0)):
+        assert b.vertex_norm(rs.pad_with_trivial(lam, target, b)) == 4
+
+
+@pytest.mark.parametrize("entry", [1.5, 2.7, np.float64(0.5), "1", None, True])
+def test_multiplicity_vector_rejects_non_integral_entry(entry):
+    with pytest.raises(ValidationError, match="multiplicity must be an integer"):
+        rs.MultiplicityVector("vertex", ((1, entry),))
+
+
+def test_multiplicity_vector_accepts_integral_entries():
+    lam = rs.MultiplicityVector("vertex", ((1, 2.0), (np.int64(3), np.float64(4.0))))
+    assert lam.blocks == ((1, 2), (3, 4))
+    assert all(type(x) is int for x in lam.flatten())
+
+
 def test_trivial_vector_in_kernel_for_all_presets():
     for name in rs.graph_preset_names():
         ctx = rs.CorrectionContext.build(rs.graph_preset(name), p=2.0)

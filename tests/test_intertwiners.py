@@ -180,3 +180,43 @@ def test_padding_distance_random_below_bound(s3_table):
         sig2 = random_rep(s3_table, 2, rng)
         measured, bound = rs.direct_sum_padding_distance(rho, sig1, sig2, 1.0)
         assert measured <= bound + 1e-12
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_realize_measures_no_distances_in_intertwiners(monkeypatch):
+    # realize passes warn_far=False, so no pair distance is ever read
+    from repstab import intertwiners
+    ctx = rs.CorrectionContext.build(rs.graph_preset("Z2_free_Z3"), p=2.0)
+    distances = _count_calls(monkeypatch, intertwiners, "rep_distance")
+    norms = _count_calls(monkeypatch, intertwiners, "schatten_norm_normalized")
+    thresholds = _count_calls(monkeypatch, intertwiners, "threshold_partial_isometry")
+    rho = rs.realize(rs.uniform_lambda(ctx, 12), ctx, seed=0)
+    assert rs.measure_defect(rho, ctx.gog, 2.0) < 1e-10
+    assert thresholds, "realize built no intertwiner"
+    assert distances == [] and norms == []
+
+
+def test_unitary_intertwiner_computes_no_identity_distance(monkeypatch, z3_table):
+    from repstab import intertwiners
+    rng = np.random.default_rng(12)
+    rho1, rho2, _ = _phase_conjugated_pair(z3_table, 6, 1e-2, rng, 2.0)
+    norms = _count_calls(monkeypatch, intertwiners, "schatten_norm_normalized")
+    distances = _count_calls(monkeypatch, intertwiners, "rep_distance")
+    rs.unitary_intertwiner(rho1, rho2, 2.0, table=z3_table, rng=rng)
+    assert norms == []
+    assert distances == ["rep_distance"]   # the pair distance, for the far warning
+    # the partial-isometry lemma still reports both distances
+    res = rs.invariant_intertwiner(rho1, rho2, 2.0)
+    assert res.pair_distance > 0.0 and res.identity_distance > 0.0
+    assert norms == ["schatten_norm_normalized"]

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repstab as rs
+from repstab import schatten
 from repstab.errors import NumericalError, ValidationError
-from repstab.rng import random_unitary
+from repstab.rng import random_hermitian, random_unitary
 
 from conftest import hermitian_sqrt
 
@@ -163,3 +166,88 @@ def test_nan_rejected():
     bad = np.array([[np.nan, 0.0], [0.0, 1.0]])
     with pytest.raises(ValidationError, match="NaN"):
         rs.singular_values(bad)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 4.0])
+def test_normalized_norm_rejects_empty_matrix(p):
+    with pytest.raises(ValidationError, match="nonempty"):
+        rs.schatten_norm_normalized(np.zeros((0, 0)), p)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 4.0])
+def test_rep_distance_rejects_empty_matrices(p):
+    empty = np.zeros((3, 0, 0))
+    with pytest.raises(ValidationError, match="nonempty"):
+        rs.rep_distance(empty, empty, p)
+
+
+def _reference_norm(a, p):
+    """p-Schatten norm from the per-matrix singular values."""
+    sv = rs.singular_values(a)
+    if sv.size == 0 or sv[0] == 0.0:
+        return 0.0
+    return sv[0] * np.sum((sv / sv[0]) ** p) ** (1.0 / p)
+
+
+def _assert_matches_reference(stack, p):
+    got = schatten._norms(stack, p)
+    want = np.array([_reference_norm(a, p) for a in stack])
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def _complex_stack(rng, n, rows, cols, scale=1.0):
+    return scale * (rng.standard_normal((n, rows, cols))
+                    + 1j * rng.standard_normal((n, rows, cols)))
+
+
+ORACLE_PS = [1.0, 1.5, 2.0, 3.0, 4.0]
+
+
+@pytest.mark.parametrize("p", ORACLE_PS)
+@pytest.mark.parametrize("shape", [(6, 6), (9, 4), (4, 9), (1, 5), (24, 24)])
+def test_stacked_norm_matches_singular_values(p, shape):
+    rng = np.random.default_rng(100 * shape[0] + shape[1])
+    stack = _complex_stack(rng, 5, *shape)
+    stack[2] = 0.0
+    _assert_matches_reference(stack, p)
+    assert schatten._norms(stack, p)[2] == 0.0
+
+
+@pytest.mark.parametrize("p", ORACLE_PS)
+@pytest.mark.parametrize("scale", [1e-200, 1e-150, 1e150, 1e200])
+def test_stacked_norm_scaling_extremes(p, scale):
+    rng = np.random.default_rng(7)
+    stack = _complex_stack(rng, 3, 7, 5, scale)
+    _assert_matches_reference(stack, p)
+    # the same matrices at unit scale give the same norms up to the scale
+    np.testing.assert_allclose(schatten._norms(stack, p) / scale,
+                               schatten._norms(stack / scale, p), rtol=1e-12)
+
+
+@pytest.mark.parametrize("p", ORACLE_PS)
+def test_stacked_norm_on_unitary_differences(p):
+    # U - U exp(i eps H), the shape of every defect and distance near an
+    # exact representation, down to differences at rounding level
+    rng = np.random.default_rng(11)
+    dim = 16
+    u = random_unitary(dim, rng)
+    h = random_hermitian(dim, rng)
+    w, v = np.linalg.eigh(h)
+    for eps in 10.0 ** -np.arange(2, 15):
+        stack = np.stack([u - u @ ((v * np.exp(1j * e * w)) @ v.conj().T)
+                          for e in (eps, 3 * eps)])
+        _assert_matches_reference(stack, p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.integers(1, 9), cols=st.integers(1, 9), n=st.integers(1, 4),
+       log_scale=st.floats(-150, 150), p=st.sampled_from(ORACLE_PS),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_stacked_norm_property(rows, cols, n, log_scale, p, seed):
+    rng = np.random.default_rng(seed)
+    stack = _complex_stack(rng, n, rows, cols, 10.0 ** log_scale)
+    _assert_matches_reference(stack, p)
+
+
+def test_max_normalized_norm_of_empty_stack_is_zero():
+    assert schatten.max_normalized_norm(np.zeros((0, 3, 3)), 1.0) == 0.0
