@@ -6,8 +6,9 @@ codimension at most (2*delta)^p times the dimension, at distance 3*delta
 from the identity; when the representations are isomorphic the intertwiner
 extends to a unitary within 5*delta of the identity. The constructions here
 are fully explicit: a group average provides an exact intertwiner, singular
-value thresholding extracts the near-isometric part, and isomorphic
-complements are matched irreducible-by-irreducible.
+value thresholding extracts the near-isometric part, and the unitary
+intertwiner is the polar factor of the group average, completed on its null
+space by the polar factor of a random seed's group average.
 """
 
 from __future__ import annotations
@@ -19,16 +20,15 @@ import numpy as np
 
 from .errors import IsomorphyError, NumericalError, ValidationError
 from .irreps import (INVARIANCE_ATOL, UNITARY_ATOL, IrrepTable, UnitaryRep, complement,
-                     compress, isotypic_components, multiplicities, unitary_rep)
-from .rng import as_generator
+                     compress, multiplicities)
+from .rng import as_generator, complex_gaussian
 from .schatten import (nearest_unitary, rep_distance, schatten_norm_normalized,
                        threshold_partial_isometry)
 
-DEFAULT_THRESHOLD = 0.5   # singular value cutoff for the kept subspaces
-SCHUR_SEED_MIN = 1e-9     # Frobenius floor below which a seed average counts as zero
+DEFAULT_THRESHOLD = 0.5   # singular value cutoff for the kept subspaces of invariant_intertwiner
+POLAR_RANK_ATOL = 1e-6    # singular value of the group average below which it counts as zero
 INTERTWINE_ATOL = 1e-8    # max |rho2(x) T - T rho1(x)| of an assembled unitary intertwiner
 FAR_DISTANCE = 0.25       # input distance from which invariant_intertwiner warns
-NEAR_THRESHOLD = 0.05     # window of singular values reported when invariance fails
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,10 +81,11 @@ def _kept_isometry(rho1: UnitaryRep, rho2: UnitaryRep, threshold: float):
         err = np.abs(np.matmul(rep.matrices, proj) - np.matmul(proj, rep.matrices)).max()
         if err > INVARIANCE_ATOL:
             sv = np.linalg.svd(t0, compute_uv=False)
-            near = sv[np.abs(sv - threshold) < NEAR_THRESHOLD]
+            kept = basis.shape[1]
+            dropped = f"{sv[kept]:.6g}" if kept < sv.size else "none"
             raise NumericalError(
-                f"{side} subspace not invariant (deviation {err:.3e}); "
-                f"singular values near the threshold: {np.array2string(near, precision=6)}")
+                f"{side} subspace not invariant (deviation {err:.3e}); smallest kept "
+                f"singular value {sv[kept - 1]:.6g}, largest dropped {dropped}")
     return t, right, left
 
 
@@ -109,36 +110,20 @@ def invariant_intertwiner(rho1: UnitaryRep, rho2: UnitaryRep, p: float,
                              pair_distance=delta, identity_distance=dev)
 
 
-def _schur_unitary(sig1: UnitaryRep, sig2: UnitaryRep) -> np.ndarray:
-    """Unitary intertwiner between two isomorphic irreducibles.
-
-    Averages rank-one seeds over the group; the average is a scalar multiple
-    of the (unique up to phase) intertwiner, and some matrix-unit seed always
-    produces a nonzero multiple. Diagonal seeds are tried first.
-    """
-    d = sig1.dim
-    order = [(j, j) for j in range(d)] + [(j, k) for j in range(d) for k in range(d) if j != k]
-    for j, k in order:
-        avg = np.einsum("gi,gk->ik", sig2.matrices[:, :, j], sig1.matrices[:, :, k].conj())
-        avg /= sig1.group.order
-        if np.linalg.norm(avg) >= SCHUR_SEED_MIN:
-            return nearest_unitary(avg)
-    raise NumericalError("all rank-one seed averages vanished; "
-                         "components are not isomorphic irreducibles")
-
-
 def unitary_intertwiner(rho1: UnitaryRep, rho2: UnitaryRep, p: float,
                         table: IrrepTable, rng=None,
                         warn_far: bool = True) -> np.ndarray:
     """Unitary T with rho2(x) T = T rho1(x), close to I for close inputs.
 
     Requires isomorphic inputs (verified through their multiplicity
-    vectors). The thresholded averaged intertwiner matches invariant
-    subspaces exactly; the orthogonal complements, which are isomorphic to
-    each other, are decomposed into irreducibles and paired in canonical
-    table order, first come first paired within each isotypic block. The
-    kept subspaces are cut at DEFAULT_THRESHOLD; the result conjugates rho1
-    onto rho2 exactly and is verified to INTERTWINE_ATOL.
+    vectors). T is the polar factor of the group average E of rho2(g)
+    rho1(g)^{-1}: at p = 2 the closest unitary intertwiner to the identity,
+    and within 3x of the closest at every p. When E is singular (singular
+    values below POLAR_RANK_ATOL), the kernels of E and E^*, which carry
+    isomorphic subrepresentations, are matched by the polar factor of the
+    group average of one complex Gaussian seed drawn from `rng`; `rng` is
+    untouched otherwise. The result conjugates rho1 onto
+    rho2 exactly and is verified to INTERTWINE_ATOL.
     """
     rng = as_generator(rng)
     m1 = multiplicities(rho1, table)
@@ -150,28 +135,15 @@ def unitary_intertwiner(rho1: UnitaryRep, rho2: UnitaryRep, p: float,
 
     if warn_far:
         _warn_far(rep_distance(rho1, rho2, p), None, stacklevel=1)
-    t_full, right, left = _kept_isometry(rho1, rho2, DEFAULT_THRESHOLD)
+    t_full, right, left = _kept_isometry(rho1, rho2, POLAR_RANK_ATOL)
     dim = rho1.dim
-    comp1 = complement(right, dim)
-    comp2 = complement(left, dim)
-    if comp1.shape[1] != comp2.shape[1]:
-        raise NumericalError("complement dimensions disagree; threshold straddles a cluster")
-
-    if comp1.shape[1] > 0:
-        rest1 = unitary_rep(rho1.group, compress(rho1.matrices, comp1), check=False)
-        rest2 = unitary_rep(rho2.group, compress(rho2.matrices, comp2), check=False)
-        iso1 = isotypic_components(rest1, table, rng)
-        iso2 = isotypic_components(rest2, table, rng)
-        if [len(cs) for cs in iso1] != [len(cs) for cs in iso2]:
-            raise NumericalError("complements decompose with different multiplicities")
-        for cs1, cs2 in zip(iso1, iso2):
-            for c1, c2 in zip(cs1, cs2):
-                sig1 = unitary_rep(rho1.group, compress(rest1.matrices, c1.basis), check=False)
-                sig2 = unitary_rep(rho2.group, compress(rest2.matrices, c2.basis), check=False)
-                w = _schur_unitary(sig1, sig2)
-                full1 = comp1 @ c1.basis
-                full2 = comp2 @ c2.basis
-                t_full += full2 @ w @ full1.conj().T
+    k = dim - right.shape[1]
+    if k:
+        comp1, comp2 = complement(right, dim), complement(left, dim)
+        rest1, rest2 = compress(rho1.matrices, comp1), compress(rho2.matrices, comp2)
+        x = complex_gaussian(k, rng)
+        seed_avg = (rest2 @ x @ rest1.conj().transpose(0, 2, 1)).sum(axis=0) / rho1.group.order
+        t_full += comp2 @ nearest_unitary(seed_avg) @ comp1.conj().T
 
     uerr = np.abs(t_full @ t_full.conj().T - np.eye(dim)).max()
     if uerr > UNITARY_ATOL:

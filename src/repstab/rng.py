@@ -32,15 +32,19 @@ def derived_generator(master_seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
+def complex_gaussian(n: int, rng: np.random.Generator) -> np.ndarray:
+    """n x n matrix with independent standard complex Gaussian entries."""
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
 def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
     """Random Hermitian matrix with independent complex Gaussian entries."""
-    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    a = complex_gaussian(n, rng)
     return (a + a.conj().T) / 2.0
 
 
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR with phase correction."""
-    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(a)
+    q, r = np.linalg.qr(complex_gaussian(n, rng))
     d = np.diagonal(r)
     return q * (d / np.abs(d))

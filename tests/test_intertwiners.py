@@ -133,8 +133,8 @@ def test_unitary_intertwiner_bound_over_eps(z4, eps):
 
 
 def test_unitary_intertwiner_far_isomorphic_pair(s3_table):
-    # isomorphic but far apart: the kept part may be small or empty, yet the
-    # complement pairing still produces an exact unitary intertwiner
+    # isomorphic but far apart: the average is far from unitary, yet its
+    # polar factor is still an exact unitary intertwiner
     rng = np.random.default_rng(8)
     rho1 = random_rep(s3_table, 6, rng)
     rho2 = rs.conjugate_rep(rho1, random_unitary(6, rng))
@@ -220,3 +220,66 @@ def test_unitary_intertwiner_computes_no_identity_distance(monkeypatch, z3_table
     res = rs.invariant_intertwiner(rho1, rho2, 2.0)
     assert res.pair_distance > 0.0 and res.identity_distance > 0.0
     assert norms == ["schatten_norm_normalized"]
+
+
+def _singular_average_cases(z2_table, s3_table):
+    """(table, rho1, conjugating unitary, singular values of the average)."""
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    # trivial+sign against its swap: the average is zero
+    yield z2_table, rs.rep_from_multiplicities(z2_table, [1, 1]), swap, [0, 0]
+    # trivial+trivial+sign with the last two lines swapped: the average is diag(1, 0, 0)
+    u = np.eye(3)
+    u[1:, 1:] = swap
+    yield z2_table, rs.rep_from_multiplicities(z2_table, [2, 1]), u, [1, 0, 0]
+    # both copies of the 2-dimensional irreducible of S3 conjugated by a
+    # trace-zero unitary, whose commutant average vanishes: a 4-dimensional null space
+    u = np.eye(6)
+    u[2:4, 2:4] = u[4:6, 4:6] = np.diag([1.0, -1.0])
+    yield s3_table, rs.rep_from_multiplicities(s3_table, [1, 1, 2]), u, [1, 1, 0, 0, 0, 0]
+
+
+def test_unitary_intertwiner_on_singular_averages(z2_table, s3_table):
+    for table, rho1, u, expected_sv in _singular_average_cases(z2_table, s3_table):
+        rho2 = rs.conjugate_rep(rho1, u)
+        sv = np.linalg.svd(rs.averaged_intertwiner(rho1, rho2), compute_uv=False)
+        np.testing.assert_allclose(sv, expected_sv, atol=1e-14)
+        runs = [rs.unitary_intertwiner(rho1, rho2, 2.0, table=table,
+                                       rng=np.random.default_rng(seed), warn_far=False)
+                for seed in (7, 7, 8)]
+        for t in runs:
+            assert np.abs(t @ t.conj().T - np.eye(rho1.dim)).max() < 1e-12
+            assert np.abs(np.matmul(rho2.matrices, t) - np.matmul(t, rho1.matrices)).max() < 1e-12
+        assert np.array_equal(runs[0], runs[1])
+
+
+def test_unitary_intertwiner_is_polar_factor_of_nonsingular_average(z2_table):
+    # both singular values of the average are 0.3: above the rank cut, below
+    # the partial-isometry threshold of invariant_intertwiner
+    theta = np.arccos(0.3)
+    c, s = np.cos(theta), np.sin(theta)
+    rho1 = rs.rep_from_multiplicities(z2_table, [1, 1])
+    rho2 = rs.conjugate_rep(rho1, np.array([[c, -s], [s, c]]))
+    t0 = rs.averaged_intertwiner(rho1, rho2)
+    np.testing.assert_allclose(np.linalg.svd(t0, compute_uv=False), [0.3, 0.3], atol=1e-12)
+    for seed in range(3):
+        t = rs.unitary_intertwiner(rho1, rho2, 2.0, table=z2_table,
+                                   rng=np.random.default_rng(seed), warn_far=False)
+        np.testing.assert_allclose(t, rs.nearest_unitary(t0), atol=1e-12)
+
+
+def test_invariance_failure_reports_the_cut(monkeypatch, z2_table):
+    # a kept line that mixes the two trivial lines with the sign line is not
+    # invariant; the error names the singular values on both sides of the cut
+    from repstab import intertwiners
+    theta = np.arccos(0.3)
+    c, s = np.cos(theta), np.sin(theta)
+    rot = np.eye(3)
+    rot[1:, 1:] = [[c, -s], [s, c]]
+    rho1 = rs.rep_from_multiplicities(z2_table, [2, 1])
+    rho2 = rs.conjugate_rep(rho1, rot)
+    line = np.array([[0.0], [1.0], [1.0]], dtype=complex) / np.sqrt(2)
+    monkeypatch.setattr(intertwiners, "threshold_partial_isometry",
+                        lambda a, threshold: (line @ line.conj().T, line, line))
+    with pytest.raises(rs.NumericalError,
+                       match="smallest kept singular value 1, largest dropped 0.3$"):
+        rs.unitary_intertwiner(rho1, rho2, 2.0, table=z2_table, warn_far=False)

@@ -6,10 +6,14 @@ intertwine genuinely different matrix representations; multiple loops and
 longer chains compound the induction.
 """
 
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 import repstab as rs
+from repstab.rng import random_hermitian, random_unitary
 
 from conftest import brute_force_projection, enumerate_kernel_cone
 
@@ -171,3 +175,34 @@ def test_nonabelian_edge_table_has_two_dim_irrep(s3_twisted_amalgam):
     # on multiplicities (inner twists preserve characters)
     m = -ctx.boundary.matrix[:3, :3]  # origin block of oriented edge 0
     assert m.tolist() == np.eye(3, dtype=int).tolist()
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+@pytest.mark.parametrize("block", [(4, 4, 4), (3, 4, 3)])
+def test_epsilon_is_continuous_in_the_stable_letter(block, p):
+    # twisted HNN with one summand swapped off the kernel cone, in a
+    # Haar-random basis (the cone-imbalance benchmark input): the corrected
+    # stable letter must be a continuous function of the input letter, so
+    # 1e-14 jitters must not move the reported distance
+    v4, z2 = rs.klein_four_group(), rs.cyclic_group(2)
+    gog = rs.graph_of_groups(rs.serre_graph(1, [(0, 0)]), [v4], [z2], [[0, 1], [0, 2]],
+                             name="twisted_hnn")
+    ctx = rs.CorrectionContext.build(gog, p=p, seed=0)
+    a, b, d = block
+    exact = rs.realize(rs.MultiplicityVector("vertex", ((a, b, b, d),)), ctx, seed=0)
+    skew = rs.rep_from_multiplicities(ctx.vertex_tables[0], (a, b + 1, b - 1, d))
+    rng = np.random.default_rng(0)
+    w = random_unitary(exact.dim, rng)
+    vertex = rs.conjugate_rep(skew, w)
+    letter = w @ exact.edge_unitaries[0] @ w.conj().T
+    epsilons = []
+    for _ in range(6):
+        h = random_hermitian(exact.dim, rng)
+        jitter = scipy.linalg.expm(1e-14j * h / np.linalg.norm(h, 2))
+        inst = rs.almost_rep(gog, [vertex], [letter @ jitter], check=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)   # far-apart restrictions, by design
+            out, report = rs.stabilize(inst, ctx, seed=0, guard=1.0)
+        assert report.output_defect <= 1e-9
+        epsilons.append(report.epsilon)
+    assert max(epsilons) - min(epsilons) <= 1e-12
