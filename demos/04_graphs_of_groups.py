@@ -13,7 +13,7 @@ import repstab as rs
 for name in rs.graph_preset_names():
     gog = rs.graph_preset(name)
     tree = rs.spanning_tree(gog.graph)
-    words = rs.relators(gog, tree)
+    words = rs.relators(gog)
     print(f"{name}: {gog.graph.n_vertices} vertices, "
           f"{gog.graph.n_geometric_edges} edges, {len(words)} relators, "
           f"tree edges {sorted(tree.geometric_edges)}")

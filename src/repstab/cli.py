@@ -85,7 +85,7 @@ def _instance_report(gog, ctx, rho, args, extra=None) -> dict:
         "graph": gog.name or "custom",
         "p": ctx.p,
         "dim": rho.dim,
-        "defect": measure_defect(rho, gog, ctx.p, ctx.tree),
+        "defect": measure_defect(rho, gog, ctx.p),
         "multiplicities": theta_to_json(rep_multiplicities(rho, ctx.vertex_tables)),
     }
     if extra:

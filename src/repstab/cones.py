@@ -178,21 +178,15 @@ class BoundaryMap:
         return MultiplicityVector(VERTEX_SIDE, tuple(blocks))
 
 
-def _solve_milp(c, constraints, integrality, bounds, context: str):
-    res = milp(c=c, constraints=constraints, integrality=integrality, bounds=bounds)
-    if not res.success or res.x is None:
-        raise NumericalError(f"integer program failed during {context}: {res.message}")
-    return res
-
-
 def project_to_kernel_cone(lam: MultiplicityVector, bmap: BoundaryMap) -> MultiplicityVector:
     """Nearest point of the kernel cone, in the vertex norm, not larger than lam.
 
     Solves min ||lam - mu||_V over integer mu >= 0 with boundary zero and
     ||mu||_V <= ||lam||_V, as a mixed-integer program (HiGHS branch and
     bound); ties are broken toward the lexicographically smallest optimum in
-    canonical coordinate order. The returned point is re-verified in exact
-    integer arithmetic. The zero vector is always feasible.
+    canonical coordinate order, one chunk of coordinates per solve. The
+    returned point is re-verified in exact integer arithmetic. The zero
+    vector is always feasible.
     """
     bmap._require(lam, VERTEX_SIDE)
     if not lam.is_nonnegative():
@@ -204,56 +198,52 @@ def project_to_kernel_cone(lam: MultiplicityVector, bmap: BoundaryMap) -> Multip
     lam_flat = np.array(lam.flatten(), dtype=np.int64)
     n = lam_flat.size
     cap = int(w @ lam_flat)
-    a_kernel = bmap.matrix
+    rows = bmap.matrix.shape[0]
 
     def distance(x) -> int:
         return int(np.abs(lam_flat - x) @ w)
 
-    ub = np.array([cap // int(wi) if wi > 0 else cap for wi in w], dtype=float)
-
-    # variables: [mu (integer), s (continuous slack with s >= |lam - mu|)]
-    zeros = np.zeros((a_kernel.shape[0], n))
-    eye = np.eye(n)
-    constraints = [
-        LinearConstraint(np.hstack([a_kernel, zeros]), 0, 0),
-        LinearConstraint(np.hstack([eye, -eye]), -np.inf, lam_flat),    # mu - s <= lam
-        LinearConstraint(np.hstack([-eye, -eye]), -np.inf, -lam_flat),  # -mu - s <= -lam
-        LinearConstraint(np.hstack([w, np.zeros(n)]), -np.inf, cap),
-    ]
+    # variables: [mu (integer), s (continuous slack with s >= |lam - mu|)];
+    # rows: boundary = 0, mu - s <= lam, -mu - s <= -lam, ||mu||_V <= cap,
+    # and the distance, uncapped until its optimum is known
+    eye, zero, wf = np.eye(n), np.zeros(n), w.astype(float)
+    a = np.block([[bmap.matrix, np.zeros((rows, n))], [eye, -eye], [-eye, -eye],
+                  [wf, zero], [zero, wf]])
+    a_lo = np.concatenate([np.zeros(rows), np.full(2 * n + 2, -np.inf)])
+    a_hi = np.concatenate([np.zeros(rows), lam_flat, -lam_flat, [cap, np.inf]])
     integrality = np.concatenate([np.ones(n), np.zeros(n)])
-    bounds = Bounds(lb=np.zeros(2 * n), ub=np.concatenate([ub, np.full(n, np.inf)]))
+    lo = np.zeros(2 * n)
+    hi = np.concatenate([[cap // int(wi) if wi > 0 else cap for wi in w], np.full(n, np.inf)])
 
-    c_dist = np.concatenate([np.zeros(n), w.astype(float)])
-    res = _solve_milp(c_dist, constraints, integrality, bounds, "distance minimization")
-    mu = np.round(res.x[:n]).astype(np.int64)
-    best = distance(mu)
+    def solve(c, context: str):
+        res = milp(c=c, constraints=LinearConstraint(a, a_lo, a_hi),
+                   integrality=integrality, bounds=Bounds(lo, hi))
+        if not res.success or res.x is None:
+            raise NumericalError(f"integer program failed during {context}: {res.message}")
+        return res
+
+    res = solve(np.concatenate([zero, wf]), "distance minimization")
+    best = distance(np.round(res.x[:n]).astype(np.int64))
     if abs(best - res.fun) > MILP_ROUNDING_ATOL:
         raise NumericalError(
             f"rounded solution has distance {best} but the solver reported {res.fun:.6f}")
+    a_hi[-1] = best
 
-    dist_cap = constraints + [LinearConstraint(c_dist, -np.inf, float(best))]
+    # tie-break on chunks of k coordinates, each fixed once solved: the
+    # positional objective in base cap + 2 is exact in doubles while
+    # k * log2(cap + 2) < 52
     base = cap + 2
-    if n * np.log2(base) < 52:
-        # single pass: positional objective is exact in doubles
-        c_lex = np.concatenate([base ** np.arange(n - 1, -1, -1, dtype=float), np.zeros(n)])
-        res = _solve_milp(c_lex, dist_cap, integrality, bounds, "lexicographic tie-break")
-        cand = np.round(res.x[:n]).astype(np.int64)
-    else:
-        fixed: list[LinearConstraint] = []
-        cand = mu.copy()
-        for k in range(n):
-            ck = np.zeros(2 * n)
-            ck[k] = 1.0
-            res = _solve_milp(ck, dist_cap + fixed, integrality, bounds,
-                              f"lexicographic refinement at coordinate {k}")
-            v = int(round(res.x[k]))
-            ek = np.zeros(2 * n)
-            ek[k] = 1.0
-            fixed.append(LinearConstraint(ek, v, v))
-            cand[k] = v
-    if distance(cand) != best:
+    k = max([j for j in range(1, n + 1) if j * np.log2(base) < 52], default=1)
+    mu = np.empty(n, dtype=np.int64)
+    for start in range(0, n, k):
+        chunk = slice(start, min(start + k, n))
+        c_lex = np.zeros(2 * n)
+        c_lex[chunk] = base ** np.arange(chunk.stop - start - 1, -1, -1, dtype=float)
+        res = solve(c_lex, f"lexicographic tie-break from coordinate {start}")
+        mu[chunk] = np.round(res.x[chunk])
+        lo[chunk] = hi[chunk] = mu[chunk]
+    if distance(mu) != best:
         raise NumericalError("tie-break stage drifted from the optimal distance")
-    mu = cand
 
     out = MultiplicityVector.from_flat(VERTEX_SIDE, mu.tolist(), bmap.vertex_block_lengths)
     if not out.is_nonnegative():

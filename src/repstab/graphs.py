@@ -165,13 +165,11 @@ def graph_of_groups(graph: SerreGraph, vertex_groups, edge_groups,
 #   ("s", geometric_edge, +/-1)   stable letter or its inverse
 
 
-def relators(gog: GraphOfGroups, tree: SpanningTree | None = None) -> tuple[tuple, ...]:
+def relators(gog: GraphOfGroups) -> tuple[tuple, ...]:
     """Defining relator words of the fundamental group presentation."""
     graph = gog.graph
-    if tree is None:
-        tree = spanning_tree(graph)
     words: list[tuple] = []
-    for k in sorted(tree.geometric_edges):
+    for k in sorted(spanning_tree(graph).geometric_edges):
         words.append((("s", k, 1),))
     for e in graph.orientation():
         k = e // 2
@@ -253,11 +251,10 @@ def evaluate_word(rho: AlmostRep, word: tuple) -> np.ndarray:
     return out
 
 
-def measure_defect(rho: AlmostRep, gog: GraphOfGroups, p: float,
-                   tree: SpanningTree | None = None) -> float:
+def measure_defect(rho: AlmostRep, gog: GraphOfGroups, p: float) -> float:
     """Largest normalized p-Schatten distance from a relator image to I."""
     eye = np.eye(rho.dim)
-    words = relators(gog, tree)
+    words = relators(gog)
     diffs = np.empty((len(words), rho.dim, rho.dim), dtype=complex)
     for k, word in enumerate(words):
         diffs[k] = evaluate_word(rho, word) - eye

@@ -23,7 +23,7 @@ from .irreps import (INVARIANCE_ATOL, UNITARY_ATOL, IrrepTable, UnitaryRep, comp
                      compress, multiplicities)
 from .rng import as_generator, complex_gaussian
 from .schatten import (nearest_unitary, rep_distance, schatten_norm_normalized,
-                       threshold_partial_isometry)
+                       singular_values, threshold_partial_isometry)
 
 DEFAULT_THRESHOLD = 0.5   # singular value cutoff for the kept subspaces of invariant_intertwiner
 POLAR_RANK_ATOL = 1e-6    # singular value of the group average below which it counts as zero
@@ -80,7 +80,7 @@ def _kept_isometry(rho1: UnitaryRep, rho2: UnitaryRep, threshold: float):
         proj = basis @ basis.conj().T
         err = np.abs(np.matmul(rep.matrices, proj) - np.matmul(proj, rep.matrices)).max()
         if err > INVARIANCE_ATOL:
-            sv = np.linalg.svd(t0, compute_uv=False)
+            sv = singular_values(t0)
             kept = basis.shape[1]
             dropped = f"{sv[kept]:.6g}" if kept < sv.size else "none"
             raise NumericalError(

@@ -36,10 +36,11 @@ def _check_exponent(p: float) -> float:
     return p
 
 
-def _svd(stack: np.ndarray) -> np.ndarray:
-    """Singular values of each matrix of a stack, sorted non-increasing."""
+def _svd(stack: np.ndarray, compute_uv: bool = False):
+    """Singular values of each matrix of a stack, sorted non-increasing;
+    with `compute_uv`, the factorization (u, s, vh)."""
     try:
-        return np.linalg.svd(stack, compute_uv=False)
+        return np.linalg.svd(stack, compute_uv=compute_uv)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             f"SVD failed to converge on an array of shape {stack.shape} "
@@ -130,7 +131,7 @@ def nearest_unitary(a) -> np.ndarray:
     m = _as_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise ValidationError("polar factor requires a square matrix")
-    u, sv, vh = np.linalg.svd(m)
+    u, sv, vh = _svd(m, compute_uv=True)
     if sv.size == 0 or sv[-1] <= RANK_RTOL * max(sv[0], 1.0):
         raise NumericalError(
             f"matrix is rank deficient (smallest singular value {sv[-1] if sv.size else 0.0:.3e}); "
@@ -150,7 +151,7 @@ def threshold_partial_isometry(a, threshold: float):
         raise ValidationError("thresholding requires a square matrix")
     if not threshold > 0:
         raise ValidationError("threshold must be positive")
-    u, sv, vh = np.linalg.svd(m)
+    u, sv, vh = _svd(m, compute_uv=True)
     kept = sv >= threshold
     right = vh[kept].conj().T
     left = u[:, kept]

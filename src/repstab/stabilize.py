@@ -274,7 +274,8 @@ def stabilize(rho: AlmostRep, ctx: CorrectionContext, seed=0,
     timings: dict[str, float] = {}
 
     tic = time.perf_counter()
-    delta = measure_defect(rho, ctx.gog, ctx.p, ctx.tree)
+    with _stage("measure_defect"):
+        delta = measure_defect(rho, ctx.gog, ctx.p)
     timings["measure_defect"] = (time.perf_counter() - tic) * 1e3
     if delta >= guard:
         raise GuardExceededError(
@@ -320,8 +321,9 @@ def stabilize(rho: AlmostRep, ctx: CorrectionContext, seed=0,
 
     out = almost_rep(ctx.gog, new_reps, edges, check=False)
     tic = time.perf_counter()
-    output_defect = measure_defect(out, ctx.gog, ctx.p, ctx.tree)
-    epsilon = generator_distance(rho, out, ctx.p)
+    with _stage("verification"):
+        output_defect = measure_defect(out, ctx.gog, ctx.p)
+        epsilon = generator_distance(rho, out, ctx.p)
     timings["verification"] = (time.perf_counter() - tic) * 1e3
 
     report = StabilizationReport(p=ctx.p, dim=dim, delta=delta, epsilon=epsilon,
@@ -340,6 +342,6 @@ def boundary_defect_bound(rho: AlmostRep, ctx: CorrectionContext) -> tuple[float
     """
     lam = rep_multiplicities(rho, ctx.vertex_tables)
     lhs = float(ctx.boundary.edge_norm(ctx.boundary.apply(lam)))
-    delta = measure_defect(rho, ctx.gog, ctx.p, ctx.tree)
+    delta = measure_defect(rho, ctx.gog, ctx.p)
     rhs = (2.0 * delta) ** ctx.p * rho.dim
     return lhs, rhs

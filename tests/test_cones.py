@@ -2,8 +2,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repstab as rs
+from repstab import cones
 from repstab.errors import ValidationError
 
 from conftest import brute_force_projection, enumerate_cone, enumerate_kernel_cone
@@ -226,19 +229,26 @@ def test_projection_norm_cap_binding(s3_loop_ctx):
         assert rs.project_to_kernel_cone(lam, b) == lam
 
 
-def test_projection_sequential_lexicographic_branch():
-    # a synthetic map with enough coordinates and range that the positional
-    # tie-break objective would overflow doubles, forcing the sequential path
+def _equal_blocks_map():
+    # synthetic map on two blocks of four unit-weight coordinates whose
+    # kernel is the vectors with equal blocks
     eye4 = np.eye(4, dtype=np.int64)
-    b = rs.BoundaryMap(
+    return rs.BoundaryMap(
         vertex_dims=((1, 1, 1, 1), (1, 1, 1, 1)),
         edge_dims=((1, 1, 1, 1), (1, 1, 1, 1)),
         matrix=np.block([[-eye4, eye4], [eye4, -eye4]]),
         trivial_indices=(0, 0))
+
+
+def test_projection_sequential_lexicographic_branch():
+    # a synthetic map with enough coordinates and range that the positional
+    # tie-break objective would overflow doubles, forcing more than one
+    # tie-break chunk
+    b = _equal_blocks_map()
     lam = rs.MultiplicityVector("vertex", ((100, 50, 30, 20), (90, 60, 25, 25)))
     n = 8
     cap = sum(lam.flatten())
-    assert n * np.log2(cap + 2) >= 52  # confirms the branch under test
+    assert n * np.log2(cap + 2) >= 52  # confirms more than one chunk
     out = rs.project_to_kernel_cone(lam, b)
     assert b.apply(out).is_zero()
     assert b.vertex_norm(out) <= b.vertex_norm(lam)
@@ -246,6 +256,50 @@ def test_projection_sequential_lexicographic_branch():
     # smaller of each pair, which is also lexicographically smallest
     assert out.blocks == ((90, 50, 25, 20), (90, 50, 25, 20))
     assert b.vertex_norm(lam - out) == 15
+
+
+def test_projection_solve_count(amalgam_ctx, monkeypatch):
+    calls = []
+    real = cones.milp
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cones, "milp", counting)
+    lam = rs.MultiplicityVector("vertex", ((6, 4), (5, 5)))
+    rs.project_to_kernel_cone(lam, amalgam_ctx.boundary)
+    assert len(calls) == 2  # the distance, then one tie-break chunk
+    calls.clear()
+    # cap 400: chunks of 6 and 2 coordinates, since 6 * log2(402) < 52
+    lam = rs.MultiplicityVector("vertex", ((100, 50, 30, 20), (90, 60, 25, 25)))
+    rs.project_to_kernel_cone(lam, _equal_blocks_map())
+    assert len(calls) == 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 2000), min_size=4, max_size=4),
+       st.lists(st.integers(0, 2000), min_size=4, max_size=4))
+def test_chunked_tie_break_takes_the_smaller_block(a, b):
+    # (min(a, b), min(a, b)) is at the optimal distance sum |a - b| and is
+    # the lexicographically smallest kernel point there
+    low = tuple(map(min, a, b))
+    lam = rs.MultiplicityVector("vertex", (tuple(a), tuple(b)))
+    assert rs.project_to_kernel_cone(lam, _equal_blocks_map()).blocks == (low, low)
+
+
+def test_tie_break_keeps_earlier_chunks_fixed():
+    # one vertex of eight unit-weight coordinates with the kernel x1 = x0 + x7;
+    # the optima are x0 <= 50, x7 <= 30, x0 + x7 >= 60 at distance 20, so the
+    # smallest x0 is 30 and forces x7 = 30, although x7 alone could reach 10;
+    # cap 165 puts x7 in a second chunk, since 8 * log2(167) >= 52
+    row = np.array([[1, -1, 0, 0, 0, 0, 0, 1]])
+    b = rs.BoundaryMap(vertex_dims=((1,) * 8,), edge_dims=((1,), (1,)),
+                       matrix=np.vstack([row, -row]), trivial_indices=(0,))
+    lam = rs.MultiplicityVector("vertex", ((50, 60, 5, 5, 5, 5, 5, 30),))
+    out = rs.project_to_kernel_cone(lam, b)
+    assert out.blocks == ((30, 60, 5, 5, 5, 5, 5, 30),)
+    assert b.vertex_norm(lam - out) == 20
 
 
 def test_projection_distance_tracked_by_boundary_norm(dihedral_ctx, amalgam_ctx):

@@ -71,7 +71,7 @@ def test_relator_count_formula():
         tree = rs.spanning_tree(gog.graph)
         expected = len(tree.geometric_edges) + sum(
             g.order - 1 for g in gog.edge_groups)
-        assert len(rs.relators(gog, tree)) == expected
+        assert len(rs.relators(gog)) == expected
 
 
 def test_measure_defect_exact_is_zero(preset_contexts):

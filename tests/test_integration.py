@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import repstab as rs
+from repstab.errors import NumericalError
 from repstab.graphs import evaluate_word
 
 
@@ -166,3 +167,21 @@ def test_stage_tags_on_numerical_failure(z2_amalgam, monkeypatch):
     monkeypatch.setattr(st, "correct_vertex", boom)
     with pytest.raises(NumericalError, match=r"\[vertex_corrections\]"):
         rs.stabilize(base, ctx, seed=0)
+
+
+
+@pytest.mark.parametrize("p, stage", [(2.0, "vertex_corrections"), (1.0, "measure_defect")])
+def test_stage_tags_on_svd_failure(preset_contexts, monkeypatch, p, stage):
+    # p = 2 measures the defect without an SVD, so the first one fails in
+    # the vertex stage; p = 1 fails while measuring the defect
+    ctx = preset_contexts[("Z2_free_Z3", p)]
+    base = rs.realize(rs.uniform_lambda(ctx, 6), ctx, seed=0)
+    rho = rs.perturb(base, ctx.gog, 1e-3, rng=np.random.default_rng(0))
+
+    def failing_svd(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", failing_svd)
+    with pytest.raises(NumericalError) as info:
+        rs.stabilize(rho, ctx, seed=0)
+    assert str(info.value).startswith(f"[{stage}]")

@@ -103,6 +103,17 @@ def test_nearest_unitary_cancels_positive_factor():
         np.testing.assert_allclose(rs.nearest_unitary(u @ pos), u, atol=1e-9)
 
 
+def test_factorizations_report_svd_failure_as_numerical_error(monkeypatch):
+    def failing_svd(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", failing_svd)
+    with pytest.raises(NumericalError, match="SVD failed"):
+        rs.nearest_unitary(np.eye(2))
+    with pytest.raises(NumericalError, match="SVD failed"):
+        rs.threshold_partial_isometry(np.eye(2), 0.5)
+
+
 def test_threshold_partial_isometry_identity():
     t, right, left = rs.threshold_partial_isometry(np.eye(3), 0.5)
     np.testing.assert_allclose(t, np.eye(3), atol=1e-14)
