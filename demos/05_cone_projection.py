@@ -3,8 +3,9 @@
 A representation of the fundamental group restricts compatibly across every
 edge, so its multiplicity vector lies in the kernel of the integer boundary
 map. Conversely, any kernel-cone vector can be realized; an almost-
-representation only lands near the kernel and is projected back onto it by
-an exact integer program.
+representation only lands near the kernel and is projected back onto it
+exactly: by a dynamic program over the graph's spanning tree, or an integer
+program where the edges do not form a tree.
 """
 
 import repstab as rs

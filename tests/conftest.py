@@ -66,6 +66,21 @@ def z2_amalgam():
     return rs.graph_of_groups(graph, [z2, z2], [z2], [[0, 1], [0, 1]], name="z2_amalgam")
 
 
+@pytest.fixture
+def milp_calls(monkeypatch):
+    """A list that grows by one entry per `repstab.cones.milp` call."""
+    from repstab import cones
+    calls = []
+    real = cones.milp
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cones, "milp", counting)
+    return calls
+
+
 def random_rep(table, dim, rng, conjugate=True):
     """Random representation: canonical blocks of a random multiplicity
     vector of total dimension `dim`, optionally moved to a random basis."""

@@ -269,12 +269,67 @@ def test_projection_solve_count(amalgam_ctx, monkeypatch):
     monkeypatch.setattr(cones, "milp", counting)
     lam = rs.MultiplicityVector("vertex", ((6, 4), (5, 5)))
     rs.project_to_kernel_cone(lam, amalgam_ctx.boundary)
-    assert len(calls) == 2  # the distance, then one tie-break chunk
-    calls.clear()
-    # cap 400: chunks of 6 and 2 coordinates, since 6 * log2(402) < 52
+    assert len(calls) == 0  # the link forms a spanning tree: the DP solves it
+    # cap 400 puts D_cap = 200 over the DP budget; HiGHS takes chunks of 6
+    # and 2 coordinates, since 6 * log2(402) < 52
     lam = rs.MultiplicityVector("vertex", ((100, 50, 30, 20), (90, 60, 25, 25)))
     rs.project_to_kernel_cone(lam, _equal_blocks_map())
     assert len(calls) == 3
+
+
+def test_dp_tie_break_matches_brute_force_on_every_input():
+    # three Z4 vertices in a chain over Z2: every input of weighted total at
+    # most 4, against the lexicographically smallest brute-force optimum
+    z4, z2 = rs.cyclic_group(4), rs.cyclic_group(2)
+    gog = rs.graph_of_groups(rs.serre_graph(3, [(0, 1), (1, 2)]), [z4] * 3, [z2] * 2,
+                             [[0, 2]] * 4, name="z4_chain")
+    b = rs.CorrectionContext.build(gog, p=2.0, seed=0).boundary
+    assert b.edge_tree is not None
+    w = b.vertex_weights
+    lmat = np.array([lam.flatten() for lam in enumerate_cone(b.vertex_dims, 4)])
+    kmat = lmat[~(lmat @ b.matrix.T).any(axis=1)]
+    off_kernel = 0
+    for flat in lmat:
+        lam = rs.MultiplicityVector.from_flat("vertex", flat.tolist(), b.vertex_block_lengths)
+        out = rs.project_to_kernel_cone(lam, b)
+        feasible = kmat[kmat @ w <= flat @ w]
+        dists = np.abs(feasible - flat) @ w
+        lex = min(tuple(int(x) for x in row) for row in feasible[dists == dists.min()])
+        assert out.flatten() == lex, (flat, out.blocks)
+        off_kernel += bool((b.matrix @ flat).any())
+    assert off_kernel > 1000
+
+
+def test_cycle_of_links_falls_back_to_highs(milp_calls):
+    # two Z2 vertices joined by two Z2 edges: the links form a cycle
+    z2 = rs.cyclic_group(2)
+    gog = rs.graph_of_groups(rs.serre_graph(2, [(0, 1), (0, 1)]), [z2, z2], [z2, z2],
+                             [[0, 1]] * 4, name="z2_double_edge")
+    b = rs.CorrectionContext.build(gog, p=2.0, seed=0).boundary
+    assert b.edge_tree is None
+    kernel = enumerate_kernel_cone(b, 10)
+    for lam in (((6, 4), (5, 5)), ((3, 0), (0, 2)), ((1, 4), (2, 2))):
+        lam = rs.MultiplicityVector("vertex", lam)
+        out = rs.project_to_kernel_cone(lam, b)
+        dist, argmin = brute_force_projection(lam, b, kernel)
+        assert b.vertex_norm(lam - out) == dist
+        assert out == argmin
+    assert len(milp_calls) > 0
+
+
+def test_loop_that_changes_dimension_falls_back_to_highs(milp_calls):
+    # the one-vertex map with kernel x1 = x0 + x7: its loop does not cancel
+    # the edge dimensions, so the DP does not apply, however small the input
+    row = np.array([[1, -1, 0, 0, 0, 0, 0, 1]])
+    b = rs.BoundaryMap(vertex_dims=((1,) * 8,), edge_dims=((1,), (1,)),
+                       matrix=np.vstack([row, -row]), trivial_indices=(0,))
+    assert b.edge_tree is None
+    lam = rs.MultiplicityVector("vertex", ((3, 4, 0, 1, 0, 0, 0, 2),))
+    out = rs.project_to_kernel_cone(lam, b)
+    dist, argmin = brute_force_projection(lam, b, enumerate_kernel_cone(b, 10))
+    assert b.vertex_norm(lam - out) == dist
+    assert out == argmin
+    assert len(milp_calls) > 0
 
 
 @settings(max_examples=60, deadline=None)

@@ -13,9 +13,10 @@ import pytest
 import scipy.linalg
 
 import repstab as rs
+from repstab import cones
 from repstab.rng import random_hermitian, random_unitary
 
-from conftest import brute_force_projection, enumerate_kernel_cone
+from conftest import brute_force_projection, enumerate_cone, enumerate_kernel_cone
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +56,33 @@ def z4_chain():
     onto = [0, 2]
     return rs.graph_of_groups(graph, [z4, z4, z4], [z2, z2],
                               [onto, onto, onto, onto], name="z4_chain")
+
+
+@pytest.fixture(scope="module")
+def twisted_hnn():
+    """One V4 vertex with a Z2 loop included as two different subgroups."""
+    v4, z2 = rs.klein_four_group(), rs.cyclic_group(2)
+    return rs.graph_of_groups(rs.serre_graph(1, [(0, 0)]), [v4], [z2], [[0, 1], [0, 2]],
+                              name="twisted_hnn")
+
+
+def test_projection_dp_agrees_with_highs(z2_amalgam, twisted_hnn, z4_chain,
+                                         s3_twisted_amalgam, milp_calls, monkeypatch):
+    # every off-kernel input of small weighted total, projected by the DP and
+    # then by HiGHS alone (a zero candidate budget forces the fallback)
+    graphs = [(rs.graph_preset(name), 4) for name in rs.graph_preset_names()]
+    graphs += [(z2_amalgam, 4), (twisted_hnn, 5), (z4_chain, 3), (s3_twisted_amalgam, 5)]
+    cases = []
+    for gog, total in graphs:
+        b = rs.CorrectionContext.build(gog, p=2.0, seed=0).boundary
+        cases += [(lam, b) for lam in enumerate_cone(b.vertex_dims, total)
+                  if not b.apply(lam).is_zero()]
+    by_dp = [rs.project_to_kernel_cone(lam, b) for lam, b in cases]
+    assert len(milp_calls) == 0
+    monkeypatch.setattr(cones, "DP_MAX_CANDIDATES", 0)
+    by_highs = [rs.project_to_kernel_cone(lam, b) for lam, b in cases]
+    assert len(milp_calls) >= 2 * len(cases)
+    assert by_dp == by_highs
 
 
 def test_twisted_amalgam_realize_needs_twist(s3_twisted_amalgam):
