@@ -375,7 +375,10 @@ def _project_by_milp(lam_flat: np.ndarray, bmap: BoundaryMap) -> np.ndarray:
     """The projection as one mixed-integer program (HiGHS branch and bound).
 
     Solved once for the distance, then for the lexicographic tie-break one
-    chunk of coordinates per solve, each chunk fixed once solved.
+    chunk of coordinates per solve, each chunk fixed once solved. Every
+    solve asks for a zero relative gap: a tie-break objective reaches about
+    1e15, where HiGHS's default gap of 1e-4 accepts a point whose low
+    positional digits are off.
     """
     w = bmap.vertex_weights
     n = lam_flat.size
@@ -399,7 +402,8 @@ def _project_by_milp(lam_flat: np.ndarray, bmap: BoundaryMap) -> np.ndarray:
 
     def solve(c, context: str):
         res = milp(c=c, constraints=LinearConstraint(a, a_lo, a_hi),
-                   integrality=integrality, bounds=Bounds(lo, hi))
+                   integrality=integrality, bounds=Bounds(lo, hi),
+                   options={"mip_rel_gap": 0})
         if not res.success or res.x is None:
             raise NumericalError(f"integer program failed during {context}: {res.message}")
         return res

@@ -269,13 +269,18 @@ def rep_multiplicities(rho: AlmostRep, vertex_tables) -> MultiplicityVector:
 
 
 def generator_distance(rho1: AlmostRep, rho2: AlmostRep, p: float) -> float:
-    """Max distance over the generating set: vertex elements and stable letters."""
+    """Max distance over the generating set: nonidentity vertex elements and
+    stable letters. Both vertex representations are exact, so the identity
+    element adds nothing but rounding; it is left out, as in `relators`."""
     def shapes(rho):
         return [r.matrices.shape for r in rho.vertex_reps] + [u.shape for u in rho.edge_unitaries]
 
     if shapes(rho1) != shapes(rho2):
         raise ValidationError("almost-representations are not comparable")
-    diffs = [r1.matrices - r2.matrices for r1, r2 in zip(rho1.vertex_reps, rho2.vertex_reps)]
+    diffs = []
+    for r1, r2 in zip(rho1.vertex_reps, rho2.vertex_reps):
+        rest = np.arange(r1.group.order) != r1.group.identity
+        diffs.append(r1.matrices[rest] - r2.matrices[rest])
     diffs += [(u1 - u2)[None] for u1, u2 in zip(rho1.edge_unitaries, rho2.edge_unitaries)]
     return max_normalized_norm(np.concatenate(diffs), p)
 

@@ -8,7 +8,9 @@ extends to a unitary within 5*delta of the identity. The constructions here
 are fully explicit: a group average provides an exact intertwiner, singular
 value thresholding extracts the near-isometric part, and the unitary
 intertwiner is the polar factor of the group average, completed on its null
-space by the polar factor of a random seed's group average.
+space by the polar factor of a random seed's group average. Over the
+trivial group every unitary intertwines and the unitary intertwiner is the
+exact identity, built without an average or a decomposition.
 """
 
 from __future__ import annotations
@@ -71,11 +73,16 @@ def _warn_far(delta: float, delta_hint: float | None, stacklevel: int):
 
 
 def _kept_isometry(rho1: UnitaryRep, rho2: UnitaryRep, threshold: float):
-    """Thresholded group average (T, right, left), with invariance verified."""
+    """Thresholded group average (T, right, left), with invariance verified.
+
+    A side whose kept basis is empty or spans the whole space is invariant
+    by construction (its projector is 0 or I to rounding), so only proper
+    kept subspaces are checked.
+    """
     t0 = averaged_intertwiner(rho1, rho2)
     t, right, left = threshold_partial_isometry(t0, threshold)
     for rep, basis, side in ((rho1, right, "source"), (rho2, left, "target")):
-        if basis.shape[1] == 0:
+        if basis.shape[1] in (0, rep.dim):
             continue
         proj = basis @ basis.conj().T
         err = np.abs(np.matmul(rep.matrices, proj) - np.matmul(proj, rep.matrices)).max()
@@ -122,7 +129,8 @@ def unitary_intertwiner(rho1: UnitaryRep, rho2: UnitaryRep, p: float,
     values below POLAR_RANK_ATOL), the kernels of E and E^*, which carry
     isomorphic subrepresentations, are matched by the polar factor of the
     group average of one complex Gaussian seed drawn from `rng`; `rng` is
-    untouched otherwise. The result conjugates rho1 onto
+    untouched otherwise. On the trivial group T is the exact identity, with
+    no average and no SVD. The result conjugates rho1 onto
     rho2 exactly and is verified to INTERTWINE_ATOL.
     """
     rng = as_generator(rng)
@@ -133,17 +141,21 @@ def unitary_intertwiner(rho1: UnitaryRep, rho2: UnitaryRep, p: float,
             f"representations are not isomorphic: multiplicities {m1.tolist()} vs {m2.tolist()}",
             left=m1, right=m2)
 
-    if warn_far:
-        _warn_far(rep_distance(rho1, rho2, p), None, stacklevel=1)
-    t_full, right, left = _kept_isometry(rho1, rho2, POLAR_RANK_ATOL)
     dim = rho1.dim
-    k = dim - right.shape[1]
-    if k:
-        comp1, comp2 = complement(right, dim), complement(left, dim)
-        rest1, rest2 = compress(rho1.matrices, comp1), compress(rho2.matrices, comp2)
-        x = complex_gaussian(k, rng)
-        seed_avg = (rest2 @ x @ rest1.conj().transpose(0, 2, 1)).sum(axis=0) / rho1.group.order
-        t_full += comp2 @ nearest_unitary(seed_avg) @ comp1.conj().T
+    if rho1.group.order == 1:
+        # nothing to intertwine: I is the exact polar factor of E = I
+        t_full = np.eye(dim, dtype=complex)
+    else:
+        if warn_far:
+            _warn_far(rep_distance(rho1, rho2, p), None, stacklevel=1)
+        t_full, right, left = _kept_isometry(rho1, rho2, POLAR_RANK_ATOL)
+        k = dim - right.shape[1]
+        if k:
+            comp1, comp2 = complement(right, dim), complement(left, dim)
+            rest1, rest2 = compress(rho1.matrices, comp1), compress(rho2.matrices, comp2)
+            x = complex_gaussian(k, rng)
+            seed_avg = (rest2 @ x @ rest1.conj().transpose(0, 2, 1)).sum(axis=0) / rho1.group.order
+            t_full += comp2 @ nearest_unitary(seed_avg) @ comp1.conj().T
 
     uerr = np.abs(t_full @ t_full.conj().T - np.eye(dim)).max()
     if uerr > UNITARY_ATOL:

@@ -5,9 +5,11 @@ vector, project it onto the kernel cone of the boundary map, pad with
 trivial summands back to the input dimension, then rebuild exact vertex
 representations by induction over a spanning tree (the root swaps only the
 summands whose multiplicities change, each child is corrected against the
-edge restriction of its already-corrected parent) and solve the stable-letter
-unitaries on the remaining edges. The output is an exact representation
-whose generator distance to the input is of the order of the input defect.
+edge restriction of its already-corrected parent; across a trivial edge group
+that restriction constrains nothing and the child only swaps summands) and
+solve the stable-letter unitaries on the remaining edges. The output is an
+exact representation whose generator distance to the input is of the order
+of the input defect.
 """
 
 from __future__ import annotations
@@ -168,8 +170,10 @@ def correct_vertex(hom: GroupHom, tau: UnitaryRep, rho: UnitaryRep, target,
     Returns a representation with the target multiplicities whose pullback
     along `hom` equals `tau` exactly: the summands of `rho` outside the
     common part are replaced, then the whole space is conjugated by a
-    unitary intertwiner matching the pullback to `tau`. The distance moved
-    is of the order of max(d(pullback(rho), tau), replaced fraction^(1/p)).
+    unitary intertwiner matching the pullback to `tau`. Over a trivial edge
+    group the constraint is empty and the conjugation is skipped. The
+    distance moved is of the order of max(d(pullback(rho), tau), replaced
+    fraction^(1/p)).
     """
     rng = as_generator(rng)
     target = np.asarray(target, dtype=int)
@@ -187,9 +191,10 @@ def correct_vertex(hom: GroupHom, tau: UnitaryRep, rho: UnitaryRep, target,
         warnings.warn(f"measured edge distance {measured:.3e} exceeds the hint {delta_hint:.3e}",
                       stacklevel=2)
 
-    rho1 = replace_summands(rho, target, table, rng)
-    t = unitary_intertwiner(tau, pullback(hom, rho1), p, table=table_sub, rng=rng)
-    rho_out = conjugate_rep(rho1, t.conj().T)
+    rho_out = replace_summands(rho, target, table, rng)
+    if tau.group.order > 1:
+        t = unitary_intertwiner(tau, pullback(hom, rho_out), p, table=table_sub, rng=rng)
+        rho_out = conjugate_rep(rho_out, t.conj().T)
     err = np.abs(pullback(hom, rho_out).matrices - tau.matrices).max()
     if err > INTERTWINE_ATOL:
         raise NumericalError(f"corrected vertex fails the edge constraint (deviation {err:.3e})")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import RepStabError, ValidationError
 from .graphs import perturb
@@ -81,17 +81,19 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     from .presets import graph_preset
     graphs = {name: graph_preset(name) for name in config.presets}
 
+    # the tables and the boundary map are seeded by master_seed alone, so
+    # one build per preset serves every p
     contexts = {}
     lambdas = {}
     for name in config.presets:
+        ctx = CorrectionContext.build(graphs[name], p=config.p_grid[0], seed=config.master_seed)
         for p in config.p_grid:
-            ctx = CorrectionContext.build(graphs[name], p=p, seed=config.master_seed)
-            contexts[(name, p)] = ctx
-            if config.lam_blocks is not None:
-                from .cones import MultiplicityVector
-                lambdas[(name, p)] = MultiplicityVector("vertex", config.lam_blocks)
-            else:
-                lambdas[(name, p)] = uniform_lambda(ctx, config.dim)
+            contexts[(name, p)] = replace(ctx, p=float(p))
+        if config.lam_blocks is not None:
+            from .cones import MultiplicityVector
+            lambdas[name] = MultiplicityVector("vertex", config.lam_blocks)
+        else:
+            lambdas[name] = uniform_lambda(ctx, config.dim)
 
     cells = []
     for pi, name in enumerate(config.presets):
@@ -105,7 +107,7 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
         ctx = contexts[(name, p)]
         rng = derived_generator(config.master_seed, pi, ei, qi, si)
         try:
-            base = realize(lambdas[(name, p)], ctx, seed=rng)
+            base = realize(lambdas[name], ctx, seed=rng)
             inst = perturb(base, ctx.gog, eps, mode=config.mode, rng=rng)
             tic = time.perf_counter()
             _, report = stabilize(inst, ctx, seed=rng, guard=config.guard)

@@ -332,6 +332,26 @@ def test_loop_that_changes_dimension_falls_back_to_highs(milp_calls):
     assert len(milp_calls) > 0
 
 
+def test_highs_tie_break_is_the_lexicographic_minimum(milp_calls, monkeypatch):
+    # z4_chain on HiGHS alone (a zero candidate budget forces the fallback):
+    # the first tie-break chunk has an objective near 1e15, where a relative
+    # gap of 1e-4 accepted (3, 1, 2, 2) for the last block; (3, 0, 3, 2) is
+    # at the same distance 7/3 and smaller, and the DP returns it
+    z4, z2 = rs.cyclic_group(4), rs.cyclic_group(2)
+    gog = rs.graph_of_groups(rs.serre_graph(3, [(0, 1), (1, 2)]), [z4] * 3, [z2] * 2,
+                             [[0, 2]] * 4, name="z4_chain")
+    b = rs.CorrectionContext.build(gog, p=2.0, seed=0).boundary
+    lam = rs.MultiplicityVector("vertex", ((0, 1, 2, 2), (3, 2, 2, 2), (3, 3, 3, 2)))
+    by_dp = rs.project_to_kernel_cone(lam, b)
+    assert len(milp_calls) == 0
+    monkeypatch.setattr(cones, "DP_MAX_CANDIDATES", 0)
+    by_highs = rs.project_to_kernel_cone(lam, b)
+    assert len(milp_calls) > 0
+    assert by_highs == by_dp
+    assert by_highs.blocks == ((0, 1, 2, 5), (3, 1, 2, 2), (3, 0, 3, 2))
+    assert b.vertex_norm(lam - by_highs) == Fraction(7, 3)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(0, 2000), min_size=4, max_size=4),
        st.lists(st.integers(0, 2000), min_size=4, max_size=4))

@@ -167,6 +167,27 @@ def test_rep_multiplicities_matches_elementwise_character_sum(preset_contexts):
             assert lam.blocks[v][k] == round((acc / g.order).real)
 
 
+@pytest.mark.parametrize("p", [1.0, 2.0, 4.0])
+def test_generator_distance_matches_reference_with_identity(preset_contexts, p):
+    # the reference also compares the identity elements, which the exact
+    # vertex representations map to I up to rounding
+    def reference(rho1, rho2):
+        mats = [r1.matrices[g] - r2.matrices[g]
+                for r1, r2 in zip(rho1.vertex_reps, rho2.vertex_reps)
+                for g in range(r1.group.order)]
+        mats += [u1 - u2 for u1, u2 in zip(rho1.edge_unitaries, rho2.edge_unitaries)]
+        return max(rs.schatten_norm_normalized(m, p) for m in mats)
+
+    for name in rs.graph_preset_names():
+        ctx = preset_contexts[(name, p)]
+        base = rs.realize(rs.uniform_lambda(ctx, 12), ctx, seed=0)
+        for mode, eps in (("edges-only", 1e-3), ("edges-and-conjugate-vertices", 1e-2)):
+            rho = rs.perturb(base, ctx.gog, eps, mode=mode, rng=np.random.default_rng(2))
+            d = rs.generator_distance(rho, base, p)
+            assert d == pytest.approx(reference(rho, base), rel=1e-12)
+            assert d > 0.0
+
+
 def test_evaluate_word_inverse_tokens(z2_loop):
     table = rs.irrep_table(z2_loop.vertex_groups[0])
     rep = rs.rep_from_multiplicities(table, [1, 1])

@@ -170,18 +170,43 @@ def test_stage_tags_on_numerical_failure(z2_amalgam, monkeypatch):
 
 
 
-@pytest.mark.parametrize("p, stage", [(2.0, "vertex_corrections"), (1.0, "measure_defect")])
-def test_stage_tags_on_svd_failure(preset_contexts, monkeypatch, p, stage):
-    # p = 2 measures the defect without an SVD, so the first one fails in
-    # the vertex stage; p = 1 fails while measuring the defect
-    ctx = preset_contexts[("Z2_free_Z3", p)]
+def _failing_svd(*args, **kwargs):
+    raise np.linalg.LinAlgError("SVD did not converge")
+
+
+@pytest.mark.parametrize("graph, p, stage", [
+    pytest.param("z2_amalgam", 2.0, "vertex_corrections", id="2.0-vertex_corrections"),
+    pytest.param("hnn_Z4_over_Z2", 2.0, "edge_corrections", id="2.0-edge_corrections"),
+    pytest.param("Z2_free_Z3", 1.0, "measure_defect", id="1.0-measure_defect")])
+def test_stage_tags_on_svd_failure(z2_amalgam, monkeypatch, graph, p, stage):
+    # p = 2 measures the defect without an SVD, so the first one is the polar
+    # factor across a nontrivial edge group: the Z2 tree edge of z2_amalgam
+    # in the vertex stage, the Z2 loop of the HNN in the edge stage; p = 1
+    # fails while measuring the defect
+    gog = z2_amalgam if graph == "z2_amalgam" else rs.graph_preset(graph)
+    ctx = rs.CorrectionContext.build(gog, p=p, seed=0)
     base = rs.realize(rs.uniform_lambda(ctx, 6), ctx, seed=0)
     rho = rs.perturb(base, ctx.gog, 1e-3, rng=np.random.default_rng(0))
 
-    def failing_svd(*args, **kwargs):
-        raise np.linalg.LinAlgError("SVD did not converge")
-
-    monkeypatch.setattr(np.linalg, "svd", failing_svd)
+    monkeypatch.setattr(np.linalg, "svd", _failing_svd)
     with pytest.raises(NumericalError) as info:
         rs.stabilize(rho, ctx, seed=0)
     assert str(info.value).startswith(f"[{stage}]")
+
+
+@pytest.mark.parametrize("p", [2.0, 4.0])
+@pytest.mark.parametrize("name", ["Z2_free_Z3", "infinite_dihedral"])
+def test_free_products_stabilize_without_svd(preset_contexts, monkeypatch, name, p):
+    # the edge group is trivial: no intertwiner is built, and the norms at
+    # p = 2 and p = 4 take no SVD
+    ctx = preset_contexts[(name, p)]
+    base = rs.realize(rs.uniform_lambda(ctx, 12), ctx, seed=0)
+    rho = rs.perturb(base, ctx.gog, 1e-2, mode="edges-and-conjugate-vertices",
+                     rng=np.random.default_rng(1))
+    monkeypatch.setattr(np.linalg, "svd", _failing_svd)
+    _, report = rs.stabilize(rho, ctx, seed=0)
+    assert report.output_defect < 1e-10
+    # the multiplicities hold, so the vertices stay as they are and only the
+    # tree letter moves, to I: the distance moved is the defect
+    assert report.lambda_out == report.lambda_in
+    assert report.epsilon == report.delta > 0.0

@@ -195,9 +195,10 @@ def _count_calls(monkeypatch, module, name):
 
 
 def test_realize_measures_no_distances_in_intertwiners(monkeypatch):
-    # realize passes warn_far=False, so no pair distance is ever read
+    # realize passes warn_far=False, so no pair distance is ever read; the
+    # HNN's Z2 loop is a nontrivial edge group, so realize builds its letter
     from repstab import intertwiners
-    ctx = rs.CorrectionContext.build(rs.graph_preset("Z2_free_Z3"), p=2.0)
+    ctx = rs.CorrectionContext.build(rs.graph_preset("hnn_Z4_over_Z2"), p=2.0)
     distances = _count_calls(monkeypatch, intertwiners, "rep_distance")
     norms = _count_calls(monkeypatch, intertwiners, "schatten_norm_normalized")
     thresholds = _count_calls(monkeypatch, intertwiners, "threshold_partial_isometry")
@@ -283,3 +284,40 @@ def test_invariance_failure_reports_the_cut(monkeypatch, z2_table):
     with pytest.raises(rs.NumericalError,
                        match="smallest kept singular value 1, largest dropped 0.3$"):
         rs.unitary_intertwiner(rho1, rho2, 2.0, table=z2_table, warn_far=False)
+
+
+def test_unitary_intertwiner_on_the_trivial_group_is_the_identity(monkeypatch):
+    from repstab import intertwiners
+    table = rs.irrep_table(rs.cyclic_group(1), seed=0)
+    rng = np.random.default_rng(3)
+    rho1, rho2 = random_rep(table, 24, rng), random_rep(table, 24, rng)
+    # the polar factor of the average, as built for every nontrivial group
+    polar = intertwiners._kept_isometry(rho1, rho2, intertwiners.POLAR_RANK_ATOL)[0]
+    assert np.abs(polar - np.eye(24)).max() < 1e-14
+
+    def failing_svd(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", failing_svd)
+    t = rs.unitary_intertwiner(rho1, rho2, 1.0, table=table, rng=rng)
+    assert np.array_equal(t, np.eye(24))
+
+
+def test_invariance_check_skips_only_full_kept_subspaces(monkeypatch, z2_table):
+    # with a zero tolerance any rounding fails the check: it is skipped where
+    # the kept basis spans the whole space, and still runs on a proper one
+    from repstab import intertwiners
+    monkeypatch.setattr(intertwiners, "INVARIANCE_ATOL", 0.0)
+    rng = np.random.default_rng(5)
+    rho1, rho2, _ = _phase_conjugated_pair(z2_table, 6, 1e-2, rng, 2.0)
+    rs.unitary_intertwiner(rho1, rho2, 2.0, table=z2_table, rng=rng, warn_far=False)
+
+    # trivial+trivial+sign with the last two lines swapped, in a random basis:
+    # the average has rank one
+    swap = np.eye(3)
+    swap[1:, 1:] = [[0.0, 1.0], [1.0, 0.0]]
+    v = random_unitary(3, rng)
+    rho1 = rs.conjugate_rep(rs.rep_from_multiplicities(z2_table, [2, 1]), v)
+    rho2 = rs.conjugate_rep(rho1, v @ swap @ v.conj().T)
+    with pytest.raises(rs.NumericalError, match="subspace not invariant"):
+        rs.unitary_intertwiner(rho1, rho2, 2.0, table=z2_table, rng=rng, warn_far=False)
