@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import IsomorphyError, NumericalError, ValidationError
 from .irreps import (INVARIANCE_ATOL, UNITARY_ATOL, IrrepTable, UnitaryRep, complement,
-                     compress, multiplicities)
+                     compress, direct_sum, multiplicities)
 from .rng import as_generator, complex_gaussian
 from .schatten import (nearest_unitary, rep_distance, schatten_norm_normalized,
                        singular_values, threshold_partial_isometry)
@@ -176,13 +176,6 @@ def direct_sum_padding_distance(rho: UnitaryRep, sigma1: UnitaryRep,
     """
     if sigma1.dim != sigma2.dim:
         raise ValidationError("padding summands must have equal dimension")
-    total = rho.dim + sigma1.dim
-    n = rho.group.order
-    mats1 = np.zeros((n, total, total), dtype=complex)
-    mats2 = np.zeros((n, total, total), dtype=complex)
-    for mats, sig in ((mats1, sigma1), (mats2, sigma2)):
-        mats[:, :rho.dim, :rho.dim] = rho.matrices
-        mats[:, rho.dim:, rho.dim:] = sig.matrices
-    measured = rep_distance(mats1, mats2, p)
-    delta = (sigma1.dim / total) ** (1.0 / p)
+    measured = rep_distance(direct_sum(rho, sigma1), direct_sum(rho, sigma2), p)
+    delta = (sigma1.dim / (rho.dim + sigma1.dim)) ** (1.0 / p)
     return measured, 2.0 * delta

@@ -12,6 +12,7 @@ coordinates of every multiplicity vector produced by the package.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -148,26 +149,42 @@ class Irrep:
         return UnitaryRep(group=self.group, matrices=self.matrices)
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class IrrepTable:
-    """Complete list of irreducibles of a group, in canonical order."""
+    """Complete list of irreducibles of a group, in canonical order.
+
+    `dims`, `trivial_index` and `weighted_conj_characters` are computed on
+    first use and kept; the arrays are read-only.
+    """
 
     group: FiniteGroup
     irreps: tuple[Irrep, ...]
 
-    @property
+    @cached_property
     def dims(self) -> np.ndarray:
-        return np.array([p.dim for p in self.irreps])
+        return _read_only(np.array([p.dim for p in self.irreps]))
 
     def __len__(self) -> int:
         return len(self.irreps)
 
-    @property
+    @cached_property
     def trivial_index(self) -> int:
         for k, p in enumerate(self.irreps):
             if p.dim == 1 and np.allclose(p.character, 1.0, atol=TRIVIAL_ATOL):
                 return k
         raise NumericalError("table has no trivial irreducible")
+
+    @cached_property
+    def weighted_conj_characters(self) -> np.ndarray:
+        """(classes, irreps) matrix of |C| conj(chi_k(C)) / |G|: a character
+        times it is the vector of its inner products with the irreducibles."""
+        chars = np.array([p.character for p in self.irreps])
+        return _read_only(self.group.class_sizes[:, None] * chars.conj().T / self.group.order)
 
     def match_character(self, character: np.ndarray) -> int:
         """Index of the irrep with this character, else NumericalError."""
@@ -279,26 +296,25 @@ def irrep_table(group: FiniteGroup, seed=0) -> IrrepTable:
     if dims2 != group.order:
         raise NumericalError(
             f"incomplete irreducible table: sum of dim^2 is {dims2}, expected {group.order}")
-    sizes = group.class_sizes
+    table = IrrepTable(group=group, irreps=tuple(entries))
     chars = np.array([p.character for p in entries])
-    gram = (chars * sizes) @ chars.conj().T / group.order
+    gram = chars @ table.weighted_conj_characters
     if np.abs(gram - np.eye(len(entries))).max() > IRREDUCIBLE_ATOL:
         raise NumericalError("characters are not orthonormal")
-    return IrrepTable(group=group, irreps=tuple(entries))
+    return table
 
 
 def multiplicities(rep: UnitaryRep, table: IrrepTable) -> np.ndarray:
     """Integer multiplicity of each irreducible in a representation.
 
-    Computed as the class-weighted character inner product and rounded;
-    raises MultiplicityError if any value is farther than MULT_ATOL from an
-    integer (the input is then not an exact representation).
+    Computed as one product of the character with the table's class-weighted
+    conjugate characters, and rounded; raises MultiplicityError if any value
+    is farther than MULT_ATOL from an integer (the input is then not an
+    exact representation).
     """
     if rep.group is not table.group:
         raise ValidationError("representation and table belong to different groups")
-    sizes = rep.group.class_sizes
-    chi = rep.character()
-    raw = np.array([np.sum(sizes * chi * p.character.conj()) for p in table.irreps]) / rep.group.order
+    raw = rep.character() @ table.weighted_conj_characters
     if np.abs(raw.imag).max() > MULT_ATOL or np.abs(raw.real - np.round(raw.real)).max() > MULT_ATOL:
         worst = np.abs(raw - np.round(raw.real)).max()
         raise MultiplicityError(

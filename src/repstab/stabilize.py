@@ -42,12 +42,15 @@ HINT_SLACK = 1e-12  # how far a measured edge distance may exceed delta_hint unw
 
 
 @contextmanager
-def _stage(name: str):
-    """Tag numerical failures with the pipeline stage they occurred in."""
+def _stage(name: str, timings: dict):
+    """Time a pipeline stage into `timings[name]` (ms) and tag its numerical
+    failures with the stage name."""
+    tic = time.perf_counter()
     try:
         yield
     except NumericalError as exc:
         raise NumericalError(f"[{name}] {exc}") from exc
+    timings[name] = (time.perf_counter() - tic) * 1e3
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,9 +174,10 @@ def correct_vertex(hom: GroupHom, tau: UnitaryRep, rho: UnitaryRep, target,
     along `hom` equals `tau` exactly: the summands of `rho` outside the
     common part are replaced, then the whole space is conjugated by a
     unitary intertwiner matching the pullback to `tau`. Over a trivial edge
-    group the constraint is empty and the conjugation is skipped. The
-    distance moved is of the order of max(d(pullback(rho), tau), replaced
-    fraction^(1/p)).
+    group the constraint is empty: nothing is measured and the conjugation
+    is skipped, so the hint warning cannot fire there and the allowance of
+    the multiplicity-gap warning is `delta_hint`. The distance moved is of
+    the order of max(d(pullback(rho), tau), replaced fraction^(1/p)).
     """
     rng = as_generator(rng)
     target = np.asarray(target, dtype=int)
@@ -185,14 +189,15 @@ def correct_vertex(hom: GroupHom, tau: UnitaryRep, rho: UnitaryRep, target,
             f"{restricted.tolist()}, but the constraint representation has {tau_mults.tolist()}",
             left=restricted, right=tau_mults)
 
-    measured = rep_distance(pullback(hom, rho), tau, p)
+    trivial_edge = tau.group.order == 1
+    measured = 0.0 if trivial_edge else rep_distance(pullback(hom, rho), tau, p)
     _warn_gap(rho, target, table, max(measured, delta_hint or 0.0), p)
     if delta_hint is not None and measured > delta_hint + HINT_SLACK:
         warnings.warn(f"measured edge distance {measured:.3e} exceeds the hint {delta_hint:.3e}",
                       stacklevel=2)
 
     rho_out = replace_summands(rho, target, table, rng)
-    if tau.group.order > 1:
+    if not trivial_edge:
         t = unitary_intertwiner(tau, pullback(hom, rho_out), p, table=table_sub, rng=rng)
         rho_out = conjugate_rep(rho_out, t.conj().T)
     err = np.abs(pullback(hom, rho_out).matrices - tau.matrices).max()
@@ -278,22 +283,18 @@ def stabilize(rho: AlmostRep, ctx: CorrectionContext, seed=0,
     dim = rho.dim
     timings: dict[str, float] = {}
 
-    tic = time.perf_counter()
-    with _stage("measure_defect"):
+    with _stage("measure_defect", timings):
         delta = measure_defect(rho, ctx.gog, ctx.p)
-    timings["measure_defect"] = (time.perf_counter() - tic) * 1e3
     if delta >= guard:
         raise GuardExceededError(
             f"measured defect {delta:.4g} is not below the guard {guard:.4g}",
             measured=delta, guard=guard)
 
-    tic = time.perf_counter()
-    with _stage("cone_projection"):
+    with _stage("cone_projection", timings):
         lam = rep_multiplicities(rho, ctx.vertex_tables)
         lam_kernel = project_to_kernel_cone(lam, ctx.boundary)
         lam_out = pad_with_trivial(lam_kernel, dim, ctx.boundary)
-    cone_gap = ctx.boundary.vertex_norm(lam - lam_out)
-    timings["cone_projection"] = (time.perf_counter() - tic) * 1e3
+        cone_gap = ctx.boundary.vertex_norm(lam - lam_out)
     hypothesis_ok = float(cone_gap) <= (delta ** ctx.p) * dim
 
     # per-vertex allowance: the vector-norm hypothesis concentrates on a
@@ -311,25 +312,19 @@ def stabilize(rho: AlmostRep, ctx: CorrectionContext, seed=0,
                                 table=ctx.edge_tables[k], rng=rng)
         return t @ s
 
-    tic = time.perf_counter()
-    with _stage("vertex_corrections"):
+    with _stage("vertex_corrections", timings):
         root = ctx.tree.root
         at_root = (rho.vertex_reps[root], lam_out.blocks[root], ctx.vertex_tables[root])
         _warn_gap(*at_root, hint, ctx.p)
         new_reps = _walk_tree(ctx, replace_summands(*at_root, rng), fit_child)
-    timings["vertex_corrections"] = (time.perf_counter() - tic) * 1e3
 
-    tic = time.perf_counter()
-    with _stage("edge_corrections"):
+    with _stage("edge_corrections", timings):
         edges = _stable_letters(ctx, new_reps, fit_edge)
-    timings["edge_corrections"] = (time.perf_counter() - tic) * 1e3
 
     out = almost_rep(ctx.gog, new_reps, edges, check=False)
-    tic = time.perf_counter()
-    with _stage("verification"):
+    with _stage("verification", timings):
         output_defect = measure_defect(out, ctx.gog, ctx.p)
         epsilon = generator_distance(rho, out, ctx.p)
-    timings["verification"] = (time.perf_counter() - tic) * 1e3
 
     report = StabilizationReport(p=ctx.p, dim=dim, delta=delta, epsilon=epsilon,
                                  output_defect=output_defect, cone_gap=cone_gap,

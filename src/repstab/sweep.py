@@ -13,6 +13,7 @@ import csv
 import time
 from dataclasses import dataclass, replace
 
+from .cones import MultiplicityVector
 from .errors import RepStabError, ValidationError
 from .graphs import perturb
 from .rng import derived_generator
@@ -79,50 +80,36 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     Preset names are resolved through the preset registry.
     """
     from .presets import graph_preset
-    graphs = {name: graph_preset(name) for name in config.presets}
-
-    # the tables and the boundary map are seeded by master_seed alone, so
-    # one build per preset serves every p
-    contexts = {}
-    lambdas = {}
-    for name in config.presets:
-        ctx = CorrectionContext.build(graphs[name], p=config.p_grid[0], seed=config.master_seed)
-        for p in config.p_grid:
-            contexts[(name, p)] = replace(ctx, p=float(p))
-        if config.lam_blocks is not None:
-            from .cones import MultiplicityVector
-            lambdas[name] = MultiplicityVector("vertex", config.lam_blocks)
-        else:
-            lambdas[name] = uniform_lambda(ctx, config.dim)
-
-    cells = []
+    rows = []
     for pi, name in enumerate(config.presets):
+        # the tables and the boundary map are seeded by master_seed alone, so
+        # one build per preset serves every p
+        base_ctx = CorrectionContext.build(graph_preset(name), p=config.p_grid[0],
+                                           seed=config.master_seed)
+        lam = (uniform_lambda(base_ctx, config.dim) if config.lam_blocks is None
+               else MultiplicityVector("vertex", config.lam_blocks))
         for ei, eps in enumerate(config.eps_grid):
             for qi, p in enumerate(config.p_grid):
+                ctx = replace(base_ctx, p=float(p))
                 for si in range(config.seeds_per_cell):
-                    cells.append((pi, ei, qi, si, name, eps, p))
-
-    def run_cell(cell) -> SweepRow:
-        pi, ei, qi, si, name, eps, p = cell
-        ctx = contexts[(name, p)]
-        rng = derived_generator(config.master_seed, pi, ei, qi, si)
-        try:
-            base = realize(lambdas[name], ctx, seed=rng)
-            inst = perturb(base, ctx.gog, eps, mode=config.mode, rng=rng)
-            tic = time.perf_counter()
-            _, report = stabilize(inst, ctx, seed=rng, guard=config.guard)
-            runtime = (time.perf_counter() - tic) * 1e3
-            return SweepRow(preset=name, seed=si, p=p, dim=report.dim,
-                            epsilon_in=eps, delta=report.delta,
-                            epsilon_out=report.epsilon,
-                            cone_gap=float(report.cone_gap), runtime_ms=runtime)
-        except RepStabError as exc:
-            return SweepRow(preset=name, seed=si, p=p, dim=config.dim,
-                            epsilon_in=eps, delta=None, epsilon_out=None,
-                            cone_gap=None, runtime_ms=None,
-                            error=f"{type(exc).__name__}: {exc}")
-
-    return [run_cell(c) for c in cells]
+                    rng = derived_generator(config.master_seed, pi, ei, qi, si)
+                    try:
+                        base = realize(lam, ctx, seed=rng)
+                        inst = perturb(base, ctx.gog, eps, mode=config.mode, rng=rng)
+                        tic = time.perf_counter()
+                        _, report = stabilize(inst, ctx, seed=rng, guard=config.guard)
+                        runtime = (time.perf_counter() - tic) * 1e3
+                        rows.append(SweepRow(preset=name, seed=si, p=p, dim=report.dim,
+                                             epsilon_in=eps, delta=report.delta,
+                                             epsilon_out=report.epsilon,
+                                             cone_gap=float(report.cone_gap),
+                                             runtime_ms=runtime))
+                    except RepStabError as exc:
+                        rows.append(SweepRow(preset=name, seed=si, p=p, dim=config.dim,
+                                             epsilon_in=eps, delta=None, epsilon_out=None,
+                                             cone_gap=None, runtime_ms=None,
+                                             error=f"{type(exc).__name__}: {exc}"))
+    return rows
 
 
 def write_csv(rows, path) -> None:

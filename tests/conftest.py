@@ -109,6 +109,20 @@ def random_rep(table, dim, rng, conjugate=True):
     return rep
 
 
+def elementwise_inner_products(rep, table):
+    """Oracle: <chi_rep, chi_k> for every irreducible by plain loops over the
+    group elements, with no class weights."""
+    g = rep.group
+    class_of = g.class_of()
+    out = []
+    for irrep in table.irreps:
+        acc = 0.0 + 0.0j
+        for x in range(g.order):
+            acc += np.trace(rep.matrices[x]) * np.conj(irrep.character[class_of[x]])
+        out.append(acc / g.order)
+    return np.array(out)
+
+
 def brute_force_conjugacy_classes(table):
     """Oracle: conjugacy classes by direct enumeration with plain loops."""
     mult = np.asarray(table)

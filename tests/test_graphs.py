@@ -5,6 +5,8 @@ import repstab as rs
 from repstab.errors import ValidationError
 from repstab.graphs import evaluate_word
 
+from conftest import elementwise_inner_products
+
 
 @pytest.fixture(scope="module")
 def z2_loop():
@@ -158,13 +160,8 @@ def test_rep_multiplicities_matches_elementwise_character_sum(preset_contexts):
     rho = rs.realize(rs.uniform_lambda(ctx, 8), ctx, seed=2)
     lam = rs.rep_multiplicities(rho, ctx.vertex_tables)
     for v, (rep, table) in enumerate(zip(rho.vertex_reps, ctx.vertex_tables)):
-        g = rep.group
-        class_of = g.class_of()
-        for k, irrep in enumerate(table.irreps):
-            acc = 0.0 + 0.0j
-            for x in range(g.order):
-                acc += np.trace(rep.matrices[x]) * np.conj(irrep.character[class_of[x]])
-            assert lam.blocks[v][k] == round((acc / g.order).real)
+        oracle = elementwise_inner_products(rep, table)
+        assert list(lam.blocks[v]) == [round(x.real) for x in oracle]
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, 4.0])

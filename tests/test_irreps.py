@@ -8,7 +8,7 @@ from repstab.irreps import (CLUSTER_RETRIES, UnitaryRep, commutant_average, comp
                             isotypic_components)
 from repstab.rng import random_unitary
 
-from conftest import random_rep
+from conftest import elementwise_inner_products, random_rep
 
 
 def test_regular_representation_trivial():
@@ -99,6 +99,28 @@ def test_multiplicities_rejects_non_representation(z2, z2_table):
     fake = UnitaryRep(group=z2, matrices=mats)  # bypasses construction checks
     with pytest.raises(MultiplicityError):
         rs.multiplicities(fake, z2_table)
+
+
+@pytest.mark.parametrize("name", rs.group_preset_names())
+def test_multiplicities_match_elementwise_oracle(name):
+    # distinct multiplicities in a random basis: a missing conjugate (complex
+    # characters of Z3-Z12, Q8, A4) or class weight in the cached matrix
+    # would move or break them
+    table = rs.irrep_table(rs.group_preset(name), seed=0)
+    rng = np.random.default_rng(13)
+    mults = rng.permutation(len(table)) + 1
+    rep = rs.rep_from_multiplicities(table, mults)
+    rep = rs.conjugate_rep(rep, random_unitary(rep.dim, rng))
+    oracle = elementwise_inner_products(rep, table)
+    np.testing.assert_allclose(oracle, mults, atol=1e-8)
+    assert rs.multiplicities(rep, table).tolist() == mults.tolist()
+
+
+def test_irrep_table_cached_arrays_are_read_only(s3_table):
+    assert s3_table.weighted_conj_characters is s3_table.weighted_conj_characters
+    for arr in (s3_table.dims, s3_table.weighted_conj_characters):
+        with pytest.raises(ValueError):
+            arr[0] = 0
 
 
 def test_multiplicity_additivity_random(s3_table):

@@ -120,12 +120,33 @@ def test_correct_vertex_trivial_subgroup_resort(s3, s3_table):
         target[1] += 1
     tau = rs.unitary_rep(z1, np.eye(9)[None])
     hom = rs.trivial_embedding(s3, z1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+    with pytest.warns(UserWarning, match="multiplicity gap"):
         out = rs.correct_vertex(hom, tau, rho, target, t1, s3_table, 2.0, rng=rng)
     assert rs.multiplicities(out, s3_table).tolist() == target.tolist()
 
 
+def test_correct_vertex_across_trivial_group_takes_no_svd(s3, s3_table, monkeypatch):
+    # nothing is measured across a trivial edge group, so p = 1 needs no SVD
+    rng = np.random.default_rng(3)
+    z1 = rs.cyclic_group(1)
+    rho = rs.conjugate_rep(rs.rep_from_multiplicities(s3_table, [3, 2, 2]),
+                           random_unitary(9, rng))
+    tau = rs.unitary_rep(z1, np.eye(9)[None])
+    target = np.array([2, 1, 3])
+
+    def failing_svd(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", failing_svd)
+    with pytest.warns(UserWarning, match="multiplicity gap"):
+        out = rs.correct_vertex(rs.trivial_embedding(s3, z1), tau, rho, target,
+                                rs.irrep_table(z1), s3_table, 1.0, rng=rng)
+    assert rs.multiplicities(out, s3_table).tolist() == target.tolist()
+
+
+# the swap moves the pullback by 0.34, so the intertwiner also warns that its
+# inputs are far apart
+@pytest.mark.filterwarnings("ignore:measured distance .* is not below 1/4")
 def test_correct_vertex_swapped_multiplicity(z2, z2_table, s3, s3_table):
     rng = np.random.default_rng(4)
     base = rs.rep_from_multiplicities(s3_table, [3, 2, 2])
@@ -137,8 +158,8 @@ def test_correct_vertex_swapped_multiplicity(z2, z2_table, s3, s3_table):
     assert (rs.restriction_matrix(hom, z2_table, s3_table) @ target).tolist() == \
            (rs.restriction_matrix(hom, z2_table, s3_table) @ np.array([3, 2, 2])).tolist()
     tau = rs.pullback(hom, rho)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+    # tau is exact, so no measured distance covers the swapped summands
+    with pytest.warns(UserWarning, match="multiplicity gap"):
         out = rs.correct_vertex(hom, tau, rho, target, z2_table, s3_table, 2.0, rng=rng)
     assert rs.multiplicities(out, s3_table).tolist() == target.tolist()
     err = np.abs(rs.pullback(hom, out).matrices - tau.matrices).max()
@@ -158,10 +179,11 @@ def test_correct_vertex_rejects_mismatched_constraint(z2, z2_table, s3, s3_table
 
 
 def test_stabilize_exact_input_fixed_point(preset_contexts):
-    for name in rs.graph_preset_names():
-        ctx = preset_contexts[(name, 2.0)]
+    for ctx in preset_contexts.values():
         rho = rs.realize(rs.uniform_lambda(ctx, 6), ctx, seed=0)
-        out, report = rs.stabilize(rho, ctx, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out, report = rs.stabilize(rho, ctx, seed=1)
         assert report.epsilon <= 1e-7
         assert report.output_defect <= 1e-9
         assert report.delta <= 1e-10
