@@ -176,8 +176,6 @@ def cmd_stabilize(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.config:
-        raise ValidationError("sweep over config files is not supported; use --preset")
     presets = tuple(args.preset) if args.preset else graph_preset_names()
     config = SweepConfig(
         presets=presets,
@@ -237,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sw = subs.add_parser("sweep", help="seeded grid over (eps, p, seeds); write CSV")
     sw.add_argument("--preset", action="append", help="graph preset (repeatable; default: all)")
-    sw.add_argument("--config", help=argparse.SUPPRESS)
     sw.add_argument("--dim", type=int, default=6)
     sw.add_argument("--eps", type=float, action="append", help="perturbation size (repeatable)")
     sw.add_argument("--p", type=float, action="append", help="Schatten exponent (repeatable)")

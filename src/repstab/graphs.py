@@ -3,10 +3,10 @@
 A graph is stored Serre-style: geometric edge k owns the oriented pair
 (2k, 2k+1), with 2k running origin -> terminus as entered and 2k+1 the
 opposite. The chosen orientation is the set of even oriented edges. The
-fundamental group is presented on the vertex-group elements together with
-one stable letter per geometric edge, modulo one stable-letter relator per
-spanning-tree edge and one conjugation relator per (geometric edge,
-nonidentity edge-group element).
+fundamental group is presented on the vertex-group elements and one stable
+letter per geometric edge, modulo a stable-letter relator per tree edge and a
+conjugation relator per (geometric edge, nonidentity edge-group element),
+indexed once per graph of groups, with the words as display and oracle form.
 
 An AlmostRep assigns an exact unitary representation to every vertex group
 and an arbitrary unitary to every stable letter; its defect is the largest
@@ -17,14 +17,15 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .cones import VERTEX_SIDE, BoundaryMap, MultiplicityVector
 from .errors import ValidationError
 from .groups import FiniteGroup, GroupHom, group_hom
-from .irreps import (UNITARY_ATOL, UnitaryRep, conjugate_rep, multiplicities,
-                     restriction_matrix, unitary_rep)
+from .irreps import (UNITARY_ATOL, UnitaryRep, _read_only, conjugate_rep,
+                     multiplicities, restriction_matrix, unitary_rep)
 from .rng import as_generator, random_hermitian
 from .schatten import max_normalized_norm, singular_values
 
@@ -62,6 +63,10 @@ class SerreGraph:
         """The chosen orientation: one representative per pair (the even one)."""
         return tuple(range(0, self.n_oriented_edges, 2))
 
+    @cached_property
+    def tree(self) -> "SpanningTree":
+        return spanning_tree(self)  # once per graph: serre_graph fills it
+
 
 def serre_graph(n_vertices: int, endpoints) -> SerreGraph:
     """Validated connected graph from (origin, terminus) pairs."""
@@ -72,7 +77,7 @@ def serre_graph(n_vertices: int, endpoints) -> SerreGraph:
         if not (0 <= o < n_vertices and 0 <= t < n_vertices):
             raise ValidationError(f"edge endpoint out of range: ({o}, {t})")
     graph = SerreGraph(n_vertices=n_vertices, endpoints=eps)
-    spanning_tree(graph)  # rejects a disconnected graph
+    graph.tree  # rejects a disconnected graph
     return graph
 
 
@@ -135,6 +140,19 @@ class GraphOfGroups:
     def injection(self, e: int) -> GroupHom:
         return self.injections[e]
 
+    @cached_property
+    def _relator_index(self) -> tuple[tuple[int, ...], tuple]:
+        """The presentation: the sorted tree edges, and per geometric edge k,
+        over the nonidentity g of its edge group, the terminus elements
+        i_{2k}(g) and the origin inverses inv(i_{2k+1}(g))."""
+        conjugations = []
+        for k, group in enumerate(self.edge_groups):
+            rest = np.arange(group.order) != group.identity
+            origin_inv = self.vertex_groups[self.graph.origin(2 * k)].inv
+            conjugations.append((_read_only(self.injections[2 * k].map[rest]),
+                                 _read_only(origin_inv[self.injections[2 * k + 1].map[rest]])))
+        return tuple(sorted(self.graph.tree.geometric_edges)), tuple(conjugations)
+
 
 def graph_of_groups(graph: SerreGraph, vertex_groups, edge_groups,
                     injection_maps, name: str = "") -> GraphOfGroups:
@@ -166,27 +184,12 @@ def graph_of_groups(graph: SerreGraph, vertex_groups, edge_groups,
 
 
 def relators(gog: GraphOfGroups) -> tuple[tuple, ...]:
-    """Defining relator words of the fundamental group presentation."""
-    graph = gog.graph
-    words: list[tuple] = []
-    for k in sorted(spanning_tree(graph).geometric_edges):
-        words.append((("s", k, 1),))
-    for e in graph.orientation():
-        k = e // 2
-        ge = gog.edge_groups[k]
-        i_fwd = gog.injection(e)                        # into terminus(e)
-        i_rev = gog.injection(graph.opposite(e))        # into origin(e)
-        t_v, o_v = graph.terminus(e), graph.origin(e)
-        o_group = gog.vertex_groups[o_v]
-        for g in range(ge.order):
-            if g == ge.identity:
-                continue
-            words.append((
-                ("s", k, -1),
-                ("v", t_v, i_fwd(g)),
-                ("s", k, 1),
-                ("v", o_v, o_group.inverse(i_rev(g))),
-            ))
+    """Defining relator words: the display and oracle form of the presentation index."""
+    tree_edges, conjugations = gog._relator_index
+    words = [(("s", k, 1),) for k in tree_edges]
+    for k, ((o, t), (terminus, origin_inv)) in enumerate(zip(gog.graph.endpoints, conjugations)):
+        words += [(("s", k, -1), ("v", t, int(a)), ("s", k, 1), ("v", o, int(b)))
+                  for a, b in zip(terminus, origin_inv)]
     return tuple(words)
 
 
@@ -252,13 +255,18 @@ def evaluate_word(rho: AlmostRep, word: tuple) -> np.ndarray:
 
 
 def measure_defect(rho: AlmostRep, gog: GraphOfGroups, p: float) -> float:
-    """Largest normalized p-Schatten distance from a relator image to I."""
-    eye = np.eye(rho.dim)
-    words = relators(gog)
-    diffs = np.empty((len(words), rho.dim, rho.dim), dtype=complex)
-    for k, word in enumerate(words):
-        diffs[k] = evaluate_word(rho, word) - eye
-    return max_normalized_norm(diffs, p)
+    """Largest normalized p-Schatten distance from a relator image to I, read
+    off the presentation index: s - I per tree letter s, and per edge with a
+    nontrivial edge group one stacked product s^H A s B - I over its
+    conjugation relators, multiplied left to right as in `evaluate_word`."""
+    tree_edges, conjugations = gog._relator_index
+    eye, s = np.eye(rho.dim), rho.edge_unitaries
+    diffs = [np.empty((0, rho.dim, rho.dim))] + [s[k][None] - eye for k in tree_edges]
+    for (o, t), (terminus, origin_inv), u in zip(gog.graph.endpoints, conjugations, s):
+        if len(terminus):
+            a, b = rho.vertex_reps[t].matrices[terminus], rho.vertex_reps[o].matrices[origin_inv]
+            diffs.append(u.conj().T @ a @ u @ b - eye)
+    return max_normalized_norm(np.concatenate(diffs), p)
 
 
 def rep_multiplicities(rho: AlmostRep, vertex_tables) -> MultiplicityVector:

@@ -279,7 +279,8 @@ def irrep_table(group: FiniteGroup, seed=0) -> IrrepTable:
     certified by sum(dim^2) == |G| and pairwise character orthonormality.
     """
     reg = regular_representation(group)
-    comps = irreducible_components(reg, derived_generator(seed, 0) if isinstance(seed, int) else seed)
+    comps = irreducible_components(
+        reg, derived_generator(seed, 0) if isinstance(seed, (int, np.integer)) else seed)
     by_char: dict[tuple, Component] = {}
     for comp in comps:
         by_char.setdefault(_character_key(comp.character), comp)

@@ -26,16 +26,15 @@ from .cones import (BoundaryMap, MultiplicityVector, pad_with_trivial,
                     project_to_kernel_cone)
 from .errors import (GuardExceededError, IsomorphyError, NumericalError,
                      ValidationError)
-from .graphs import (AlmostRep, GraphOfGroups, SpanningTree, almost_rep,
-                     boundary_map, generator_distance, measure_defect,
-                     rep_multiplicities, spanning_tree)
+from .graphs import (AlmostRep, GraphOfGroups, almost_rep, boundary_map,
+                     generator_distance, measure_defect, rep_multiplicities)
 from .groups import GroupHom
 from .irreps import (IrrepTable, UnitaryRep, complement, compress, conjugate_rep,
                      irrep_table, isotypic_components, multiplicities, pullback,
                      rep_from_multiplicities, restriction_matrix, unitary_rep)
 from .intertwiners import INTERTWINE_ATOL, unitary_intertwiner
 from .rng import as_generator, derived_generator
-from .schatten import rep_distance
+from .schatten import _check_exponent, rep_distance
 
 DEFAULT_GUARD = 0.2
 HINT_SLACK = 1e-12  # how far a measured edge distance may exceed delta_hint unwarned
@@ -55,10 +54,9 @@ def _stage(name: str, timings: dict):
 
 @dataclass(frozen=True, eq=False)
 class CorrectionContext:
-    """Precomputed tables, tree, and boundary map for one graph of groups."""
+    """Precomputed tables and boundary map for one graph of groups."""
 
     gog: GraphOfGroups
-    tree: SpanningTree
     p: float
     vertex_tables: tuple[IrrepTable, ...]
     edge_tables: tuple[IrrepTable, ...]
@@ -66,16 +64,13 @@ class CorrectionContext:
 
     @classmethod
     def build(cls, gog: GraphOfGroups, p: float, seed: int = 0) -> "CorrectionContext":
-        if not p >= 1.0:
-            raise ValidationError(f"Schatten exponent must be >= 1, got {p}")
+        p = _check_exponent(p)
         vertex_tables = tuple(irrep_table(g, seed=derived_generator(seed, 0, v))
                               for v, g in enumerate(gog.vertex_groups))
         edge_tables = tuple(irrep_table(g, seed=derived_generator(seed, 1, k))
                             for k, g in enumerate(gog.edge_groups))
-        bmap = boundary_map(gog, vertex_tables, edge_tables)
-        return cls(gog=gog, tree=spanning_tree(gog.graph), p=float(p),
-                   vertex_tables=vertex_tables, edge_tables=edge_tables,
-                   boundary=bmap)
+        return cls(gog=gog, p=p, vertex_tables=vertex_tables, edge_tables=edge_tables,
+                   boundary=boundary_map(gog, vertex_tables, edge_tables))
 
 
 @dataclass(frozen=True)
@@ -215,8 +210,8 @@ def _walk_tree(ctx: CorrectionContext, root_rep: UnitaryRep, fit_child) -> tuple
     parent to the group of the tree edge between them.
     """
     graph = ctx.gog.graph
-    reps = {ctx.tree.root: root_rep}
-    for step in ctx.tree.steps:
+    reps = {graph.tree.root: root_rep}
+    for step in graph.tree.steps:
         into_parent = ctx.gog.injection(step.edge_to_parent)
         into_child = ctx.gog.injection(graph.opposite(step.edge_to_parent))
         reps[step.child] = fit_child(step.child, into_child,
@@ -232,13 +227,12 @@ def _stable_letters(ctx: CorrectionContext, reps, fit_edge) -> list[np.ndarray]:
     graph = ctx.gog.graph
     eye = np.eye(reps[0].dim, dtype=complex)
     edges = []
-    for k in range(graph.n_geometric_edges):
-        if k in ctx.tree.geometric_edges:
+    for k, (o, t) in enumerate(graph.endpoints):
+        if k in graph.tree.geometric_edges:
             edges.append(eye)
             continue
-        e = 2 * k
-        origin = pullback(ctx.gog.injection(graph.opposite(e)), reps[graph.origin(e)])
-        terminus = pullback(ctx.gog.injection(e), reps[graph.terminus(e)])
+        origin = pullback(ctx.gog.injection(2 * k + 1), reps[o])
+        terminus = pullback(ctx.gog.injection(2 * k), reps[t])
         edges.append(fit_edge(k, origin, terminus))
     return edges
 
@@ -266,7 +260,7 @@ def realize(lam: MultiplicityVector, ctx: CorrectionContext, seed=0) -> AlmostRe
         return unitary_intertwiner(origin, terminus, ctx.p, table=ctx.edge_tables[k],
                                    rng=rng, warn_far=False)
 
-    root = ctx.tree.root
+    root = ctx.gog.graph.tree.root
     reps = _walk_tree(ctx, rep_from_multiplicities(ctx.vertex_tables[root], lam.blocks[root]),
                       fit_child)
     return almost_rep(ctx.gog, reps, _stable_letters(ctx, reps, fit_edge), check=False)
@@ -313,7 +307,7 @@ def stabilize(rho: AlmostRep, ctx: CorrectionContext, seed=0,
         return t @ s
 
     with _stage("vertex_corrections", timings):
-        root = ctx.tree.root
+        root = ctx.gog.graph.tree.root
         at_root = (rho.vertex_reps[root], lam_out.blocks[root], ctx.vertex_tables[root])
         _warn_gap(*at_root, hint, ctx.p)
         new_reps = _walk_tree(ctx, replace_summands(*at_root, rng), fit_child)

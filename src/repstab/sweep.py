@@ -13,10 +13,10 @@ import csv
 import time
 from dataclasses import dataclass, replace
 
-from .cones import MultiplicityVector
 from .errors import RepStabError, ValidationError
 from .graphs import perturb
 from .rng import derived_generator
+from .schatten import _check_exponent
 from .stabilize import (DEFAULT_GUARD, CorrectionContext, realize, stabilize,
                         uniform_lambda)
 
@@ -39,15 +39,14 @@ class SweepConfig:
     master_seed: int = 0
     mode: str = "edges-only"
     guard: float = DEFAULT_GUARD
-    lam_blocks: tuple | None = None   # explicit per-vertex blocks, else uniform recipe
 
     def __post_init__(self):
         if not self.presets or not self.eps_grid or not self.p_grid:
             raise ValidationError("sweep grids must be nonempty")
         if any(e < 0 for e in self.eps_grid):
             raise ValidationError("perturbation sizes must be nonnegative")
-        if any(p < 1 for p in self.p_grid):
-            raise ValidationError("Schatten exponents must be >= 1")
+        for p in self.p_grid:
+            _check_exponent(p)
         if self.seeds_per_cell <= 0 or self.dim <= 0:
             raise ValidationError("seeds per cell and dimension must be positive")
 
@@ -86,8 +85,7 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
         # one build per preset serves every p
         base_ctx = CorrectionContext.build(graph_preset(name), p=config.p_grid[0],
                                            seed=config.master_seed)
-        lam = (uniform_lambda(base_ctx, config.dim) if config.lam_blocks is None
-               else MultiplicityVector("vertex", config.lam_blocks))
+        lam = uniform_lambda(base_ctx, config.dim)
         for ei, eps in enumerate(config.eps_grid):
             for qi, p in enumerate(config.p_grid):
                 ctx = replace(base_ctx, p=float(p))

@@ -3,7 +3,8 @@ import json
 import pytest
 
 from repstab.cli import main
-from repstab.sweep import CSV_HEADER
+from repstab.errors import ValidationError
+from repstab.sweep import CSV_HEADER, SweepConfig
 
 
 def run_cli(capsys, *argv):
@@ -240,14 +241,17 @@ def test_lambda_from_file(capsys, tmp_path):
     assert obj["multiplicities"]["blocks"] == [[2, 4], [2, 2, 2]]
 
 
-def test_sweep_with_explicit_lambda_blocks():
-    from repstab.sweep import SweepConfig, run_sweep
-    config = SweepConfig(presets=("infinite_dihedral",), eps_grid=(1e-3,),
-                         p_grid=(2.0,), seeds_per_cell=2, master_seed=1,
-                         lam_blocks=((2, 4), (3, 3)))
-    rows = run_sweep(config)
-    assert len(rows) == 2
-    assert all(not r.error and r.dim == 6 for r in rows)
+def test_sweep_has_no_config_flag(capsys, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", "graph.json", "--out", str(tmp_path / "sweep.csv")])
+    assert exc.value.code == 2
+    assert "--config" in capsys.readouterr().err
+
+
+def test_sweep_config_rejects_an_infinite_exponent():
+    # an infinite p would pass to every cell and fail there, row by row
+    with pytest.raises(ValidationError, match="p < inf"):
+        SweepConfig(presets=("infinite_dihedral",), p_grid=(2.0, float("inf")))
 
 
 def test_dump_matrices_flag(capsys):

@@ -96,6 +96,17 @@ def test_measure_defect_scalar_phase(theta, preset_contexts):
         assert rs.measure_defect(phased, ctx.gog, p) == pytest.approx(expected, abs=1e-12)
 
 
+def test_measure_defect_sees_a_non_unitary_stable_letter(preset_contexts):
+    # a conjugation word evaluates s^-1 as s^H, so it keeps the s^H s - I part:
+    # scaling the loop letter of an exact realization by c moves the defect to
+    # c^2 - 1, which the two-sided form |a s - s b| would not see
+    ctx = preset_contexts[("hnn_Z4_over_Z2", 2.0)]
+    rho = rs.realize(rs.uniform_lambda(ctx, 8), ctx, seed=0)
+    scaled = rs.almost_rep(ctx.gog, rho.vertex_reps, [(1 + 1e-6) * rho.edge_unitaries[0]],
+                           check=False)
+    assert rs.measure_defect(scaled, ctx.gog, 2.0) == pytest.approx(2e-6 + 1e-12, abs=1e-9)
+
+
 def test_defect_decreases_with_perturbation_size(preset_contexts):
     ctx = preset_contexts[("hnn_Z4_over_Z2", 2.0)]
     lam = rs.uniform_lambda(ctx, 8)

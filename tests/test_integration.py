@@ -108,7 +108,7 @@ def test_vertex_conjugated_perturbation_hits_tree_step(z2_amalgam):
 
 def test_parallel_edges_free_letter(parallel_edges):
     ctx = rs.CorrectionContext.build(parallel_edges, p=2.0, seed=0)
-    assert ctx.tree.geometric_edges == frozenset({0})
+    assert ctx.gog.graph.tree.geometric_edges == frozenset({0})
     lam = rs.uniform_lambda(ctx, 6)
     rho = rs.realize(lam, ctx, seed=0)
     assert rs.measure_defect(rho, parallel_edges, 2.0) <= 1e-10

@@ -35,6 +35,12 @@ def test_irrep_table_trivial():
     assert len(table) == 1 and table.irreps[0].dim == 1
 
 
+def test_irrep_table_numpy_integer_seed(s3):
+    plain, numpy_int = rs.irrep_table(s3, seed=3), rs.irrep_table(s3, seed=np.int64(3))
+    for a, b in zip(plain.irreps, numpy_int.irreps, strict=True):
+        assert np.array_equal(a.matrices, b.matrices)
+
+
 def test_irrep_table_z2(z2_table):
     # frozen oracle: eigenvectors of the swap matrix split the regular
     # representation into characters (1, 1) and (1, -1)

@@ -14,6 +14,8 @@ import scipy.linalg
 
 import repstab as rs
 from repstab import cones
+from repstab.graphs import evaluate_word
+from repstab.schatten import max_normalized_norm
 from repstab.rng import random_hermitian, random_unitary
 
 from conftest import brute_force_projection, enumerate_cone, enumerate_kernel_cone
@@ -64,6 +66,22 @@ def twisted_hnn():
     v4, z2 = rs.klein_four_group(), rs.cyclic_group(2)
     return rs.graph_of_groups(rs.serre_graph(1, [(0, 0)]), [v4], [z2], [[0, 1], [0, 2]],
                               name="twisted_hnn")
+
+
+RICH_GRAPHS = ("s3_twisted_amalgam", "double_loop", "z4_chain", "twisted_hnn", "z2_amalgam")
+
+
+@pytest.mark.parametrize("name", rs.graph_preset_names() + RICH_GRAPHS)
+def test_measure_defect_matches_the_relator_words(request, name):
+    # the stacked per-edge products against the word-by-word oracle, bit for bit
+    gog = request.getfixturevalue(name) if name in RICH_GRAPHS else rs.graph_preset(name)
+    ctx = rs.CorrectionContext.build(gog, p=2.0, seed=0)
+    base = rs.realize(rs.uniform_lambda(ctx, 12), ctx, seed=0)
+    for mode in ("edges-only", "edges-and-conjugate-vertices"):
+        inst = rs.perturb(base, gog, 1e-2, mode=mode, rng=np.random.default_rng(7))
+        words = np.array([evaluate_word(inst, w) - np.eye(12) for w in rs.relators(gog)])
+        for p in (1.0, 2.0, 4.0):
+            assert rs.measure_defect(inst, gog, p) == max_normalized_norm(words, p)
 
 
 def test_projection_dp_agrees_with_highs(z2_amalgam, twisted_hnn, z4_chain,
@@ -117,7 +135,7 @@ def test_twisted_amalgam_stabilize(s3_twisted_amalgam, p):
 
 def test_double_loop_realize_and_stabilize(double_loop):
     ctx = rs.CorrectionContext.build(double_loop, p=2.0, seed=0)
-    assert ctx.tree.geometric_edges == frozenset()
+    assert ctx.gog.graph.tree.geometric_edges == frozenset()
     lam = rs.uniform_lambda(ctx, 10)
     base = rs.realize(lam, ctx, seed=1)
     assert rs.measure_defect(base, double_loop, 2.0) <= 1e-10
@@ -133,7 +151,7 @@ def test_double_loop_realize_and_stabilize(double_loop):
 
 def test_chain_induction_accumulates_gracefully(z4_chain):
     ctx = rs.CorrectionContext.build(z4_chain, p=2.0, seed=0)
-    assert len(ctx.tree.steps) == 2
+    assert len(ctx.gog.graph.tree.steps) == 2
     lam = rs.uniform_lambda(ctx, 8)
     base = rs.realize(lam, ctx, seed=0)
     assert rs.measure_defect(base, z4_chain, 2.0) <= 1e-10
@@ -145,7 +163,7 @@ def test_chain_induction_accumulates_gracefully(z4_chain):
         out, report = rs.stabilize(inst, ctx, seed=rng)
         assert report.output_defect <= 1e-9
         # both tree letters pinned to the identity
-        for k in sorted(ctx.tree.geometric_edges):
+        for k in sorted(ctx.gog.graph.tree.geometric_edges):
             assert np.abs(out.edge_unitaries[k] - np.eye(8)).max() == 0.0
         ratios.append(report.epsilon / report.delta)
     assert np.median(ratios) < 15.0

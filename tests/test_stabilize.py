@@ -210,7 +210,7 @@ def test_stabilize_tree_edges_are_identity(preset_contexts):
     base = rs.realize(rs.uniform_lambda(ctx, 6), ctx, seed=0)
     inst = rs.perturb(base, ctx.gog, 1e-2, rng=np.random.default_rng(8))
     out, _ = rs.stabilize(inst, ctx, seed=9)
-    for k in sorted(ctx.tree.geometric_edges):
+    for k in sorted(ctx.gog.graph.tree.geometric_edges):
         assert np.abs(out.edge_unitaries[k] - np.eye(6)).max() == 0.0
 
 
@@ -223,7 +223,7 @@ def test_stabilize_keeps_root_with_target_multiplicities(preset_contexts, name):
     inst = rs.perturb(base, ctx.gog, 1e-3, mode="edges-and-conjugate-vertices",
                       rng=np.random.default_rng(4))
     out, report = rs.stabilize(inst, ctx, seed=5)
-    root = ctx.tree.root
+    root = ctx.gog.graph.tree.root
     assert report.lambda_out.blocks[root] == report.lambda_in.blocks[root]
     assert np.array_equal(out.vertex_reps[root].matrices, inst.vertex_reps[root].matrices)
     assert report.output_defect <= 1e-9
@@ -305,3 +305,23 @@ def test_uniform_lambda_rejects_impossible_graph():
     lam = rs.uniform_lambda(ctx, 7)
     assert ctx.boundary.apply(lam).is_zero()
     assert int(ctx.boundary.vertex_norm(lam)) == 7
+
+
+def test_context_rejects_an_infinite_exponent():
+    with pytest.raises(ValidationError, match="p < inf"):
+        rs.CorrectionContext.build(rs.graph_preset("Z2_free_Z3"), p=float("inf"))
+
+
+def test_pipeline_reads_the_tree_of_the_graph(monkeypatch):
+    # serre_graph computes the tree once; nothing downstream recomputes it
+    ctx = rs.CorrectionContext.build(rs.graph_preset("infinite_dihedral"), p=2.0, seed=0)
+
+    def recomputed(graph):
+        raise AssertionError("spanning tree recomputed")
+
+    monkeypatch.setattr("repstab.graphs.spanning_tree", recomputed)
+    base = rs.realize(rs.uniform_lambda(ctx, 6), ctx, seed=0)
+    inst = rs.perturb(base, ctx.gog, 1e-3, rng=np.random.default_rng(2))
+    out, report = rs.stabilize(inst, ctx, seed=3)
+    assert report.output_defect <= 1e-9
+    assert rs.measure_defect(out, ctx.gog, 2.0) == report.output_defect
