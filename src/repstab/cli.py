@@ -21,8 +21,8 @@ from .irreps import irrep_table
 from .presets import (graph_preset, graph_preset_names, group_preset,
                       group_preset_names)
 from .rng import derived_generator
-from .serialize import (irrep_table_to_json, load_graph, matrix_to_json,
-                        report_to_json, theta_to_json)
+from .serialize import (irrep_table_to_json, load_graph, load_json,
+                        matrix_to_json, report_to_json, theta_to_json)
 from .stabilize import (DEFAULT_GUARD, CorrectionContext, realize, stabilize,
                         uniform_lambda)
 from .sweep import (DEFAULT_EPS_GRID, DEFAULT_P_GRID, SweepConfig, run_sweep,
@@ -44,16 +44,6 @@ def _write_json(obj, path) -> None:
         print(text)
 
 
-def _load_json_file(path):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"could not parse {path}: {exc}") from exc
-    except OSError as exc:
-        raise ValidationError(f"could not read {path}: {exc}") from exc
-
-
 def _resolve_graph(args) -> GraphOfGroups:
     if getattr(args, "config", None):
         return load_graph(args.config)
@@ -68,7 +58,7 @@ def _resolve_lambda(args, ctx) -> MultiplicityVector:
         try:
             obj = json.loads(raw)
         except json.JSONDecodeError:
-            obj = _load_json_file(raw)
+            obj = load_json(raw)
         blocks = obj.get("blocks") if isinstance(obj, dict) else obj
         if not (isinstance(blocks, list) and all(isinstance(b, list) for b in blocks)):
             raise ValidationError(
@@ -111,7 +101,7 @@ def cmd_presets(args) -> int:
 
 def cmd_irreps(args) -> int:
     if args.config:
-        group = group_from_json(_load_json_file(args.config))
+        group = group_from_json(load_json(args.config))
     elif args.preset:
         group = group_preset(args.preset)
     else:
@@ -159,7 +149,7 @@ def cmd_stabilize(args) -> int:
     lam = _resolve_lambda(args, ctx)
     rng = derived_generator(args.seed, 2)
     base = realize(lam, ctx, seed=rng)
-    inst = perturb(base, gog, args.eps, mode=args.mode, rng=rng) if args.eps > 0 else base
+    inst = perturb(base, gog, args.eps, mode=args.mode, rng=rng) if args.eps != 0 else base
     corrected, report = stabilize(inst, ctx, seed=rng, guard=args.guard)
     obj = report_to_json(report)
     obj["graph"] = gog.name or "custom"

@@ -66,10 +66,6 @@ class MultiplicityVector:
     def __sub__(self, other):
         return self._binary(other, lambda x, y: x - y)
 
-    def minimum(self, other):
-        """Coordinatewise minimum (the common part of two vectors)."""
-        return self._binary(other, min)
-
     def is_nonnegative(self) -> bool:
         return all(x >= 0 for b in self.blocks for x in b)
 
@@ -89,10 +85,6 @@ class MultiplicityVector:
         if off != len(flat):
             raise ValidationError("flat vector length does not match block layout")
         return MultiplicityVector(side, tuple(blocks))
-
-
-def zero_vector(side: str, block_lengths) -> MultiplicityVector:
-    return MultiplicityVector(side, tuple(tuple(0 for _ in range(ln)) for ln in block_lengths))
 
 
 @dataclass(frozen=True, eq=False)

@@ -137,9 +137,6 @@ class GraphOfGroups:
     injections: tuple[GroupHom, ...]          # per oriented edge e: G_e -> G_{terminus(e)}
     name: str = ""
 
-    def injection(self, e: int) -> GroupHom:
-        return self.injections[e]
-
     @cached_property
     def _relator_index(self) -> tuple[tuple[int, ...], tuple]:
         """The presentation: the sorted tree edges, and per geometric edge k,
@@ -209,7 +206,8 @@ def almost_rep(gog: GraphOfGroups, vertex_reps, edge_unitaries,
     Vertex representations must be exact unitary representations of the
     corresponding vertex groups (that they satisfy the vertex relations is
     what makes this a map from the free product); stable-letter matrices
-    need only be unitary.
+    need only be unitary. Groups and shapes are checked on every call;
+    `check=False` skips only the unitarity and homomorphism checks.
     """
     vreps = tuple(vertex_reps)
     edges = tuple(np.ascontiguousarray(u, dtype=complex) for u in edge_unitaries)
@@ -225,13 +223,14 @@ def almost_rep(gog: GraphOfGroups, vertex_reps, edge_unitaries,
             raise ValidationError(f"vertex {v} representation has the wrong group")
         if rep.dim != dim:
             raise ValidationError("vertex representations must share one dimension")
+    for k, u in enumerate(edges):
+        if u.shape != (dim, dim):
+            raise ValidationError(f"edge {k} unitary has shape {u.shape}, expected {(dim, dim)}")
     if check:
         eye = np.eye(dim)
         for v, rep in enumerate(vreps):
             unitary_rep(rep.group, rep.matrices, check=True)
         for k, u in enumerate(edges):
-            if u.shape != (dim, dim):
-                raise ValidationError(f"edge {k} unitary has shape {u.shape}, expected {(dim, dim)}")
             if np.abs(u @ u.conj().T - eye).max() > UNITARY_ATOL:
                 raise ValidationError(f"edge {k} matrix is not unitary")
     for u in edges:
@@ -317,8 +316,8 @@ def perturb(rho: AlmostRep, gog: GraphOfGroups, eps: float, mode: str = PERTURB_
     additionally conjugated by an independent exp(i*eps*H_v), which keeps it
     an exact representation.
     """
-    if eps < 0:
-        raise ValidationError("perturbation size must be nonnegative")
+    if not 0 <= eps < np.inf:
+        raise ValidationError(f"perturbation size must be finite and nonnegative, got {eps}")
     if mode not in (PERTURB_EDGES, PERTURB_FULL):
         raise ValidationError(f"unknown perturbation mode {mode!r}")
     rng = as_generator(rng)
@@ -356,7 +355,7 @@ def boundary_map(gog: GraphOfGroups, vertex_tables, edge_tables) -> BoundaryMap:
         for sign, hom_e, v in ((1, e, graph.terminus(e)),
                                (-1, graph.opposite(e), graph.origin(e))):
             block[:, v_off[v]:v_off[v + 1]] += sign * restriction_matrix(
-                gog.injection(hom_e), edge_tables[k], vertex_tables[v])
+                gog.injections[hom_e], edge_tables[k], vertex_tables[v])
         a[e_off[e + 1]:e_off[e + 2]] = -block
     trivial = tuple(t.trivial_index for t in vertex_tables)
     return BoundaryMap(vertex_dims=v_dims, edge_dims=e_dims, matrix=a, trivial_indices=trivial)

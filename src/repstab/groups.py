@@ -38,22 +38,6 @@ class FiniteGroup:
     def class_sizes(self) -> np.ndarray:
         return np.array([len(c) for c in self.classes])
 
-    def class_of(self) -> np.ndarray:
-        """Class index per element."""
-        out = np.empty(self.order, dtype=np.intp)
-        for k, cls in enumerate(self.classes):
-            out[list(cls)] = k
-        return out
-
-    def mul(self, a: int, b: int) -> int:
-        return int(self.mult[a, b])
-
-    def inverse(self, a: int) -> int:
-        return int(self.inv[a])
-
-    def elements(self) -> range:
-        return range(self.order)
-
     def __repr__(self) -> str:
         label = self.name or f"order-{self.order}"
         return f"FiniteGroup({label})"
@@ -125,15 +109,6 @@ class GroupHom:
     map: np.ndarray
     injective: bool = field(default=False)
 
-    def __call__(self, g: int) -> int:
-        return int(self.map[g])
-
-    def compose(self, inner: "GroupHom") -> "GroupHom":
-        """self o inner (apply inner first)."""
-        if inner.target is not self.source:
-            raise ValidationError("homomorphisms do not compose: target/source mismatch")
-        return group_hom(inner.source, self.target, self.map[inner.map])
-
 
 def group_hom(source: FiniteGroup, target: FiniteGroup, mapping,
               require_injective: bool = False) -> GroupHom:
@@ -153,10 +128,6 @@ def group_hom(source: FiniteGroup, target: FiniteGroup, mapping,
         raise ValidationError("map is not injective")
     m.setflags(write=False)
     return GroupHom(source=source, target=target, map=m, injective=injective)
-
-
-def identity_hom(group: FiniteGroup) -> GroupHom:
-    return group_hom(group, group, np.arange(group.order))
 
 
 def trivial_embedding(group: FiniteGroup, trivial: FiniteGroup) -> GroupHom:

@@ -98,19 +98,16 @@ def _kept_isometry(rho1: UnitaryRep, rho2: UnitaryRep, threshold: float):
 
 def invariant_intertwiner(rho1: UnitaryRep, rho2: UnitaryRep, p: float,
                           delta_hint: float | None = None,
-                          threshold: float = DEFAULT_THRESHOLD,
-                          warn_far: bool = True) -> IntertwinerResult:
+                          threshold: float = DEFAULT_THRESHOLD) -> IntertwinerResult:
     """Partial isometry between invariant subspaces of two close representations.
 
     Thresholds the averaged intertwiner at `threshold`; the kept singular
     subspaces are spectral subspaces of exact intertwiners and therefore
     invariant. Invariance is verified numerically and a failure reports the
-    singular values straddling the threshold. `warn_far=False` silences the
-    distance warnings for callers that expect far-apart inputs.
+    singular values straddling the threshold.
     """
     delta = rep_distance(rho1, rho2, p)
-    if warn_far:
-        _warn_far(delta, delta_hint, stacklevel=2)
+    _warn_far(delta, delta_hint, stacklevel=2)
     t, right, left = _kept_isometry(rho1, rho2, threshold)
     dev = schatten_norm_normalized(t - np.eye(rho1.dim), p)
     return IntertwinerResult(operator=t, source_basis=right, target_basis=left,

@@ -25,16 +25,23 @@ UNITARY_ATOL = 1e-10      # construction-time exactness for reps
 MULT_ATOL = 1e-6          # integrality tolerance for multiplicities
 IRREDUCIBLE_ATOL = 1e-8   # |<chi, chi'> - delta| for irreducibility and table orthonormality
 INVARIANCE_ATOL = 1e-8    # max |M B - B B^H M B| of a subspace B counted as invariant
-TRIVIAL_ATOL = 1e-8       # np.allclose atol at which a character counts as constant 1
 CLUSTER_GAP_RTOL = 1e-7   # relative eigenvalue gap for commutant clustering
 CLUSTER_RETRIES = 3       # fresh commutant draws after a failed clustering
 CHARACTER_ATOL = 1e-6     # max character deviation when matching an irreducible
 CHARACTER_DECIMALS = 6    # rounding used to deduplicate and order characters
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class UnitaryRep:
-    """Exact unitary representation: one matrix per group element."""
+    """Exact unitary representation: one matrix per group element.
+
+    `character` is computed on first use and kept, read-only.
+    """
 
     group: FiniteGroup
     matrices: np.ndarray  # (|G|, dim, dim) complex
@@ -43,10 +50,11 @@ class UnitaryRep:
     def dim(self) -> int:
         return self.matrices.shape[1]
 
+    @cached_property
     def character(self) -> np.ndarray:
         """Trace at one representative per conjugacy class."""
         reps = list(self.group.class_representatives)
-        return np.trace(self.matrices[reps], axis1=1, axis2=2)
+        return _read_only(np.trace(self.matrices[reps], axis1=1, axis2=2))
 
     def __repr__(self) -> str:
         return f"UnitaryRep({self.group!r}, dim={self.dim})"
@@ -137,24 +145,6 @@ def commutant_average(mats: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class Irrep:
-    """Explicit unitary irreducible representation with its character."""
-
-    group: FiniteGroup
-    dim: int
-    matrices: np.ndarray
-    character: np.ndarray  # one complex value per conjugacy class
-
-    def as_rep(self) -> UnitaryRep:
-        return UnitaryRep(group=self.group, matrices=self.matrices)
-
-
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
-
-
-@dataclass(frozen=True, eq=False)
 class IrrepTable:
     """Complete list of irreducibles of a group, in canonical order.
 
@@ -163,7 +153,7 @@ class IrrepTable:
     """
 
     group: FiniteGroup
-    irreps: tuple[Irrep, ...]
+    irreps: tuple[UnitaryRep, ...]
 
     @cached_property
     def dims(self) -> np.ndarray:
@@ -174,10 +164,7 @@ class IrrepTable:
 
     @cached_property
     def trivial_index(self) -> int:
-        for k, p in enumerate(self.irreps):
-            if p.dim == 1 and np.allclose(p.character, 1.0, atol=TRIVIAL_ATOL):
-                return k
-        raise NumericalError("table has no trivial irreducible")
+        return self.match_character(np.ones(self.group.n_classes))
 
     @cached_property
     def weighted_conj_characters(self) -> np.ndarray:
@@ -285,12 +272,9 @@ def irrep_table(group: FiniteGroup, seed=0) -> IrrepTable:
     for comp in comps:
         by_char.setdefault(_character_key(comp.character), comp)
 
-    entries = []
-    for key, comp in by_char.items():
-        sub = compress(reg.matrices, comp.basis)
-        rep = unitary_rep(group, sub, check=True)  # certifies unitary homomorphism
-        entries.append(Irrep(group=group, dim=comp.dim, matrices=rep.matrices,
-                             character=comp.character))
+    # unitary_rep certifies each compression as a unitary homomorphism
+    entries = [unitary_rep(group, compress(reg.matrices, comp.basis), check=True)
+               for comp in by_char.values()]
     entries.sort(key=lambda p: (p.dim, tuple(-x for x in _character_key(p.character))))
 
     dims2 = sum(p.dim ** 2 for p in entries)
@@ -315,7 +299,7 @@ def multiplicities(rep: UnitaryRep, table: IrrepTable) -> np.ndarray:
     """
     if rep.group is not table.group:
         raise ValidationError("representation and table belong to different groups")
-    raw = rep.character() @ table.weighted_conj_characters
+    raw = rep.character @ table.weighted_conj_characters
     if np.abs(raw.imag).max() > MULT_ATOL or np.abs(raw.real - np.round(raw.real)).max() > MULT_ATOL:
         worst = np.abs(raw - np.round(raw.real)).max()
         raise MultiplicityError(
@@ -334,7 +318,7 @@ def rep_from_multiplicities(table: IrrepTable, mults) -> UnitaryRep:
         raise ValidationError("multiplicity vector must be nonnegative, one entry per irrep")
     blocks = []
     for p, m in zip(table.irreps, mults):
-        blocks.extend([p.as_rep()] * int(m))
+        blocks.extend([p] * int(m))
     if not blocks:
         raise ValidationError("total dimension must be positive")
     return direct_sum(*blocks)
@@ -352,5 +336,5 @@ def restriction_matrix(hom: GroupHom, table_source: IrrepTable,
         raise ValidationError("tables do not match the homomorphism")
     cols = []
     for p in table_target.irreps:
-        cols.append(multiplicities(pullback(hom, p.as_rep()), table_source))
+        cols.append(multiplicities(pullback(hom, p), table_source))
     return np.stack(cols, axis=1)

@@ -39,8 +39,8 @@ def graph_to_json(gog: GraphOfGroups) -> dict:
             "origin": o,
             "terminus": t,
             "group": group_to_json(gog.edge_groups[k]),
-            "into_terminus": gog.injection(2 * k).map.tolist(),
-            "into_origin": gog.injection(2 * k + 1).map.tolist(),
+            "into_terminus": gog.injections[2 * k].map.tolist(),
+            "into_origin": gog.injections[2 * k + 1].map.tolist(),
         })
     return {
         "name": gog.name,
@@ -72,17 +72,19 @@ def graph_from_json(obj) -> GraphOfGroups:
                            name=str(obj.get("name", "")))
 
 
-def load_graph(path_or_obj) -> GraphOfGroups:
-    if isinstance(path_or_obj, dict):
-        return graph_from_json(path_or_obj)
+def load_json(path):
+    """Parsed contents of a JSON file; ValidationError if it cannot be read or parsed."""
     try:
-        with open(path_or_obj, encoding="utf-8") as fh:
-            obj = json.load(fh)
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
     except json.JSONDecodeError as exc:
-        raise ValidationError(f"could not parse graph config: {exc}") from exc
+        raise ValidationError(f"could not parse {path}: {exc}") from exc
     except OSError as exc:
-        raise ValidationError(f"could not read graph config: {exc}") from exc
-    return graph_from_json(obj)
+        raise ValidationError(f"could not read {path}: {exc}") from exc
+
+
+def load_graph(path) -> GraphOfGroups:
+    return graph_from_json(load_json(path))
 
 
 def irrep_table_to_json(table: IrrepTable) -> dict:

@@ -212,8 +212,8 @@ def _walk_tree(ctx: CorrectionContext, root_rep: UnitaryRep, fit_child) -> tuple
     graph = ctx.gog.graph
     reps = {graph.tree.root: root_rep}
     for step in graph.tree.steps:
-        into_parent = ctx.gog.injection(step.edge_to_parent)
-        into_child = ctx.gog.injection(graph.opposite(step.edge_to_parent))
+        into_parent = ctx.gog.injections[step.edge_to_parent]
+        into_child = ctx.gog.injections[graph.opposite(step.edge_to_parent)]
         reps[step.child] = fit_child(step.child, into_child,
                                      pullback(into_parent, reps[step.parent]),
                                      ctx.edge_tables[step.edge_to_parent // 2])
@@ -231,8 +231,8 @@ def _stable_letters(ctx: CorrectionContext, reps, fit_edge) -> list[np.ndarray]:
         if k in graph.tree.geometric_edges:
             edges.append(eye)
             continue
-        origin = pullback(ctx.gog.injection(2 * k + 1), reps[o])
-        terminus = pullback(ctx.gog.injection(2 * k), reps[t])
+        origin = pullback(ctx.gog.injections[2 * k + 1], reps[o])
+        terminus = pullback(ctx.gog.injections[2 * k], reps[t])
         edges.append(fit_edge(k, origin, terminus))
     return edges
 
@@ -272,7 +272,10 @@ def stabilize(rho: AlmostRep, ctx: CorrectionContext, seed=0,
 
     Refuses when the measured defect reaches `guard` (the correction bounds
     are vacuous for large defects; raise the guard to experiment anyway).
+    A NaN guard, which no defect reaches, is rejected.
     """
+    if np.isnan(guard):
+        raise ValidationError("guard must not be NaN")
     rng = as_generator(seed)
     dim = rho.dim
     timings: dict[str, float] = {}

@@ -10,11 +10,12 @@ sweep.
 from __future__ import annotations
 
 import csv
+import math
 import time
 from dataclasses import dataclass, replace
 
 from .errors import RepStabError, ValidationError
-from .graphs import perturb
+from .graphs import PERTURB_EDGES, PERTURB_FULL, perturb
 from .rng import derived_generator
 from .schatten import _check_exponent
 from .stabilize import (DEFAULT_GUARD, CorrectionContext, realize, stabilize,
@@ -37,14 +38,18 @@ class SweepConfig:
     p_grid: tuple[float, ...] = DEFAULT_P_GRID
     seeds_per_cell: int = 20
     master_seed: int = 0
-    mode: str = "edges-only"
+    mode: str = PERTURB_EDGES
     guard: float = DEFAULT_GUARD
 
     def __post_init__(self):
         if not self.presets or not self.eps_grid or not self.p_grid:
             raise ValidationError("sweep grids must be nonempty")
-        if any(e < 0 for e in self.eps_grid):
-            raise ValidationError("perturbation sizes must be nonnegative")
+        if not all(0 <= e < math.inf for e in self.eps_grid):
+            raise ValidationError("perturbation sizes must be finite and nonnegative")
+        if math.isnan(self.guard):
+            raise ValidationError("guard must not be NaN")
+        if self.mode not in (PERTURB_EDGES, PERTURB_FULL):
+            raise ValidationError(f"unknown perturbation mode {self.mode!r}")
         for p in self.p_grid:
             _check_exponent(p)
         if self.seeds_per_cell <= 0 or self.dim <= 0:

@@ -113,7 +113,9 @@ def elementwise_inner_products(rep, table):
     """Oracle: <chi_rep, chi_k> for every irreducible by plain loops over the
     group elements, with no class weights."""
     g = rep.group
-    class_of = g.class_of()
+    class_of = np.empty(g.order, dtype=int)
+    for k, cls in enumerate(g.classes):
+        class_of[list(cls)] = k
     out = []
     for irrep in table.irreps:
         acc = 0.0 + 0.0j

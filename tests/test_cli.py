@@ -96,6 +96,15 @@ def test_stabilize_zero_eps(capsys):
     assert obj["epsilon"] <= 1e-7
 
 
+@pytest.mark.parametrize("eps", ["-0.1", "nan", "inf"])
+def test_stabilize_rejects_a_bad_eps(capsys, eps):
+    code, out, err = run_cli(capsys, "stabilize", "--preset", "Z2_free_Z3",
+                             "--dim", "6", f"--eps={eps}")
+    assert code == 2
+    assert out == ""
+    assert "perturbation size" in err
+
+
 def test_stabilize_explicit_lambda(capsys):
     code, out, _ = run_cli(capsys, "stabilize", "--preset", "Z2_free_Z3",
                            "--lam", "[[4,2],[2,2,2]]", "--eps", "1e-3")
@@ -252,6 +261,17 @@ def test_sweep_config_rejects_an_infinite_exponent():
     # an infinite p would pass to every cell and fail there, row by row
     with pytest.raises(ValidationError, match="p < inf"):
         SweepConfig(presets=("infinite_dihedral",), p_grid=(2.0, float("inf")))
+
+
+@pytest.mark.parametrize("field,value,match", [
+    ("eps_grid", (1e-2, float("nan")), "perturbation sizes"),
+    ("eps_grid", (float("inf"),), "perturbation sizes"),
+    ("guard", float("nan"), "guard"),
+    ("mode", "bogus", "perturbation mode"),
+])
+def test_sweep_config_rejects_what_every_cell_would_fail_on(field, value, match):
+    with pytest.raises(ValidationError, match=match):
+        SweepConfig(presets=("infinite_dihedral",), **{field: value})
 
 
 def test_dump_matrices_flag(capsys):

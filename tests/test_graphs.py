@@ -3,7 +3,7 @@ import pytest
 
 import repstab as rs
 from repstab.errors import ValidationError
-from repstab.graphs import evaluate_word
+from repstab.graphs import evaluate_word, generator_distance
 
 from conftest import elementwise_inner_products
 
@@ -130,6 +130,14 @@ def test_perturb_zero_eps_is_identity(preset_contexts):
         np.testing.assert_allclose(u1, u2, atol=1e-14)
 
 
+@pytest.mark.parametrize("eps", [-0.1, float("nan"), float("inf")])
+def test_perturb_rejects_a_bad_size(preset_contexts, eps):
+    ctx = preset_contexts[("Z2_free_Z3", 2.0)]
+    rho = rs.realize(rs.uniform_lambda(ctx, 6), ctx, seed=0)
+    with pytest.raises(ValidationError, match="finite and nonnegative"):
+        rs.perturb(rho, ctx.gog, eps, rng=np.random.default_rng(0))
+
+
 def test_perturb_vertex_mode_keeps_exactness(preset_contexts):
     ctx = preset_contexts[("hnn_Z4_over_Z2", 2.0)]
     rho = rs.realize(rs.uniform_lambda(ctx, 8), ctx, seed=0)
@@ -191,7 +199,7 @@ def test_generator_distance_matches_reference_with_identity(preset_contexts, p):
         base = rs.realize(rs.uniform_lambda(ctx, 12), ctx, seed=0)
         for mode, eps in (("edges-only", 1e-3), ("edges-and-conjugate-vertices", 1e-2)):
             rho = rs.perturb(base, ctx.gog, eps, mode=mode, rng=np.random.default_rng(2))
-            d = rs.generator_distance(rho, base, p)
+            d = generator_distance(rho, base, p)
             assert d == pytest.approx(reference(rho, base), rel=1e-12)
             assert d > 0.0
 
@@ -213,6 +221,16 @@ def test_almost_rep_validation(z2_loop):
         rs.almost_rep(z2_loop, [rep], [np.diag([1.0, 2.0])])
     with pytest.raises(ValidationError, match="per geometric edge"):
         rs.almost_rep(z2_loop, [rep], [])
+
+
+def test_almost_rep_checks_letter_shapes_without_check(preset_contexts):
+    # check=False skips unitarity only; a wrong-sized letter would otherwise
+    # surface later as a bare numpy error in measure_defect or stabilize
+    ctx = preset_contexts[("hnn_Z4_over_Z2", 2.0)]
+    rho = rs.realize(rs.uniform_lambda(ctx, 8), ctx, seed=0)
+    for check in (True, False):
+        with pytest.raises(ValidationError, match=r"edge 0 unitary has shape \(3, 3\)"):
+            rs.almost_rep(ctx.gog, rho.vertex_reps, [np.eye(3)], check=check)
 
 
 def test_graph_json_roundtrip():

@@ -140,14 +140,14 @@ def test_defect_is_orientation_invariant(twisted_hnn):
                      rng=np.random.default_rng(0))
     g = twisted_hnn.graph
     z2 = twisted_hnn.edge_groups[0]
-    i_fwd, i_rev = twisted_hnn.injection(0), twisted_hnn.injection(1)
+    i_fwd, i_rev = twisted_hnn.injections[0].map, twisted_hnn.injections[1].map
     v4 = twisted_hnn.vertex_groups[0]
     eye = np.eye(rho.dim)
     for elem in range(1, z2.order):
-        forward = (("s", 0, -1), ("v", 0, i_fwd(elem)), ("s", 0, 1),
-                   ("v", 0, v4.inverse(i_rev(elem))))
-        reverse = (("s", 0, 1), ("v", 0, i_rev(elem)), ("s", 0, -1),
-                   ("v", 0, v4.inverse(i_fwd(elem))))
+        forward = (("s", 0, -1), ("v", 0, i_fwd[elem]), ("s", 0, 1),
+                   ("v", 0, v4.inv[i_rev[elem]]))
+        reverse = (("s", 0, 1), ("v", 0, i_rev[elem]), ("s", 0, -1),
+                   ("v", 0, v4.inv[i_fwd[elem]]))
         d_fwd = rs.schatten_norm_normalized(evaluate_word(rho, forward) - eye, 2.0)
         d_rev = rs.schatten_norm_normalized(evaluate_word(rho, reverse) - eye, 2.0)
         assert d_fwd == pytest.approx(d_rev, abs=1e-12)

@@ -4,8 +4,11 @@ import pytest
 import repstab as rs
 import repstab.irreps as irreps_mod
 from repstab.errors import MultiplicityError, NumericalError, ValidationError
+from repstab.groups import trivial_embedding
+from repstab.intertwiners import averaged_intertwiner
 from repstab.irreps import (CLUSTER_RETRIES, UnitaryRep, commutant_average, compress,
-                            isotypic_components)
+                            direct_sum, isotypic_components)
+from repstab.presets import group_preset, group_preset_names
 from repstab.rng import random_unitary
 
 from conftest import elementwise_inner_products, random_rep
@@ -26,7 +29,7 @@ def test_regular_representation_z2(z2):
 
 def test_regular_character_s3(s3):
     reg = rs.regular_representation(s3)
-    np.testing.assert_allclose(reg.character(), [6.0, 0.0, 0.0], atol=1e-12)
+    np.testing.assert_allclose(reg.character, [6.0, 0.0, 0.0], atol=1e-12)
 
 
 def test_irrep_table_trivial():
@@ -57,7 +60,7 @@ def test_irrep_table_s3(s3_table):
 
 @pytest.mark.parametrize("name", ["Z1", "Z2", "Z3", "Z4", "Z6", "V4", "S3", "D4", "Q8", "A4"])
 def test_irrep_tables_complete_and_orthonormal(name):
-    g = rs.group_preset(name)
+    g = group_preset(name)
     table = rs.irrep_table(g, seed=0)
     assert int(np.sum(table.dims ** 2)) == g.order
     sizes = g.class_sizes
@@ -65,7 +68,7 @@ def test_irrep_tables_complete_and_orthonormal(name):
     gram = (chars * sizes) @ chars.conj().T / g.order
     np.testing.assert_allclose(gram, np.eye(len(table)), atol=1e-8)
     for p in table.irreps:
-        rep = p.as_rep()
+        rep = p
         prod = np.matmul(rep.matrices[:, None], rep.matrices[None, :])
         assert np.abs(prod - rep.matrices[g.mult]).max() < 1e-10
         uerr = np.abs(np.einsum("gij,gkj->gik", rep.matrices, rep.matrices.conj())
@@ -75,7 +78,7 @@ def test_irrep_tables_complete_and_orthonormal(name):
 
 @pytest.mark.parametrize("name", ["Z3", "Z4", "S3", "Q8"])
 def test_irrep_table_seed_independent(name):
-    g = rs.group_preset(name)
+    g = group_preset(name)
     t1 = rs.irrep_table(g, seed=0)
     t2 = rs.irrep_table(g, seed=12345)
     assert t1.dims.tolist() == t2.dims.tolist()
@@ -107,12 +110,12 @@ def test_multiplicities_rejects_non_representation(z2, z2_table):
         rs.multiplicities(fake, z2_table)
 
 
-@pytest.mark.parametrize("name", rs.group_preset_names())
+@pytest.mark.parametrize("name", group_preset_names())
 def test_multiplicities_match_elementwise_oracle(name):
     # distinct multiplicities in a random basis: a missing conjugate (complex
     # characters of Z3-Z12, Q8, A4) or class weight in the cached matrix
     # would move or break them
-    table = rs.irrep_table(rs.group_preset(name), seed=0)
+    table = rs.irrep_table(group_preset(name), seed=0)
     rng = np.random.default_rng(13)
     mults = rng.permutation(len(table)) + 1
     rep = rs.rep_from_multiplicities(table, mults)
@@ -134,7 +137,7 @@ def test_multiplicity_additivity_random(s3_table):
     for _ in range(10):
         r1 = random_rep(s3_table, int(rng.integers(2, 8)), rng)
         r2 = random_rep(s3_table, int(rng.integers(2, 8)), rng)
-        lhs = rs.multiplicities(rs.direct_sum(r1, r2), s3_table)
+        lhs = rs.multiplicities(direct_sum(r1, r2), s3_table)
         rhs = rs.multiplicities(r1, s3_table) + rs.multiplicities(r2, s3_table)
         assert lhs.tolist() == rhs.tolist()
 
@@ -147,14 +150,14 @@ def test_rep_from_multiplicities_roundtrip(s3_table):
 
 
 def test_restriction_matrix_identity_hom(z2, z2_table):
-    m = rs.restriction_matrix(rs.identity_hom(z2), z2_table, z2_table)
+    m = rs.restriction_matrix(rs.group_hom(z2, z2, np.arange(z2.order)), z2_table, z2_table)
     assert m.tolist() == [[1, 0], [0, 1]]
 
 
 def test_restriction_matrix_from_trivial(s3, s3_table):
     z1 = rs.cyclic_group(1)
     t1 = rs.irrep_table(z1)
-    m = rs.restriction_matrix(rs.trivial_embedding(s3, z1), t1, s3_table)
+    m = rs.restriction_matrix(trivial_embedding(s3, z1), t1, s3_table)
     assert m.tolist() == [[1, 1, 2]]  # every column is the irrep dimension
 
 
@@ -170,9 +173,9 @@ def test_restriction_z2_in_s3(z2, z2_table, s3, s3_table):
 def test_restriction_functoriality_chain(z2, z2_table, s3, s3_table):
     z1 = rs.cyclic_group(1)
     t1 = rs.irrep_table(z1)
-    i = rs.trivial_embedding(z2, z1)
+    i = trivial_embedding(z2, z1)
     j = rs.group_hom(z2, s3, [0, 1], require_injective=True)
-    lhs = rs.restriction_matrix(j.compose(i), t1, s3_table)
+    lhs = rs.restriction_matrix(rs.group_hom(z1, s3, j.map[i.map]), t1, s3_table)
     rhs = rs.restriction_matrix(i, t1, z2_table) @ rs.restriction_matrix(j, z2_table, s3_table)
     assert lhs.tolist() == rhs.tolist()
 
@@ -277,4 +280,4 @@ def test_averaged_intertwiner_matches_einsum(s3):
     rho1 = rs.unitary_rep(s3, m1, check=False)
     rho2 = rs.unitary_rep(s3, m2, check=False)
     ref = np.einsum("gij,gkj->ik", m2, m1.conj()) / 6
-    assert np.abs(rs.averaged_intertwiner(rho1, rho2) - ref).max() <= 1e-12
+    assert np.abs(averaged_intertwiner(rho1, rho2) - ref).max() <= 1e-12

@@ -16,9 +16,9 @@ def _cutoff_entries():
     return ENTRY.findall(section)
 
 
-def test_readme_cutoff_list_has_18_distinct_entries():
+def test_readme_cutoff_list_has_17_distinct_entries():
     names = [(module, name) for module, name, _ in _cutoff_entries()]
-    assert len(names) == 18
+    assert len(names) == 17
     assert len(set(names)) == len(names)
 
 

@@ -7,16 +7,17 @@ import repstab as rs
 from repstab import schatten
 from repstab.errors import NumericalError, ValidationError
 from repstab.rng import random_hermitian, random_unitary
+from repstab.schatten import schatten_norm, singular_values
 
 from conftest import hermitian_sqrt
 
 
 def test_singular_values_identity():
-    np.testing.assert_allclose(rs.singular_values(np.eye(3)), [1, 1, 1], atol=1e-14)
+    np.testing.assert_allclose(singular_values(np.eye(3)), [1, 1, 1], atol=1e-14)
 
 
 def test_singular_values_signed_diagonal():
-    np.testing.assert_allclose(rs.singular_values(np.diag([1.0, -1.0]) - np.eye(2)),
+    np.testing.assert_allclose(singular_values(np.diag([1.0, -1.0]) - np.eye(2)),
                                [2.0, 0.0], atol=1e-14)
 
 
@@ -24,15 +25,15 @@ def test_singular_values_against_eigendecomposition_oracle():
     rng = np.random.default_rng(4)
     a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     expected = np.sqrt(np.clip(np.linalg.eigvalsh(a.conj().T @ a), 0, None))[::-1]
-    np.testing.assert_allclose(rs.singular_values(a), expected, atol=1e-10)
+    np.testing.assert_allclose(singular_values(a), expected, atol=1e-10)
 
 
 def test_schatten_norm_basics():
-    assert rs.schatten_norm(np.zeros((3, 3)), 2.0) == 0.0
+    assert schatten_norm(np.zeros((3, 3)), 2.0) == 0.0
     for n in (2, 5):
         for p in (1.0, 2.0, 3.5):
-            assert rs.schatten_norm(np.eye(n), p) == pytest.approx(n ** (1 / p), abs=1e-12)
-    assert rs.schatten_norm(np.diag([3.0, 4.0]), 2.0) == pytest.approx(5.0, abs=1e-12)
+            assert schatten_norm(np.eye(n), p) == pytest.approx(n ** (1 / p), abs=1e-12)
+    assert schatten_norm(np.diag([3.0, 4.0]), 2.0) == pytest.approx(5.0, abs=1e-12)
 
 
 def test_normalized_norm_identity_is_one():
@@ -54,7 +55,7 @@ def test_normalized_norm_requires_square():
 
 def test_exponent_validation():
     with pytest.raises(ValidationError, match="exponent"):
-        rs.schatten_norm(np.eye(2), 0.5)
+        schatten_norm(np.eye(2), 0.5)
 
 
 def test_rep_distance_basics(z2, z2_table):
@@ -176,7 +177,7 @@ def test_distance_triangle_inequality(z2, z2_table):
 def test_nan_rejected():
     bad = np.array([[np.nan, 0.0], [0.0, 1.0]])
     with pytest.raises(ValidationError, match="NaN"):
-        rs.singular_values(bad)
+        singular_values(bad)
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, 4.0])
@@ -194,7 +195,7 @@ def test_rep_distance_rejects_empty_matrices(p):
 
 def _reference_norm(a, p):
     """p-Schatten norm from the per-matrix singular values."""
-    sv = rs.singular_values(a)
+    sv = singular_values(a)
     if sv.size == 0 or sv[0] == 0.0:
         return 0.0
     return sv[0] * np.sum((sv / sv[0]) ** p) ** (1.0 / p)

@@ -5,7 +5,10 @@ import pytest
 
 import repstab as rs
 from repstab.errors import GuardExceededError, IsomorphyError, ValidationError
+from repstab.groups import trivial_embedding
+from repstab.irreps import pullback
 from repstab.rng import random_unitary
+from repstab.stabilize import boundary_defect_bound, replace_summands
 
 from conftest import random_rep
 
@@ -71,7 +74,7 @@ def test_replace_summands_identity_when_equal(s3_table):
     rng = np.random.default_rng(0)
     rho = random_rep(s3_table, 6, rng)
     target = rs.multiplicities(rho, s3_table)
-    assert rs.replace_summands(rho, target, s3_table, rng) is rho
+    assert replace_summands(rho, target, s3_table, rng) is rho
 
 
 def test_replace_summands_postconditions(s3_table):
@@ -86,7 +89,7 @@ def test_replace_summands_postconditions(s3_table):
     else:
         target[1] -= 1
         target[0] += 1
-    rho1 = rs.replace_summands(rho, target, s3_table, rng)
+    rho1 = replace_summands(rho, target, s3_table, rng)
     assert rs.multiplicities(rho1, s3_table).tolist() == target.tolist()
     # the intermediate bound: changed dimension k gives distance <= 2*(k/n)^(1/p)
     k = int(np.abs(lam - target) @ s3_table.dims) // 2
@@ -99,7 +102,7 @@ def test_correct_vertex_nothing_to_do(z2, z2_table, s3, s3_table):
     rng = np.random.default_rng(2)
     rho = random_rep(s3_table, 8, rng)
     hom = rs.group_hom(z2, s3, [0, 1], require_injective=True)
-    tau = rs.pullback(hom, rho)
+    tau = pullback(hom, rho)
     target = rs.multiplicities(rho, s3_table)
     out = rs.correct_vertex(hom, tau, rho, target, z2_table, s3_table, 2.0, rng=rng)
     assert rs.rep_distance(out, rho, 2.0) <= 1e-8
@@ -119,7 +122,7 @@ def test_correct_vertex_trivial_subgroup_resort(s3, s3_table):
         target[0] -= 1
         target[1] += 1
     tau = rs.unitary_rep(z1, np.eye(9)[None])
-    hom = rs.trivial_embedding(s3, z1)
+    hom = trivial_embedding(s3, z1)
     with pytest.warns(UserWarning, match="multiplicity gap"):
         out = rs.correct_vertex(hom, tau, rho, target, t1, s3_table, 2.0, rng=rng)
     assert rs.multiplicities(out, s3_table).tolist() == target.tolist()
@@ -139,7 +142,7 @@ def test_correct_vertex_across_trivial_group_takes_no_svd(s3, s3_table, monkeypa
 
     monkeypatch.setattr(np.linalg, "svd", failing_svd)
     with pytest.warns(UserWarning, match="multiplicity gap"):
-        out = rs.correct_vertex(rs.trivial_embedding(s3, z1), tau, rho, target,
+        out = rs.correct_vertex(trivial_embedding(s3, z1), tau, rho, target,
                                 rs.irrep_table(z1), s3_table, 1.0, rng=rng)
     assert rs.multiplicities(out, s3_table).tolist() == target.tolist()
 
@@ -157,12 +160,12 @@ def test_correct_vertex_swapped_multiplicity(z2, z2_table, s3, s3_table):
     target = np.array([2, 1, 3])
     assert (rs.restriction_matrix(hom, z2_table, s3_table) @ target).tolist() == \
            (rs.restriction_matrix(hom, z2_table, s3_table) @ np.array([3, 2, 2])).tolist()
-    tau = rs.pullback(hom, rho)
+    tau = pullback(hom, rho)
     # tau is exact, so no measured distance covers the swapped summands
     with pytest.warns(UserWarning, match="multiplicity gap"):
         out = rs.correct_vertex(hom, tau, rho, target, z2_table, s3_table, 2.0, rng=rng)
     assert rs.multiplicities(out, s3_table).tolist() == target.tolist()
-    err = np.abs(rs.pullback(hom, out).matrices - tau.matrices).max()
+    err = np.abs(pullback(hom, out).matrices - tau.matrices).max()
     assert err < 1e-8
     d = rs.rep_distance(out, rho, 2.0)
     assert d <= 2 * (2 / 9) ** 0.5 + 1e-6  # replaced block of dimension 2 in dim 9
@@ -172,7 +175,7 @@ def test_correct_vertex_rejects_mismatched_constraint(z2, z2_table, s3, s3_table
     rng = np.random.default_rng(5)
     rho = rs.rep_from_multiplicities(s3_table, [2, 2, 1])
     hom = rs.group_hom(z2, s3, [0, 1], require_injective=True)
-    tau = rs.pullback(hom, rs.rep_from_multiplicities(s3_table, [4, 1, 1]))
+    tau = pullback(hom, rs.rep_from_multiplicities(s3_table, [4, 1, 1]))
     with pytest.raises(IsomorphyError):
         rs.correct_vertex(hom, tau, rho, np.array([2, 2, 1]), z2_table, s3_table,
                           2.0, rng=rng)
@@ -238,6 +241,15 @@ def test_stabilize_guard_refusal(preset_contexts):
     assert info.value.measured > 0.05
 
 
+def test_stabilize_rejects_a_nan_guard(preset_contexts):
+    # no defect compares >= NaN, so a NaN guard would refuse nothing
+    ctx = preset_contexts[("hnn_Z4_over_Z2", 2.0)]
+    base = rs.realize(rs.uniform_lambda(ctx, 6), ctx, seed=0)
+    inst = rs.perturb(base, ctx.gog, 0.8, rng=np.random.default_rng(1))
+    with pytest.raises(ValidationError, match="guard"):
+        rs.stabilize(inst, ctx, seed=0, guard=float("nan"))
+
+
 def test_stabilize_engineered_imbalance(amalgam_ctx):
     rho = _imbalanced_instance(amalgam_ctx, (6, 4), (5, 5), 10)
     with warnings.catch_warnings():
@@ -256,7 +268,7 @@ def test_stabilize_engineered_imbalance(amalgam_ctx):
 def test_boundary_defect_bound_zero_for_exact(preset_contexts):
     ctx = preset_contexts[("hnn_Z4_over_Z2", 2.0)]
     rho = rs.realize(rs.uniform_lambda(ctx, 8), ctx, seed=0)
-    lhs, rhs = rs.boundary_defect_bound(rho, ctx)
+    lhs, rhs = boundary_defect_bound(rho, ctx)
     assert lhs == 0.0 and rhs <= 1e-18
 
 
@@ -266,7 +278,7 @@ def test_boundary_defect_bound_phase_perturbation(preset_contexts):
     rho = rs.realize(rs.uniform_lambda(ctx, 8), ctx, seed=0)
     phased = rs.almost_rep(ctx.gog, rho.vertex_reps,
                            [np.exp(0.05j) * rho.edge_unitaries[0]])
-    lhs, rhs = rs.boundary_defect_bound(phased, ctx)
+    lhs, rhs = boundary_defect_bound(phased, ctx)
     assert lhs == 0.0 and rhs > 0.0
 
 
@@ -277,7 +289,7 @@ def test_boundary_defect_bound_engineered(z2_amalgam, p):
         half = dim // 2
         rho = _imbalanced_instance(ctx, (half + imbalance, half - imbalance),
                                    (half, half), dim)
-        lhs, rhs = rs.boundary_defect_bound(rho, ctx)
+        lhs, rhs = boundary_defect_bound(rho, ctx)
         assert lhs > 0.0
         assert lhs <= rhs + 1e-12
 
