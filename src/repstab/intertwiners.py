@@ -8,9 +8,11 @@ extends to a unitary within 5*delta of the identity. The constructions here
 are fully explicit: a group average provides an exact intertwiner, singular
 value thresholding extracts the near-isometric part, and the unitary
 intertwiner is the polar factor of the group average, completed on its null
-space by the polar factor of a random seed's group average. Over the
-trivial group every unitary intertwines and the unitary intertwiner is the
-exact identity, built without an average or a decomposition.
+space by the polar factor of a random seed's group average. When the
+average is certified near-unitary its polar factor is iterated without a
+decomposition. Over the trivial group every unitary intertwines and the
+unitary intertwiner is the exact identity, built without an average or a
+decomposition.
 """
 
 from __future__ import annotations
@@ -24,13 +26,14 @@ from .errors import IsomorphyError, NumericalError, ValidationError
 from .irreps import (INVARIANCE_ATOL, UNITARY_ATOL, IrrepTable, UnitaryRep, complement,
                      compress, direct_sum, multiplicities)
 from .rng import as_generator, complex_gaussian
-from .schatten import (nearest_unitary, rep_distance, schatten_norm_normalized,
-                       singular_values, threshold_partial_isometry)
+from .schatten import (_check_exponent, _newton_polar, max_normalized_norm, nearest_unitary,
+                       rep_distance, schatten_norm_normalized, singular_values,
+                       threshold_partial_isometry)
 
 DEFAULT_THRESHOLD = 0.5   # singular value cutoff for the kept subspaces of invariant_intertwiner
 POLAR_RANK_ATOL = 1e-6    # singular value of the group average below which it counts as zero
 INTERTWINE_ATOL = 1e-8    # max |rho2(x) T - T rho1(x)| of an assembled unitary intertwiner
-FAR_DISTANCE = 0.25       # input distance from which invariant_intertwiner warns
+FAR_DISTANCE = 0.25       # input distance from which the intertwiners warn
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,14 +75,17 @@ def _warn_far(delta: float, delta_hint: float | None, stacklevel: int):
                       "the kept subspaces may be small", stacklevel=stacklevel + 1)
 
 
-def _kept_isometry(rho1: UnitaryRep, rho2: UnitaryRep, threshold: float):
+def _kept_isometry(rho1: UnitaryRep, rho2: UnitaryRep, threshold: float,
+                   t0: np.ndarray | None = None):
     """Thresholded group average (T, right, left), with invariance verified.
 
-    A side whose kept basis is empty or spans the whole space is invariant
-    by construction (its projector is 0 or I to rounding), so only proper
-    kept subspaces are checked.
+    `t0` is the group average when the caller has it already. A side whose
+    kept basis is empty or spans the whole space is invariant by
+    construction (its projector is 0 or I to rounding), so only proper kept
+    subspaces are checked.
     """
-    t0 = averaged_intertwiner(rho1, rho2)
+    if t0 is None:
+        t0 = averaged_intertwiner(rho1, rho2)
     t, right, left = threshold_partial_isometry(t0, threshold)
     for rep, basis, side in ((rho1, right, "source"), (rho2, left, "target")):
         if basis.shape[1] in (0, rep.dim):
@@ -122,14 +128,19 @@ def unitary_intertwiner(rho1: UnitaryRep, rho2: UnitaryRep, p: float,
     Requires isomorphic inputs (verified through their multiplicity
     vectors). T is the polar factor of the group average E of rho2(g)
     rho1(g)^{-1}: at p = 2 the closest unitary intertwiner to the identity,
-    and within 3x of the closest at every p. When E is singular (singular
-    values below POLAR_RANK_ATOL), the kernels of E and E^*, which carry
-    isomorphic subrepresentations, are matched by the polar factor of the
-    group average of one complex Gaussian seed drawn from `rng`; `rng` is
-    untouched otherwise. On the trivial group T is the exact identity, with
-    no average and no SVD. The result conjugates rho1 onto
-    rho2 exactly and is verified to INTERTWINE_ATOL.
+    and within 3x of the closest at every p. When ||I - E^H E||_F is at
+    most NEWTON_POLAR_RESIDUAL, the polar factor is iterated without an
+    SVD; otherwise it comes from the SVD of the same E. When E is singular
+    (singular values below POLAR_RANK_ATOL), the kernels of E and E^*, which
+    carry isomorphic subrepresentations, are matched by the polar factor of
+    the group average of one complex Gaussian seed drawn from `rng`; `rng`
+    is untouched otherwise. On the trivial group T is the exact identity,
+    with no average and no SVD. The result conjugates rho1 onto rho2 exactly
+    and is verified to INTERTWINE_ATOL. With `warn_far`, a pair at distance
+    FAR_DISTANCE or more warns; the exact distance is measured only when a
+    Frobenius bound on it reaches FAR_DISTANCE.
     """
+    p = _check_exponent(p)
     rng = as_generator(rng)
     m1 = multiplicities(rho1, table)
     m2 = multiplicities(rho2, table)
@@ -144,15 +155,26 @@ def unitary_intertwiner(rho1: UnitaryRep, rho2: UnitaryRep, p: float,
         t_full = np.eye(dim, dtype=complex)
     else:
         if warn_far:
-            _warn_far(rep_distance(rho1, rho2, p), None, stacklevel=1)
-        t_full, right, left = _kept_isometry(rho1, rho2, POLAR_RANK_ATOL)
-        k = dim - right.shape[1]
-        if k:
-            comp1, comp2 = complement(right, dim), complement(left, dim)
-            rest1, rest2 = compress(rho1.matrices, comp1), compress(rho2.matrices, comp2)
-            x = complex_gaussian(k, rng)
-            seed_avg = (rest2 @ x @ rest1.conj().transpose(0, 2, 1)).sum(axis=0) / rho1.group.order
-            t_full += comp2 @ nearest_unitary(seed_avg) @ comp1.conj().T
+            # the normalized p-norm is at most the normalized Frobenius norm
+            # for p <= 2, and at most the unnormalized one for every p; the
+            # slack keeps rounding in the bound from hiding an exact 1/4
+            bound = max_normalized_norm(rho1.matrices - rho2.matrices, 2.0)
+            if p > 2.0:
+                bound *= np.sqrt(dim)
+            if bound >= FAR_DISTANCE * (1.0 - 1e-12):
+                _warn_far(rep_distance(rho1, rho2, p), None, stacklevel=2)
+        average = averaged_intertwiner(rho1, rho2)
+        t_full = _newton_polar(average)
+        if t_full is None:
+            t_full, right, left = _kept_isometry(rho1, rho2, POLAR_RANK_ATOL, average)
+            k = dim - right.shape[1]
+            if k:
+                comp1, comp2 = complement(right, dim), complement(left, dim)
+                rest1, rest2 = compress(rho1.matrices, comp1), compress(rho2.matrices, comp2)
+                x = complex_gaussian(k, rng)
+                seed_avg = ((rest2 @ x @ rest1.conj().transpose(0, 2, 1)).sum(axis=0)
+                            / rho1.group.order)
+                t_full += comp2 @ nearest_unitary(seed_avg) @ comp1.conj().T
 
     uerr = np.abs(t_full @ t_full.conj().T - np.eye(dim)).max()
     if uerr > UNITARY_ATOL:

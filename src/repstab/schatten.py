@@ -5,6 +5,10 @@ is the Frobenius norm and at p = 4 it is the square root of the Frobenius
 norm of A^H A (since ||A||_4^4 = tr((A^H A)^2)); both are exact and need no
 decomposition. Every other p takes one singular value decomposition per
 stack. The Schatten exponent p is a runtime parameter, any real p >= 1.
+
+The unitary polar factor of a matrix certified near-unitary is taken by the
+Newton-Schulz iteration (Higham, 1986), which needs only products; every
+other polar factor comes from a singular value decomposition.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 
 RANK_RTOL = 1e-12   # smallest singular value, relative to max(largest, 1), of a full-rank factor
+NEWTON_POLAR_RESIDUAL = 0.5   # largest ||I - A^H A||_F at which a polar factor is iterated
 
 
 def _finite(m: np.ndarray) -> np.ndarray:
@@ -137,6 +142,37 @@ def nearest_unitary(a) -> np.ndarray:
             f"matrix is rank deficient (smallest singular value {sv[-1] if sv.size else 0.0:.3e}); "
             "polar factor is not unique")
     return u @ vh
+
+
+def _newton_polar(a: np.ndarray) -> np.ndarray | None:
+    """Unitary polar factor of a square matrix certified near-unitary, else None.
+
+    The Newton-Schulz iteration X <- X (3I - X^H X) / 2 starts only when the
+    residual ||I - A^H A||_F is at most NEWTON_POLAR_RESIDUAL = r. Every
+    squared singular value then lies in [1 - r, 1 + r], and the residual
+    falls quadratically, at least halving at each step. A matrix with
+    |n - ||A||_F^2| > r sqrt(n) is refused before any product, since by
+    Cauchy-Schwarz its residual exceeds r. The loop stops when the residual
+    is 0 or no longer halves, which happens only at rounding level; a
+    matrix that does not get there within 8 steps is refused.
+    """
+    n = a.shape[0]
+    if abs(n - np.vdot(a, a).real) > NEWTON_POLAR_RESIDUAL * np.sqrt(n):
+        return None
+    eye = np.eye(n)
+    x, limit = a, NEWTON_POLAR_RESIDUAL
+    for step in range(8):
+        gram = x.conj().T @ x
+        residual = np.linalg.norm(eye - gram)
+        if residual > limit:
+            # at step 0 the matrix is not certified; later the residual has
+            # stopped halving, which it does only at rounding level
+            return x if step else None
+        if residual == 0.0:
+            return x
+        x = x @ (1.5 * eye - 0.5 * gram)
+        limit = residual / 2
+    return None
 
 
 def threshold_partial_isometry(a, threshold: float):

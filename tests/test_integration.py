@@ -174,23 +174,29 @@ def _failing_svd(*args, **kwargs):
     raise np.linalg.LinAlgError("SVD did not converge")
 
 
-@pytest.mark.parametrize("graph, p, stage", [
-    pytest.param("z2_amalgam", 2.0, "vertex_corrections", id="2.0-vertex_corrections"),
-    pytest.param("hnn_Z4_over_Z2", 2.0, "edge_corrections", id="2.0-edge_corrections"),
-    pytest.param("Z2_free_Z3", 1.0, "measure_defect", id="1.0-measure_defect")])
-def test_stage_tags_on_svd_failure(z2_amalgam, monkeypatch, graph, p, stage):
-    # p = 2 measures the defect without an SVD, so the first one is the polar
-    # factor across a nontrivial edge group: the Z2 tree edge of z2_amalgam
-    # in the vertex stage, the Z2 loop of the HNN in the edge stage; p = 1
-    # fails while measuring the defect
+@pytest.mark.filterwarnings("ignore:measured distance")
+@pytest.mark.parametrize("graph, p, eps, mode, stage", [
+    pytest.param("z2_amalgam", 2.0, 0.5, "edges-and-conjugate-vertices", "vertex_corrections",
+                 id="2.0-vertex_corrections"),
+    pytest.param("hnn_Z4_over_Z2", 2.0, 0.75, "edges-only", "edge_corrections",
+                 id="2.0-edge_corrections"),
+    pytest.param("Z2_free_Z3", 1.0, 1e-3, "edges-only", "measure_defect",
+                 id="1.0-measure_defect")])
+def test_stage_tags_on_svd_failure(z2_amalgam, monkeypatch, graph, p, eps, mode, stage):
+    # p = 2 measures the defect without an SVD, and a group average certified
+    # near-unitary takes its polar factor without one, so the first SVD is
+    # the polar factor of an average that fails the certificate: across the
+    # Z2 tree edge of z2_amalgam in the vertex stage (dim - ||E||_F^2 = 1.55),
+    # across the Z2 loop of the HNN in the edge stage (1.52), both above
+    # 0.5 * sqrt(6) = 1.22; p = 1 fails while measuring the defect
     gog = z2_amalgam if graph == "z2_amalgam" else rs.graph_preset(graph)
     ctx = rs.CorrectionContext.build(gog, p=p, seed=0)
     base = rs.realize(rs.uniform_lambda(ctx, 6), ctx, seed=0)
-    rho = rs.perturb(base, ctx.gog, 1e-3, rng=np.random.default_rng(0))
+    rho = rs.perturb(base, ctx.gog, eps, mode=mode, rng=np.random.default_rng(0))
 
     monkeypatch.setattr(np.linalg, "svd", _failing_svd)
     with pytest.raises(NumericalError) as info:
-        rs.stabilize(rho, ctx, seed=0)
+        rs.stabilize(rho, ctx, seed=0, guard=5.0)
     assert str(info.value).startswith(f"[{stage}]")
 
 
@@ -210,3 +216,26 @@ def test_free_products_stabilize_without_svd(preset_contexts, monkeypatch, name,
     # tree letter moves, to I: the distance moved is the defect
     assert report.lambda_out == report.lambda_in
     assert report.epsilon == report.delta > 0.0
+
+
+@pytest.mark.parametrize("p, svds", [(1.0, 3), (2.0, 0), (4.0, 0)])
+@pytest.mark.parametrize("name", rs.graph_preset_names())
+def test_svd_budget_of_one_stabilize(preset_contexts, monkeypatch, name, p, svds):
+    # at p = 1 one SVD stack each for the input defect, the output defect and
+    # the distance moved; the stable letters of close inputs take their polar
+    # factor without an SVD, and p = 2 and p = 4 measure without one
+    ctx = preset_contexts[(name, p)]
+    base = rs.realize(rs.uniform_lambda(ctx, 12), ctx, seed=0)
+    rho = rs.perturb(base, ctx.gog, 1e-3, mode="edges-and-conjugate-vertices",
+                     rng=np.random.default_rng(1))
+    calls = []
+    real_svd = np.linalg.svd
+
+    def counted_svd(*args, **kwargs):
+        calls.append(None)
+        return real_svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    _, report = rs.stabilize(rho, ctx, seed=0)
+    assert report.output_defect < 1e-10
+    assert len(calls) == svds

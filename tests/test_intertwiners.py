@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import repstab as rs
 from repstab.errors import IsomorphyError
 from repstab.intertwiners import averaged_intertwiner
+from repstab.presets import group_preset, group_preset_names
 from repstab.rng import random_hermitian, random_unitary
 
 from conftest import random_rep
@@ -202,10 +205,10 @@ def test_realize_measures_no_distances_in_intertwiners(monkeypatch):
     ctx = rs.CorrectionContext.build(rs.graph_preset("hnn_Z4_over_Z2"), p=2.0)
     distances = _count_calls(monkeypatch, intertwiners, "rep_distance")
     norms = _count_calls(monkeypatch, intertwiners, "schatten_norm_normalized")
-    thresholds = _count_calls(monkeypatch, intertwiners, "threshold_partial_isometry")
+    averages = _count_calls(monkeypatch, intertwiners, "averaged_intertwiner")
     rho = rs.realize(rs.uniform_lambda(ctx, 12), ctx, seed=0)
     assert rs.measure_defect(rho, ctx.gog, 2.0) < 1e-10
-    assert thresholds, "realize built no intertwiner"
+    assert averages, "realize built no intertwiner"
     assert distances == [] and norms == []
 
 
@@ -217,7 +220,7 @@ def test_unitary_intertwiner_computes_no_identity_distance(monkeypatch, z3_table
     distances = _count_calls(monkeypatch, intertwiners, "rep_distance")
     rs.unitary_intertwiner(rho1, rho2, 2.0, table=z3_table, rng=rng)
     assert norms == []
-    assert distances == ["rep_distance"]   # the pair distance, for the far warning
+    assert distances == []   # the pair is too close for the far warning to measure it
     # the partial-isometry lemma still reports both distances
     res = rs.invariant_intertwiner(rho1, rho2, 2.0)
     assert res.pair_distance > 0.0 and res.identity_distance > 0.0
@@ -322,3 +325,108 @@ def test_invariance_check_skips_only_full_kept_subspaces(monkeypatch, z2_table):
     rho2 = rs.conjugate_rep(rho1, v @ swap @ v.conj().T)
     with pytest.raises(rs.NumericalError, match="subspace not invariant"):
         rs.unitary_intertwiner(rho1, rho2, 2.0, table=z2_table, rng=rng, warn_far=False)
+
+
+def _failing_svd(*args, **kwargs):
+    raise np.linalg.LinAlgError("SVD did not converge")
+
+
+@pytest.mark.parametrize("name", [n for n in group_preset_names() if group_preset(n).order > 1])
+def test_certified_average_takes_the_newton_polar_factor(monkeypatch, name):
+    # close pairs certify their average near-unitary: with the SVD failing,
+    # the iterated polar factor matches the SVD one of the same average
+    table = rs.irrep_table(group_preset(name), seed=0)
+    rng = np.random.default_rng(14)
+    for dim in (6, 24, 96):
+        for eps in (1e-6, 1e-3, 1e-1):
+            rho1, rho2, _ = _phase_conjugated_pair(table, dim, eps, rng, 2.0)
+            with monkeypatch.context() as m:
+                m.setattr(np.linalg, "svd", _failing_svd)
+                t = rs.unitary_intertwiner(rho1, rho2, 2.0, table=table, rng=rng)
+            polar = rs.nearest_unitary(averaged_intertwiner(rho1, rho2))
+            assert np.abs(t - polar).max() <= 1e-13
+            assert np.abs(np.matmul(rho2.matrices, t) - np.matmul(t, rho1.matrices)).max() < 1e-12
+
+
+def _rotated_pair(z2_table, residual):
+    """trivial+trivial+sign against its rotation in the last two lines, by
+    the angle that makes ||I - E^H E||_F of the average E equal `residual`.
+
+    E has singular values 1, c, c with sqrt(2) (1 - c^2) = residual, so
+    |3 - ||E||_F^2| = sqrt(2) residual stays below 0.5 sqrt(3) near
+    residual 0.5, and only the residual decides the certificate.
+    """
+    c = np.sqrt(1.0 - residual / np.sqrt(2.0))
+    s = np.sqrt(1.0 - c * c)
+    rot = np.eye(3)
+    rot[1:, 1:] = [[c, -s], [s, c]]
+    rho1 = rs.rep_from_multiplicities(z2_table, [2, 1])
+    return rho1, rs.conjugate_rep(rho1, rot)
+
+
+@pytest.mark.parametrize("residual, svds", [(0.5 * (1 - 1e-6), 0), (0.5 * (1 + 1e-6), 1)])
+def test_average_just_past_the_residual_cut_takes_the_svd(monkeypatch, z2_table, residual, svds):
+    rho1, rho2 = _rotated_pair(z2_table, residual)
+    t0 = averaged_intertwiner(rho1, rho2)
+    assert np.linalg.norm(np.eye(3) - t0.conj().T @ t0) == pytest.approx(residual, rel=1e-12)
+    calls = _count_calls(monkeypatch, np.linalg, "svd")
+    t = rs.unitary_intertwiner(rho1, rho2, 2.0, table=z2_table, warn_far=False)
+    assert len(calls) == svds
+    monkeypatch.undo()
+    np.testing.assert_allclose(t, rs.nearest_unitary(t0), atol=1e-13)
+
+
+@pytest.mark.parametrize("p", [float("nan"), 0.5])
+@pytest.mark.parametrize("warn_far", [True, False])
+def test_unitary_intertwiner_validates_p(z3_table, p, warn_far):
+    rho = random_rep(z3_table, 4, np.random.default_rng(2))
+    with pytest.raises(rs.ValidationError, match="Schatten exponent"):
+        rs.unitary_intertwiner(rho, rho, p, table=z3_table, warn_far=warn_far)
+
+
+def _far_warnings(rho1, rho2, p, table):
+    with warnings.catch_warnings(record=True) as records:
+        warnings.simplefilter("always")
+        rs.unitary_intertwiner(rho1, rho2, p, table=table, rng=np.random.default_rng(0))
+    return [r for r in records if "not below 1/4" in str(r.message)]
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0])
+def test_far_warning_fires_exactly_from_a_quarter(z3_table, p):
+    rng = np.random.default_rng(int(10 * p))
+    fired = set()
+    for eps in (0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.4, 0.6):
+        rho1, rho2, delta = _phase_conjugated_pair(z3_table, 8, eps, rng, p)
+        far = _far_warnings(rho1, rho2, p, z3_table)
+        assert len(far) == (delta >= 0.25)
+        if far:
+            assert f"measured distance {delta:.3e} " in str(far[0].message)
+            assert far[0].filename == __file__
+        fired.add(bool(far))
+    assert fired == {True, False}
+
+
+def test_far_warning_at_p4_reads_the_exact_distance(monkeypatch, z3_table):
+    # the unnormalized Frobenius bound reaches 1/4, the exact distance does not
+    rng = np.random.default_rng(4)
+    rho1, rho2, delta = _phase_conjugated_pair(z3_table, 8, 0.15, rng, 4.0)
+    bound = max(np.linalg.norm(a - b) for a, b in zip(rho1.matrices, rho2.matrices))
+    assert bound >= 0.25 > delta
+    from repstab import intertwiners
+    distances = _count_calls(monkeypatch, intertwiners, "rep_distance")
+    assert _far_warnings(rho1, rho2, 4.0, z3_table) == []
+    assert distances == ["rep_distance"]
+
+
+def test_far_warning_at_a_rounded_quarter(z2_table):
+    # trivial+sign against its rotation by theta: the difference at the sign
+    # element has two equal singular values, so at p = 1 the Frobenius bound
+    # equals the exact distance 2 sin(theta); near 1/4 either may round
+    # above the other, and the warning still follows the exact distance
+    rho1 = rs.rep_from_multiplicities(z2_table, [1, 1])
+    for k in range(-3, 4):
+        theta = 0.12532783116806542 + 4e-17 * k
+        c, s = np.cos(theta), np.sin(theta)
+        rho2 = rs.conjugate_rep(rho1, np.array([[c, -s], [s, c]]))
+        delta = rs.rep_distance(rho1, rho2, 1.0)
+        assert len(_far_warnings(rho1, rho2, 1.0, z2_table)) == (delta >= 0.25)
