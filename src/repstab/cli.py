@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: irreps | realize | perturb | stabilize | sweep | presets.
-Exit codes: 0 success, 1 guard refusal, 2 input error, 3 numerical failure.
+Exit codes: 0 success, 1 guard refusal, 2 input error (an unwritable --out
+included), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -38,8 +39,11 @@ OUTPUT_DEFECT_TOL = 1e-9
 def _write_json(obj, path) -> None:
     text = json.dumps(obj, indent=2)
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ValidationError(f"could not write {path}: {exc}") from exc
     else:
         print(text)
 

@@ -199,6 +199,18 @@ class AlmostRep:
     edge_unitaries: tuple[np.ndarray, ...]  # per geometric edge
 
 
+def _check_fits(gog: GraphOfGroups, vertex_reps, edge_unitaries) -> None:
+    """ValidationError unless there is one representation of each vertex's
+    own group and one letter per geometric edge."""
+    if len(vertex_reps) != gog.graph.n_vertices:
+        raise ValidationError("one representation required per vertex")
+    if len(edge_unitaries) != gog.graph.n_geometric_edges:
+        raise ValidationError("one unitary required per geometric edge")
+    for v, (rep, group) in enumerate(zip(vertex_reps, gog.vertex_groups)):
+        if rep.group is not group:
+            raise ValidationError(f"vertex {v} representation has the wrong group")
+
+
 def almost_rep(gog: GraphOfGroups, vertex_reps, edge_unitaries,
                check: bool = True) -> AlmostRep:
     """Validated almost-representation container.
@@ -211,18 +223,12 @@ def almost_rep(gog: GraphOfGroups, vertex_reps, edge_unitaries,
     """
     vreps = tuple(vertex_reps)
     edges = tuple(np.ascontiguousarray(u, dtype=complex) for u in edge_unitaries)
-    if len(vreps) != gog.graph.n_vertices:
-        raise ValidationError("one representation required per vertex")
-    if len(edges) != gog.graph.n_geometric_edges:
-        raise ValidationError("one unitary required per geometric edge")
-    dim = vreps[0].dim if vreps else 0
+    _check_fits(gog, vreps, edges)
+    dim = vreps[0].dim
     if dim <= 0:
         raise ValidationError("dimension must be positive")
-    for v, rep in enumerate(vreps):
-        if rep.group is not gog.vertex_groups[v]:
-            raise ValidationError(f"vertex {v} representation has the wrong group")
-        if rep.dim != dim:
-            raise ValidationError("vertex representations must share one dimension")
+    if any(rep.dim != dim for rep in vreps):
+        raise ValidationError("vertex representations must share one dimension")
     for k, u in enumerate(edges):
         if u.shape != (dim, dim):
             raise ValidationError(f"edge {k} unitary has shape {u.shape}, expected {(dim, dim)}")
@@ -257,7 +263,9 @@ def measure_defect(rho: AlmostRep, gog: GraphOfGroups, p: float) -> float:
     """Largest normalized p-Schatten distance from a relator image to I, read
     off the presentation index: s - I per tree letter s, and per edge with a
     nontrivial edge group one stacked product s^H A s B - I over its
-    conjugation relators, multiplied left to right as in `evaluate_word`."""
+    conjugation relators, multiplied left to right as in `evaluate_word`.
+    Raises ValidationError when `rho` does not fit the graph of groups."""
+    _check_fits(gog, rho.vertex_reps, rho.edge_unitaries)
     tree_edges, conjugations = gog._relator_index
     eye, s = np.eye(rho.dim), rho.edge_unitaries
     diffs = [np.empty((0, rho.dim, rho.dim))] + [s[k][None] - eye for k in tree_edges]

@@ -12,7 +12,8 @@ space by the polar factor of a random seed's group average. When the
 average is certified near-unitary its polar factor is iterated without a
 decomposition. Over the trivial group every unitary intertwines and the
 unitary intertwiner is the exact identity, built without an average or a
-decomposition.
+decomposition. The unitary intertwiner warns about far inputs only when it
+is given a Schatten exponent.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .errors import IsomorphyError, NumericalError, ValidationError
 from .irreps import (INVARIANCE_ATOL, UNITARY_ATOL, IrrepTable, UnitaryRep, complement,
                      compress, direct_sum, multiplicities)
 from .rng import as_generator, complex_gaussian
-from .schatten import (_check_exponent, _newton_polar, max_normalized_norm, nearest_unitary,
+from .schatten import (_check_exponent, _distance_or_bound, _newton_polar, nearest_unitary,
                        rep_distance, schatten_norm_normalized, singular_values,
                        threshold_partial_isometry)
 
@@ -65,11 +66,8 @@ def averaged_intertwiner(rho1: UnitaryRep, rho2: UnitaryRep) -> np.ndarray:
     return prods.sum(axis=0) / rho1.group.order
 
 
-def _warn_far(delta: float, delta_hint: float | None, stacklevel: int):
-    """Distance warnings; `stacklevel` counts from the caller, as in warnings.warn."""
-    if delta_hint is not None and delta > delta_hint:
-        warnings.warn(f"measured distance {delta:.3e} exceeds the supplied hint {delta_hint:.3e}",
-                      stacklevel=stacklevel + 1)
+def _warn_far(delta: float, stacklevel: int):
+    """Far-distance warning; `stacklevel` counts from the caller, as in warnings.warn."""
     if delta >= FAR_DISTANCE:
         warnings.warn(f"measured distance {delta:.3e} is not below 1/4; "
                       "the kept subspaces may be small", stacklevel=stacklevel + 1)
@@ -102,27 +100,24 @@ def _kept_isometry(rho1: UnitaryRep, rho2: UnitaryRep, threshold: float,
     return t, right, left
 
 
-def invariant_intertwiner(rho1: UnitaryRep, rho2: UnitaryRep, p: float,
-                          delta_hint: float | None = None,
-                          threshold: float = DEFAULT_THRESHOLD) -> IntertwinerResult:
+def invariant_intertwiner(rho1: UnitaryRep, rho2: UnitaryRep, p: float) -> IntertwinerResult:
     """Partial isometry between invariant subspaces of two close representations.
 
-    Thresholds the averaged intertwiner at `threshold`; the kept singular
+    Thresholds the averaged intertwiner at DEFAULT_THRESHOLD; the kept singular
     subspaces are spectral subspaces of exact intertwiners and therefore
     invariant. Invariance is verified numerically and a failure reports the
     singular values straddling the threshold.
     """
     delta = rep_distance(rho1, rho2, p)
-    _warn_far(delta, delta_hint, stacklevel=2)
-    t, right, left = _kept_isometry(rho1, rho2, threshold)
+    _warn_far(delta, stacklevel=2)
+    t, right, left = _kept_isometry(rho1, rho2, DEFAULT_THRESHOLD)
     dev = schatten_norm_normalized(t - np.eye(rho1.dim), p)
     return IntertwinerResult(operator=t, source_basis=right, target_basis=left,
                              pair_distance=delta, identity_distance=dev)
 
 
-def unitary_intertwiner(rho1: UnitaryRep, rho2: UnitaryRep, p: float,
-                        table: IrrepTable, rng=None,
-                        warn_far: bool = True) -> np.ndarray:
+def unitary_intertwiner(rho1: UnitaryRep, rho2: UnitaryRep, p: float | None = None, *,
+                        table: IrrepTable, rng=None) -> np.ndarray:
     """Unitary T with rho2(x) T = T rho1(x), close to I for close inputs.
 
     Requires isomorphic inputs (verified through their multiplicity
@@ -136,11 +131,11 @@ def unitary_intertwiner(rho1: UnitaryRep, rho2: UnitaryRep, p: float,
     the group average of one complex Gaussian seed drawn from `rng`; `rng`
     is untouched otherwise. On the trivial group T is the exact identity,
     with no average and no SVD. The result conjugates rho1 onto rho2 exactly
-    and is verified to INTERTWINE_ATOL. With `warn_far`, a pair at distance
-    FAR_DISTANCE or more warns; the exact distance is measured only when a
-    Frobenius bound on it reaches FAR_DISTANCE.
+    and is verified to INTERTWINE_ATOL. Given a Schatten exponent `p`, a
+    pair at distance FAR_DISTANCE or more warns; without it no distance is
+    measured.
     """
-    p = _check_exponent(p)
+    p = None if p is None else _check_exponent(p)
     rng = as_generator(rng)
     m1 = multiplicities(rho1, table)
     m2 = multiplicities(rho2, table)
@@ -154,15 +149,8 @@ def unitary_intertwiner(rho1: UnitaryRep, rho2: UnitaryRep, p: float,
         # nothing to intertwine: I is the exact polar factor of E = I
         t_full = np.eye(dim, dtype=complex)
     else:
-        if warn_far:
-            # the normalized p-norm is at most the normalized Frobenius norm
-            # for p <= 2, and at most the unnormalized one for every p; the
-            # slack keeps rounding in the bound from hiding an exact 1/4
-            bound = max_normalized_norm(rho1.matrices - rho2.matrices, 2.0)
-            if p > 2.0:
-                bound *= np.sqrt(dim)
-            if bound >= FAR_DISTANCE * (1.0 - 1e-12):
-                _warn_far(rep_distance(rho1, rho2, p), None, stacklevel=2)
+        if p is not None:
+            _warn_far(_distance_or_bound(rho1, rho2, p, FAR_DISTANCE), stacklevel=2)
         average = averaged_intertwiner(rho1, rho2)
         t_full = _newton_polar(average)
         if t_full is None:

@@ -27,7 +27,6 @@ IRREDUCIBLE_ATOL = 1e-8   # |<chi, chi'> - delta| for irreducibility and table o
 INVARIANCE_ATOL = 1e-8    # max |M B - B B^H M B| of a subspace B counted as invariant
 CLUSTER_GAP_RTOL = 1e-7   # relative eigenvalue gap for commutant clustering
 CLUSTER_RETRIES = 3       # fresh commutant draws after a failed clustering
-CHARACTER_ATOL = 1e-6     # max character deviation when matching an irreducible
 CHARACTER_DECIMALS = 6    # rounding used to deduplicate and order characters
 
 
@@ -174,11 +173,13 @@ class IrrepTable:
         return _read_only(self.group.class_sizes[:, None] * chars.conj().T / self.group.order)
 
     def match_character(self, character: np.ndarray) -> int:
-        """Index of the irrep with this character, else NumericalError."""
-        for k, p in enumerate(self.irreps):
-            if np.abs(p.character - character).max() <= CHARACTER_ATOL:
-                return k
-        raise NumericalError("character does not match any irreducible in the table")
+        """Index k of the irrep with this character: the character's inner
+        products with the table are e_k within MULT_ATOL, else NumericalError."""
+        products = character @ self.weighted_conj_characters
+        k = int(np.argmax(np.abs(products)))
+        if np.abs(products - np.eye(len(self))[k]).max() > MULT_ATOL:
+            raise NumericalError("character does not match any irreducible in the table")
+        return k
 
 
 @dataclass(frozen=True, eq=False)

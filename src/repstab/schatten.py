@@ -8,7 +8,9 @@ stack. The Schatten exponent p is a runtime parameter, any real p >= 1.
 
 The unitary polar factor of a matrix certified near-unitary is taken by the
 Newton-Schulz iteration (Higham, 1986), which needs only products; every
-other polar factor comes from a singular value decomposition.
+other polar factor comes from a singular value decomposition. A distance
+that only decides whether a level is reached is bounded first by a
+Frobenius norm, and measured exactly only when the bound reaches the level.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .errors import NumericalError, ValidationError
 
 RANK_RTOL = 1e-12   # smallest singular value, relative to max(largest, 1), of a full-rank factor
 NEWTON_POLAR_RESIDUAL = 0.5   # largest ||I - A^H A||_F at which a polar factor is iterated
+BOUND_RTOL = 1e-12  # slack that keeps rounding in a distance bound from hiding the level
 
 
 def _finite(m: np.ndarray) -> np.ndarray:
@@ -125,6 +128,18 @@ def rep_distance(rho1, rho2, p: float) -> float:
     if m1.shape != m2.shape:
         raise ValidationError(f"dimension mismatch: {m1.shape} vs {m2.shape}")
     return max_normalized_norm(m1 - m2, p)
+
+
+def _distance_or_bound(rho1, rho2, p: float, level: float) -> float:
+    """rep_distance(rho1, rho2, p), or a bound on it when that bound is below
+    level * (1 - BOUND_RTOL): the normalized Frobenius norm for p <= 2, the
+    unnormalized one above, and at p = 2 the distance itself."""
+    bound = max_normalized_norm(rho1.matrices - rho2.matrices, 2.0)
+    if p > 2.0:
+        bound *= np.sqrt(rho1.dim)
+    if p == 2.0 or bound < level * (1.0 - BOUND_RTOL):
+        return bound
+    return rep_distance(rho1, rho2, p)
 
 
 def nearest_unitary(a) -> np.ndarray:

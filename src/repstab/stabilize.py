@@ -9,7 +9,9 @@ edge restriction of its already-corrected parent; across a trivial edge group
 that restriction constrains nothing and the child only swaps summands) and
 solve the stable-letter unitaries on the remaining edges. The output is an
 exact representation whose generator distance to the input is of the order
-of the input defect.
+of the input defect. Of the two tree walks only `stabilize` reads the
+Schatten exponent of its context; `realize` builds the same representation
+at every exponent.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .irreps import (IrrepTable, UnitaryRep, complement, compress, conjugate_rep
                      rep_from_multiplicities, restriction_matrix, unitary_rep)
 from .intertwiners import INTERTWINE_ATOL, unitary_intertwiner
 from .rng import as_generator, derived_generator
-from .schatten import _check_exponent, rep_distance
+from .schatten import _check_exponent, _distance_or_bound
 
 DEFAULT_GUARD = 0.2
 HINT_SLACK = 1e-12  # how far a measured edge distance may exceed delta_hint unwarned
@@ -171,7 +173,8 @@ def correct_vertex(hom: GroupHom, tau: UnitaryRep, rho: UnitaryRep, target,
     unitary intertwiner matching the pullback to `tau`. Over a trivial edge
     group the constraint is empty: nothing is measured and the conjugation
     is skipped, so the hint warning cannot fire there and the allowance of
-    the multiplicity-gap warning is `delta_hint`. The distance moved is of
+    the multiplicity-gap warning is `delta_hint`. Elsewhere the distance is
+    bounded first, by `schatten._distance_or_bound`. The distance moved is of
     the order of max(d(pullback(rho), tau), replaced fraction^(1/p)).
     """
     rng = as_generator(rng)
@@ -185,7 +188,8 @@ def correct_vertex(hom: GroupHom, tau: UnitaryRep, rho: UnitaryRep, target,
             left=restricted, right=tau_mults)
 
     trivial_edge = tau.group.order == 1
-    measured = 0.0 if trivial_edge else rep_distance(pullback(hom, rho), tau, p)
+    measured = 0.0 if trivial_edge else _distance_or_bound(pullback(hom, rho), tau, p,
+                                                           delta_hint or 0.0)
     _warn_gap(rho, target, table, max(measured, delta_hint or 0.0), p)
     if delta_hint is not None and measured > delta_hint + HINT_SLACK:
         warnings.warn(f"measured edge distance {measured:.3e} exceeds the hint {delta_hint:.3e}",
@@ -252,13 +256,11 @@ def realize(lam: MultiplicityVector, ctx: CorrectionContext, seed=0) -> AlmostRe
 
     def fit_child(child, into_child, tau, edge_table):
         fresh = rep_from_multiplicities(ctx.vertex_tables[child], lam.blocks[child])
-        s = unitary_intertwiner(pullback(into_child, fresh), tau, ctx.p, table=edge_table,
-                                rng=rng, warn_far=False)
+        s = unitary_intertwiner(pullback(into_child, fresh), tau, table=edge_table, rng=rng)
         return conjugate_rep(fresh, s)
 
     def fit_edge(k, origin, terminus):
-        return unitary_intertwiner(origin, terminus, ctx.p, table=ctx.edge_tables[k],
-                                   rng=rng, warn_far=False)
+        return unitary_intertwiner(origin, terminus, table=ctx.edge_tables[k], rng=rng)
 
     root = ctx.gog.graph.tree.root
     reps = _walk_tree(ctx, rep_from_multiplicities(ctx.vertex_tables[root], lam.blocks[root]),

@@ -116,11 +116,15 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
 
 
 def write_csv(rows, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for row in rows:
-            writer.writerow([row.preset, row.seed, _fmt(row.p), row.dim,
-                             _fmt(row.epsilon_in), _fmt(row.delta),
-                             _fmt(row.epsilon_out), _fmt(row.cone_gap),
-                             _fmt(row.runtime_ms), row.error])
+    """One CSV line per row under CSV_HEADER; ValidationError if the file cannot be written."""
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(CSV_HEADER)
+            for row in rows:
+                writer.writerow([row.preset, row.seed, _fmt(row.p), row.dim,
+                                 _fmt(row.epsilon_in), _fmt(row.delta),
+                                 _fmt(row.epsilon_out), _fmt(row.cone_gap),
+                                 _fmt(row.runtime_ms), row.error])
+    except OSError as exc:
+        raise ValidationError(f"could not write {path}: {exc}") from exc

@@ -160,6 +160,18 @@ def test_negative_seed_exit_2(capsys, tmp_path, monkeypatch, argv):
     assert "seed" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["stabilize", "--preset", "Z2_free_Z3", "--eps", "1e-3"],
+    ["sweep", "--preset", "Z2_free_Z3", "--eps", "1e-2", "--p", "2", "--seeds", "1"],
+])
+def test_write_failure_exit_2(capsys, tmp_path, argv):
+    out = tmp_path / "missing" / "out"
+    code, _, err = run_cli(capsys, *argv, "--out", str(out))
+    assert code == 2
+    assert "could not write" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_missing_graph_argument_exit_2(capsys):
     code, _, err = run_cli(capsys, "realize")
     assert code == 2

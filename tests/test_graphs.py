@@ -4,6 +4,7 @@ import pytest
 import repstab as rs
 from repstab.errors import ValidationError
 from repstab.graphs import evaluate_word, generator_distance
+from repstab.rng import random_unitary
 
 from conftest import elementwise_inner_products
 
@@ -94,6 +95,25 @@ def test_measure_defect_scalar_phase(theta, preset_contexts):
     expected = abs(np.exp(1j * theta) - 1.0)
     for p in (1.0, 2.0, 4.0):
         assert rs.measure_defect(phased, ctx.gog, p) == pytest.approx(expected, abs=1e-12)
+
+
+def test_measure_defect_rejects_a_representation_of_another_graph(preset_contexts):
+    hnn = preset_contexts[("hnn_Z4_over_Z2", 2.0)].gog
+    free = preset_contexts[("Z2_free_Z3", 2.0)]
+    rho = rs.realize(rs.uniform_lambda(free, 6), free, seed=0)
+    with pytest.raises(ValidationError, match="one representation required per vertex"):
+        rs.measure_defect(rho, hnn, 2.0)
+    # the same Z4 and Z2 inclusions, on two loops instead of one
+    two_loops = rs.graph_of_groups(rs.serre_graph(1, [(0, 0), (0, 0)]), hnn.vertex_groups,
+                                   hnn.edge_groups * 2,
+                                   [hom.map for hom in hnn.injections] * 2)
+    z4_table = preset_contexts[("hnn_Z4_over_Z2", 2.0)].vertex_tables[0]
+    rep = rs.rep_from_multiplicities(z4_table, [1, 1, 1, 1])
+    letters = [np.eye(4), random_unitary(4, np.random.default_rng(0))]
+    rho = rs.almost_rep(two_loops, [rep], letters)
+    assert rs.measure_defect(rho, two_loops, 2.0) > 0.1
+    with pytest.raises(ValidationError, match="one unitary required per geometric edge"):
+        rs.measure_defect(rho, hnn, 2.0)
 
 
 def test_measure_defect_sees_a_non_unitary_stable_letter(preset_contexts):

@@ -84,8 +84,9 @@ def test_invariant_intertwiner_keeps_common_summand(z2, z2_table):
 
 def test_threshold_knob_changes_kept_subspace(z2_table):
     # conjugating trivial+sign by a rotation makes the averaged intertwiner
-    # (I + R(2*theta))/2 with both singular values |cos(theta)|; a knob on
+    # (I + R(2*theta))/2 with both singular values |cos(theta)|; a cut on
     # either side of that value keeps everything or nothing
+    from repstab import intertwiners
     theta = np.arccos(0.6)
     c, s = np.cos(theta), np.sin(theta)
     rot = np.array([[c, -s], [s, c]])
@@ -93,18 +94,12 @@ def test_threshold_knob_changes_kept_subspace(z2_table):
     rho2 = rs.conjugate_rep(rho1, rot)
     t0 = averaged_intertwiner(rho1, rho2)
     np.testing.assert_allclose(np.linalg.svd(t0, compute_uv=False), [0.6, 0.6], atol=1e-12)
-    with pytest.warns(UserWarning):
-        low = rs.invariant_intertwiner(rho1, rho2, 2.0, threshold=0.5)
-        high = rs.invariant_intertwiner(rho1, rho2, 2.0, threshold=0.7)
-    assert low.kept_dim == 2
-    assert high.kept_dim == 0
-
-
-def test_invariant_intertwiner_warns_on_exceeded_hint(z3_table):
-    rng = np.random.default_rng(7)
-    rho1, rho2, delta = _phase_conjugated_pair(z3_table, 4, 1e-2, rng, 2.0)
-    with pytest.warns(UserWarning, match="hint"):
-        rs.invariant_intertwiner(rho1, rho2, 2.0, delta_hint=delta / 10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, low, _ = intertwiners._kept_isometry(rho1, rho2, 0.5)
+        _, high, _ = intertwiners._kept_isometry(rho1, rho2, 0.7)
+    assert low.shape[1] == 2
+    assert high.shape[1] == 0
 
 
 def test_unitary_intertwiner_equal_inputs(s3_table):
@@ -199,7 +194,7 @@ def _count_calls(monkeypatch, module, name):
 
 
 def test_realize_measures_no_distances_in_intertwiners(monkeypatch):
-    # realize passes warn_far=False, so no pair distance is ever read; the
+    # realize passes no exponent, so no pair distance is ever read; the
     # HNN's Z2 loop is a nontrivial edge group, so realize builds its letter
     from repstab import intertwiners
     ctx = rs.CorrectionContext.build(rs.graph_preset("hnn_Z4_over_Z2"), p=2.0)
@@ -248,8 +243,8 @@ def test_unitary_intertwiner_on_singular_averages(z2_table, s3_table):
         rho2 = rs.conjugate_rep(rho1, u)
         sv = np.linalg.svd(averaged_intertwiner(rho1, rho2), compute_uv=False)
         np.testing.assert_allclose(sv, expected_sv, atol=1e-14)
-        runs = [rs.unitary_intertwiner(rho1, rho2, 2.0, table=table,
-                                       rng=np.random.default_rng(seed), warn_far=False)
+        runs = [rs.unitary_intertwiner(rho1, rho2, table=table,
+                                       rng=np.random.default_rng(seed))
                 for seed in (7, 7, 8)]
         for t in runs:
             assert np.abs(t @ t.conj().T - np.eye(rho1.dim)).max() < 1e-12
@@ -267,8 +262,8 @@ def test_unitary_intertwiner_is_polar_factor_of_nonsingular_average(z2_table):
     t0 = averaged_intertwiner(rho1, rho2)
     np.testing.assert_allclose(np.linalg.svd(t0, compute_uv=False), [0.3, 0.3], atol=1e-12)
     for seed in range(3):
-        t = rs.unitary_intertwiner(rho1, rho2, 2.0, table=z2_table,
-                                   rng=np.random.default_rng(seed), warn_far=False)
+        t = rs.unitary_intertwiner(rho1, rho2, table=z2_table,
+                                   rng=np.random.default_rng(seed))
         np.testing.assert_allclose(t, rs.nearest_unitary(t0), atol=1e-12)
 
 
@@ -287,7 +282,7 @@ def test_invariance_failure_reports_the_cut(monkeypatch, z2_table):
                         lambda a, threshold: (line @ line.conj().T, line, line))
     with pytest.raises(rs.NumericalError,
                        match="smallest kept singular value 1, largest dropped 0.3$"):
-        rs.unitary_intertwiner(rho1, rho2, 2.0, table=z2_table, warn_far=False)
+        rs.unitary_intertwiner(rho1, rho2, table=z2_table)
 
 
 def test_unitary_intertwiner_on_the_trivial_group_is_the_identity(monkeypatch):
@@ -314,7 +309,7 @@ def test_invariance_check_skips_only_full_kept_subspaces(monkeypatch, z2_table):
     monkeypatch.setattr(intertwiners, "INVARIANCE_ATOL", 0.0)
     rng = np.random.default_rng(5)
     rho1, rho2, _ = _phase_conjugated_pair(z2_table, 6, 1e-2, rng, 2.0)
-    rs.unitary_intertwiner(rho1, rho2, 2.0, table=z2_table, rng=rng, warn_far=False)
+    rs.unitary_intertwiner(rho1, rho2, table=z2_table, rng=rng)
 
     # trivial+trivial+sign with the last two lines swapped, in a random basis:
     # the average has rank one
@@ -324,7 +319,7 @@ def test_invariance_check_skips_only_full_kept_subspaces(monkeypatch, z2_table):
     rho1 = rs.conjugate_rep(rs.rep_from_multiplicities(z2_table, [2, 1]), v)
     rho2 = rs.conjugate_rep(rho1, v @ swap @ v.conj().T)
     with pytest.raises(rs.NumericalError, match="subspace not invariant"):
-        rs.unitary_intertwiner(rho1, rho2, 2.0, table=z2_table, rng=rng, warn_far=False)
+        rs.unitary_intertwiner(rho1, rho2, table=z2_table, rng=rng)
 
 
 def _failing_svd(*args, **kwargs):
@@ -370,18 +365,25 @@ def test_average_just_past_the_residual_cut_takes_the_svd(monkeypatch, z2_table,
     t0 = averaged_intertwiner(rho1, rho2)
     assert np.linalg.norm(np.eye(3) - t0.conj().T @ t0) == pytest.approx(residual, rel=1e-12)
     calls = _count_calls(monkeypatch, np.linalg, "svd")
-    t = rs.unitary_intertwiner(rho1, rho2, 2.0, table=z2_table, warn_far=False)
+    t = rs.unitary_intertwiner(rho1, rho2, table=z2_table)
     assert len(calls) == svds
     monkeypatch.undo()
     np.testing.assert_allclose(t, rs.nearest_unitary(t0), atol=1e-13)
 
 
 @pytest.mark.parametrize("p", [float("nan"), 0.5])
-@pytest.mark.parametrize("warn_far", [True, False])
-def test_unitary_intertwiner_validates_p(z3_table, p, warn_far):
-    rho = random_rep(z3_table, 4, np.random.default_rng(2))
-    with pytest.raises(rs.ValidationError, match="Schatten exponent"):
-        rs.unitary_intertwiner(rho, rho, p, table=z3_table, warn_far=warn_far)
+@pytest.mark.parametrize("far", [True, False])
+def test_unitary_intertwiner_validates_p(z3_table, p, far):
+    # the exponent is checked before any distance is read, so a far pair
+    # raises the same error and emits no far warning
+    rng = np.random.default_rng(2)
+    rho1 = random_rep(z3_table, 4, rng)
+    rho2 = rs.conjugate_rep(rho1, random_unitary(4, rng)) if far else rho1
+    with warnings.catch_warnings(record=True) as records:
+        warnings.simplefilter("always")
+        with pytest.raises(rs.ValidationError, match="Schatten exponent"):
+            rs.unitary_intertwiner(rho1, rho2, p, table=z3_table)
+    assert records == []
 
 
 def _far_warnings(rho1, rho2, p, table):
@@ -412,10 +414,26 @@ def test_far_warning_at_p4_reads_the_exact_distance(monkeypatch, z3_table):
     rho1, rho2, delta = _phase_conjugated_pair(z3_table, 8, 0.15, rng, 4.0)
     bound = max(np.linalg.norm(a - b) for a, b in zip(rho1.matrices, rho2.matrices))
     assert bound >= 0.25 > delta
-    from repstab import intertwiners
-    distances = _count_calls(monkeypatch, intertwiners, "rep_distance")
+    from repstab import schatten
+    distances = _count_calls(monkeypatch, schatten, "rep_distance")
     assert _far_warnings(rho1, rho2, 4.0, z3_table) == []
     assert distances == ["rep_distance"]
+
+
+def test_unitary_intertwiner_without_p_measures_and_warns_nothing(monkeypatch, s3_table):
+    # a pair far enough apart that the far warning fires whenever p is given
+    from repstab import intertwiners, schatten
+    rng = np.random.default_rng(8)
+    rho1 = random_rep(s3_table, 6, rng)
+    rho2 = rs.conjugate_rep(rho1, random_unitary(6, rng))
+    assert len(_far_warnings(rho1, rho2, 1.0, s3_table)) == 1
+    counted = [_count_calls(monkeypatch, module, "rep_distance")
+               for module in (schatten, intertwiners)]
+    with warnings.catch_warnings(record=True) as records:
+        warnings.simplefilter("always")
+        t = rs.unitary_intertwiner(rho1, rho2, table=s3_table, rng=rng)
+    assert records == [] and counted == [[], []]
+    assert np.abs(np.matmul(rho2.matrices, t) - np.matmul(t, rho1.matrices)).max() < 1e-8
 
 
 def test_far_warning_at_a_rounded_quarter(z2_table):

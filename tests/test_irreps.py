@@ -192,6 +192,22 @@ def test_irreducible_components_counts(s3_table):
         assert s3_table.irreps[k].dim == c.dim
 
 
+def test_match_character_rejects_a_reducible_character(s3_table):
+    for j, k in ((0, 1), (0, 2), (2, 2)):
+        with pytest.raises(NumericalError, match="does not match"):
+            s3_table.match_character(s3_table.irreps[j].character + s3_table.irreps[k].character)
+    for k, irrep in enumerate(s3_table.irreps):
+        assert s3_table.match_character(irrep.character) == k
+
+
+@pytest.mark.parametrize("name", group_preset_names())
+def test_trivial_index_has_the_unit_character(name):
+    table = rs.irrep_table(group_preset(name), seed=0)
+    ones = [k for k, irrep in enumerate(table.irreps)
+            if np.abs(irrep.character - 1.0).max() <= 1e-6]
+    assert ones == [table.trivial_index]
+
+
 def test_isotypic_components_in_table_order(s3_table):
     rep = rs.rep_from_multiplicities(s3_table, [2, 0, 1])
     groups = isotypic_components(rep, s3_table, np.random.default_rng(1))

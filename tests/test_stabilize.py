@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -7,7 +8,7 @@ import repstab as rs
 from repstab.errors import GuardExceededError, IsomorphyError, ValidationError
 from repstab.groups import trivial_embedding
 from repstab.irreps import pullback
-from repstab.rng import random_unitary
+from repstab.rng import random_hermitian, random_unitary
 from repstab.stabilize import boundary_defect_bound, replace_summands
 
 from conftest import random_rep
@@ -56,6 +57,18 @@ def test_realize_hnn_regular(preset_contexts):
     rho = rs.realize(lam, ctx, seed=2)
     assert rs.measure_defect(rho, ctx.gog, 2.0) <= 1e-10
     assert rs.rep_multiplicities(rho, ctx.vertex_tables) == lam
+
+
+@pytest.mark.parametrize("name", rs.graph_preset_names())
+def test_realize_does_not_read_p(preset_contexts, name):
+    ctx = preset_contexts[(name, 2.0)]
+    lam = rs.uniform_lambda(ctx, 12)
+    rho = rs.realize(lam, ctx, seed=5)
+    other = rs.realize(lam, dataclasses.replace(ctx, p=4.0), seed=5)
+    for a, b in zip(rho.vertex_reps, other.vertex_reps):
+        assert np.array_equal(a.matrices, b.matrices)
+    for a, b in zip(rho.edge_unitaries, other.edge_unitaries):
+        assert np.array_equal(a, b)
 
 
 def test_realize_rejects_non_kernel(amalgam_ctx):
@@ -145,6 +158,28 @@ def test_correct_vertex_across_trivial_group_takes_no_svd(s3, s3_table, monkeypa
         out = rs.correct_vertex(trivial_embedding(s3, z1), tau, rho, target,
                                 rs.irrep_table(z1), s3_table, 1.0, rng=rng)
     assert rs.multiplicities(out, s3_table).tolist() == target.tolist()
+
+
+def test_correct_vertex_near_exact_pair_at_p1_takes_no_svd(z2, z2_table, s3, s3_table,
+                                                          monkeypatch):
+    # across a Z2 tree edge with a near-exact constraint, the Frobenius bound
+    # already lies below the hint and the far cut, so p = 1 needs no SVD
+    rng = np.random.default_rng(6)
+    rho = random_rep(s3_table, 9, rng)
+    hom = rs.group_hom(z2, s3, [0, 1], require_injective=True)
+    w, v = np.linalg.eigh(random_hermitian(9, rng) * 1e-3)
+    tau = rs.conjugate_rep(pullback(hom, rho), (v * np.exp(1j * w)) @ v.conj().T)
+    target = rs.multiplicities(rho, s3_table)
+
+    def failing_svd(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", failing_svd)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = rs.correct_vertex(hom, tau, rho, target, z2_table, s3_table, 1.0,
+                                rng=rng, delta_hint=0.1)
+    assert np.abs(pullback(hom, out).matrices - tau.matrices).max() < 1e-8
 
 
 # the swap moves the pullback by 0.34, so the intertwiner also warns that its
