@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -181,6 +182,8 @@ def cmd_sweep(args) -> int:
         mode=args.mode,
         guard=args.guard,
     )
+    if not Path(args.out).parent.is_dir():
+        raise ValidationError(f"could not write {args.out}: its directory does not exist")
     rows = run_sweep(config)
     write_csv(rows, args.out)
     failures = sum(1 for r in rows if r.error)

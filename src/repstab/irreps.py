@@ -1,12 +1,14 @@
 """Unitary representations of finite groups and their irreducible pieces.
 
-Irreducible representations are computed numerically: a random Hermitian
+The table of irreducibles is computed numerically: a random Hermitian
 matrix is averaged over the group action to produce a generic element of the
 commutant, whose eigenspaces are irreducible invariant subspaces. Applied to
 the regular representation this yields every irreducible, deduplicated by
 character and put in a canonical order (ascending dimension, then descending
 lexicographic character over the class order). The canonical order fixes the
-coordinates of every multiplicity vector produced by the package.
+coordinates of every multiplicity vector produced by the package. With the
+table, `isotypic_components` splits any representation into copies of its
+irreducibles, in their coordinates, from matrix coefficients: no randomness.
 """
 
 from __future__ import annotations
@@ -242,16 +244,32 @@ def irreducible_components(rep: UnitaryRep, rng=None) -> list[Component]:
         f"eigenvalue clustering failed after {CLUSTER_RETRIES + 1} attempts: {last_err}")
 
 
-def isotypic_components(rep: UnitaryRep, table: IrrepTable, rng=None) -> list[list[Component]]:
-    """Irreducible components of rep grouped by irreducible, in table order.
+def isotypic_components(rep: UnitaryRep, table: IrrepTable) -> list[np.ndarray]:
+    """Orthonormal bases of the copies of each irreducible in rep, in table order.
 
-    Entry k lists, in decomposition order, the components whose character
-    matches the k-th irreducible of `table`.
+    Basis k is (dim, m_k d_k): p_0 x_j, ..., p_{d-1} x_j for each vector x_j
+    of an orthonormal basis of the range of p_0, with the matrix coefficients
+    p_a = (d/|G|) sum_g conj(pi_k(g)[a, 0]) rho(g) (Serre, Linear Representations
+    of Finite Groups, 2.7, Prop. 8), so rep acts on copy j by `table.irreps[k]`.
+    One `eigh` of sum_k (k + 1) p_0 labels each range by rounded eigenvalues; the
+    counts must equal `multiplicities`, each basis be invariant to INVARIANCE_ATOL.
     """
-    groups: list[list[Component]] = [[] for _ in range(len(table))]
-    for comp in irreducible_components(rep, rng):
-        groups[table.match_character(comp.character)].append(comp)
-    return groups
+    mults, mats, n = multiplicities(rep, table), rep.matrices, rep.dim
+    coeffs = [np.tensordot(p.matrices[:, :, 0].conj() * (p.dim / len(mats)), mats, axes=(0, 0))
+              for p in table.irreps]
+    w, x = np.linalg.eigh(sum((k + 1) * c[0] for k, c in enumerate(coeffs)))
+    bases = []
+    for k, (p, m, c) in enumerate(zip(table.irreps, mults, coeffs)):
+        xk = x[:, np.rint(w) == k + 1]
+        if xk.shape[1] != m:
+            raise NumericalError(f"found {xk.shape[1]} copies of irrep {k}, expected {m}")
+        basis = (c @ xk).transpose(1, 2, 0).reshape(n, -1)
+        acted = (basis.reshape(-1, p.dim) @ p.matrices).reshape(len(mats), n, -1)
+        err = np.abs(mats @ basis - acted).max(initial=0.0)
+        if err > INVARIANCE_ATOL:
+            raise NumericalError(f"copies of irrep {k} not invariant ({err:.1e})")
+        bases.append(basis)
+    return bases
 
 
 def _character_key(character: np.ndarray) -> tuple:

@@ -31,8 +31,8 @@ from .errors import (GuardExceededError, IsomorphyError, NumericalError,
 from .graphs import (AlmostRep, GraphOfGroups, almost_rep, boundary_map,
                      generator_distance, measure_defect, rep_multiplicities)
 from .groups import GroupHom
-from .irreps import (IrrepTable, UnitaryRep, complement, compress, conjugate_rep,
-                     irrep_table, isotypic_components, multiplicities, pullback,
+from .irreps import (IrrepTable, UnitaryRep, conjugate_rep, direct_sum, irrep_table,
+                     isotypic_components, multiplicities, pullback,
                      rep_from_multiplicities, restriction_matrix, unitary_rep)
 from .intertwiners import INTERTWINE_ATOL, unitary_intertwiner
 from .rng import as_generator, derived_generator
@@ -116,15 +116,15 @@ def uniform_lambda(ctx: CorrectionContext, dim: int) -> MultiplicityVector:
     return lam
 
 
-def replace_summands(rho: UnitaryRep, target, table: IrrepTable, rng=None) -> UnitaryRep:
+def replace_summands(rho: UnitaryRep, target, table: IrrepTable) -> UnitaryRep:
     """Representation with the target multiplicities sharing rho's common part.
 
-    Keeps a rho-invariant subspace carrying the coordinatewise minimum of
-    the two multiplicity vectors (first components in decomposition order
-    within each isotypic block) and fills the orthogonal complement with
-    canonical blocks realizing the remainder of the target.
+    Keeps the rho-invariant subspace carrying the coordinatewise minimum of
+    the two multiplicity vectors (the first copies of the matrix-coefficient
+    basis of `isotypic_components` for each irreducible) and fills the
+    dropped copies with canonical blocks realizing the remainder of the
+    target.
     """
-    rng = as_generator(rng)
     target = np.asarray(target, dtype=int)
     lam = multiplicities(rho, table)
     if int(target @ table.dims) != rho.dim:
@@ -132,24 +132,13 @@ def replace_summands(rho: UnitaryRep, target, table: IrrepTable, rng=None) -> Un
     if np.array_equal(lam, target):
         return rho
     common = np.minimum(lam, target)
-    kept = []
-    if common.sum() > 0:
-        for k, have in enumerate(isotypic_components(rho, table, rng)):
-            if len(have) != lam[k]:
-                raise NumericalError(
-                    f"decomposition found {len(have)} components of irrep {k}, expected {lam[k]}")
-            kept.extend(c.basis for c in have[:int(common[k])])
-    q1 = np.hstack(kept) if kept else np.zeros((rho.dim, 0), dtype=complex)
-    q2 = complement(q1, rho.dim)
-    mats = np.zeros_like(rho.matrices)
-    if q1.shape[1] > 0:
-        mats += q1 @ compress(rho.matrices, q1) @ q1.conj().T
-    fresh = target - common
-    if fresh.sum() > 0:
-        sigma = rep_from_multiplicities(table, fresh)
-        if sigma.dim != q2.shape[1]:
-            raise NumericalError("complement dimension does not match the replacement block")
-        mats += q2 @ sigma.matrices @ q2.conj().T
+    mats = direct_sum(*[irrep for mults in (common, target - common)
+                        for irrep, m in zip(table.irreps, mults) for _ in range(m)]).matrices
+    if common.any():
+        kept, dropped = zip(*(np.hsplit(b, [c]) for b, c in
+                              zip(isotypic_components(rho, table), common * table.dims)))
+        q = np.hstack(kept + dropped)
+        mats = q @ mats @ q.conj().T
     return unitary_rep(rho.group, mats, check=True)
 
 
@@ -195,7 +184,7 @@ def correct_vertex(hom: GroupHom, tau: UnitaryRep, rho: UnitaryRep, target,
         warnings.warn(f"measured edge distance {measured:.3e} exceeds the hint {delta_hint:.3e}",
                       stacklevel=2)
 
-    rho_out = replace_summands(rho, target, table, rng)
+    rho_out = replace_summands(rho, target, table)
     if not trivial_edge:
         t = unitary_intertwiner(tau, pullback(hom, rho_out), p, table=table_sub, rng=rng)
         rho_out = conjugate_rep(rho_out, t.conj().T)
@@ -315,7 +304,7 @@ def stabilize(rho: AlmostRep, ctx: CorrectionContext, seed=0,
         root = ctx.gog.graph.tree.root
         at_root = (rho.vertex_reps[root], lam_out.blocks[root], ctx.vertex_tables[root])
         _warn_gap(*at_root, hint, ctx.p)
-        new_reps = _walk_tree(ctx, replace_summands(*at_root, rng), fit_child)
+        new_reps = _walk_tree(ctx, replace_summands(*at_root), fit_child)
 
     with _stage("edge_corrections", timings):
         edges = _stable_letters(ctx, new_reps, fit_edge)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from repstab import cli
 from repstab.cli import main
 from repstab.errors import ValidationError
 from repstab.sweep import CSV_HEADER, SweepConfig
@@ -164,7 +165,11 @@ def test_negative_seed_exit_2(capsys, tmp_path, monkeypatch, argv):
     ["stabilize", "--preset", "Z2_free_Z3", "--eps", "1e-3"],
     ["sweep", "--preset", "Z2_free_Z3", "--eps", "1e-2", "--p", "2", "--seeds", "1"],
 ])
-def test_write_failure_exit_2(capsys, tmp_path, argv):
+def test_write_failure_exit_2(capsys, tmp_path, monkeypatch, argv):
+    def no_sweep(config):
+        raise AssertionError("the sweep ran before its output path was checked")
+
+    monkeypatch.setattr(cli, "run_sweep", no_sweep)
     out = tmp_path / "missing" / "out"
     code, _, err = run_cli(capsys, *argv, "--out", str(out))
     assert code == 2

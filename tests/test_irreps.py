@@ -210,12 +210,26 @@ def test_trivial_index_has_the_unit_character(name):
 
 def test_isotypic_components_in_table_order(s3_table):
     rep = rs.rep_from_multiplicities(s3_table, [2, 0, 1])
-    groups = isotypic_components(rep, s3_table, np.random.default_rng(1))
-    assert [len(cs) for cs in groups] == [2, 0, 1]
-    for p, cs in zip(s3_table.irreps, groups):
-        for c in cs:
-            assert c.dim == p.dim
-            np.testing.assert_allclose(c.character, p.character, atol=1e-8)
+    bases = isotypic_components(rep, s3_table)
+    assert [b.shape for b in bases] == [(4, 2), (4, 0), (4, 2)]
+    for p, b in zip(s3_table.irreps, bases):
+        for j in range(b.shape[1] // p.dim):
+            copy = b[:, j * p.dim:(j + 1) * p.dim]
+            np.testing.assert_allclose(compress(rep.matrices, copy), p.matrices, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", group_preset_names())
+def test_isotypic_components_compress_to_the_table(name):
+    table = rs.irrep_table(group_preset(name), seed=0)
+    rng = np.random.default_rng(4)
+    mults = rng.integers(1, 4, size=len(table))
+    exact = rs.rep_from_multiplicities(table, mults)
+    rep = rs.conjugate_rep(exact, random_unitary(exact.dim, rng))
+    for p, m, b in zip(table.irreps, mults, isotypic_components(rep, table)):
+        assert b.shape == (rep.dim, m * p.dim)
+        assert np.abs(b.conj().T @ b - np.eye(b.shape[1])).max() <= 1e-12
+        blocks = np.stack([np.kron(np.eye(m), x) for x in p.matrices])
+        assert np.abs(compress(rep.matrices, b) - blocks).max() <= 1e-12
 
 
 def _zero_draws(monkeypatch, n_zero):

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 import repstab as rs
-from repstab.errors import GuardExceededError, IsomorphyError, ValidationError
+from repstab.errors import GuardExceededError, IsomorphyError, NumericalError, ValidationError
 from repstab.groups import trivial_embedding
 from repstab.irreps import pullback
+from repstab.presets import group_preset
 from repstab.rng import random_hermitian, random_unitary
 from repstab.stabilize import boundary_defect_bound, replace_summands
 
@@ -87,7 +88,18 @@ def test_replace_summands_identity_when_equal(s3_table):
     rng = np.random.default_rng(0)
     rho = random_rep(s3_table, 6, rng)
     target = rs.multiplicities(rho, s3_table)
-    assert replace_summands(rho, target, s3_table, rng) is rho
+    assert replace_summands(rho, target, s3_table) is rho
+
+
+def _check_swap(rho, target, table):
+    lam = rs.multiplicities(rho, table)
+    rho1 = replace_summands(rho, target, table)
+    assert rs.multiplicities(rho1, table).tolist() == target.tolist()
+    # the intermediate bound: changed dimension k gives distance <= 2*(k/n)^(1/p)
+    k = int(np.abs(lam - target) @ table.dims) // 2
+    for p in (1.0, 2.0):
+        d = rs.rep_distance(rho, rho1, p)
+        assert d <= 2 * (k / rho.dim) ** (1 / p) + 1e-9
 
 
 def test_replace_summands_postconditions(s3_table):
@@ -102,13 +114,32 @@ def test_replace_summands_postconditions(s3_table):
     else:
         target[1] -= 1
         target[0] += 1
-    rho1 = replace_summands(rho, target, s3_table, rng)
-    assert rs.multiplicities(rho1, s3_table).tolist() == target.tolist()
-    # the intermediate bound: changed dimension k gives distance <= 2*(k/n)^(1/p)
-    k = int(np.abs(lam - target) @ s3_table.dims) // 2
-    for p in (1.0, 2.0):
-        d = rs.rep_distance(rho, rho1, p)
-        assert d <= 2 * (k / rho.dim) ** (1 / p) + 1e-9
+    _check_swap(rho, target, s3_table)
+    # nonabelian swaps in a Haar-random basis: one copy of a 3-dimensional
+    # irreducible of S4, and of the 2-dimensional irreducible of D4, is
+    # traded for trivial summands
+    for name, mults, d in (("S4", [1, 1, 1, 2, 1], 3), ("D4", [1, 2, 1, 1, 2], 2)):
+        table = rs.irrep_table(group_preset(name), seed=0)
+        exact = rs.rep_from_multiplicities(table, mults)
+        rho = rs.conjugate_rep(exact, random_unitary(exact.dim, rng))
+        target = np.array(mults)
+        target[int(np.flatnonzero(table.dims == d)[0])] -= 1
+        target[table.trivial_index] += d
+        _check_swap(rho, target, table)
+
+
+def test_replace_summands_rejects_an_inexact_representation(s3_table):
+    # one matrix moved by 1e-7: the characters still round to multiplicities,
+    # but the copies are not invariant, so the swap fails instead of returning
+    rng = np.random.default_rng(6)
+    exact = rs.rep_from_multiplicities(s3_table, [2, 1, 2])
+    mats = rs.conjugate_rep(exact, random_unitary(exact.dim, rng)).matrices.copy()
+    h = random_hermitian(exact.dim, rng)
+    mats[1] += 1e-7 * h / np.abs(h).max()
+    rho = rs.unitary_rep(exact.group, mats, check=False)
+    assert rs.multiplicities(rho, s3_table).tolist() == [2, 1, 2]
+    with pytest.raises(NumericalError, match="not invariant"):
+        replace_summands(rho, np.array([3, 0, 2]), s3_table)
 
 
 def test_correct_vertex_nothing_to_do(z2, z2_table, s3, s3_table):
