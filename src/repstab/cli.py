@@ -23,7 +23,7 @@ from .irreps import irrep_table
 from .presets import (graph_preset, graph_preset_names, group_preset,
                       group_preset_names)
 from .rng import derived_generator
-from .serialize import (irrep_table_to_json, load_graph, load_json,
+from .serialize import (_overwrite, irrep_table_to_json, load_graph, load_json,
                         matrix_to_json, report_to_json, theta_to_json)
 from .stabilize import (DEFAULT_GUARD, CorrectionContext, realize, stabilize,
                         uniform_lambda)
@@ -40,11 +40,7 @@ OUTPUT_DEFECT_TOL = 1e-9
 def _write_json(obj, path) -> None:
     text = json.dumps(obj, indent=2)
     if path:
-        try:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            raise ValidationError(f"could not write {path}: {exc}") from exc
+        _overwrite(path, text + "\n")
     else:
         print(text)
 

@@ -8,6 +8,8 @@ multiplication table.
 from __future__ import annotations
 
 import json
+import os
+import stat
 from fractions import Fraction
 
 import numpy as np
@@ -81,6 +83,32 @@ def load_json(path):
         raise ValidationError(f"could not parse {path}: {exc}") from exc
     except OSError as exc:
         raise ValidationError(f"could not read {path}: {exc}") from exc
+
+
+def _overwrite(path, text: str) -> None:
+    """Write `text` as UTF-8 over the file at `path`, in place.
+
+    The file keeps its inode, so a symlink is followed and links and mode
+    survive. A regular file is cut to the new length after the write; other
+    files (/dev/null, a pipe) are only written. The file is never truncated
+    to zero first: ext4 flushes a file that was truncated to zero and
+    rewritten when it is closed, which costs tens of milliseconds per
+    rewrite. An interrupted write leaves a damaged file, as `open(path, "w")`
+    does. ValidationError if the file cannot be written.
+    """
+    data = memoryview(text.encode("utf-8"))
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            written = 0
+            while written < len(data):
+                written += os.write(fd, data[written:])
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, written)
+        finally:
+            os.close(fd)
+    except OSError as exc:
+        raise ValidationError(f"could not write {path}: {exc}") from exc
 
 
 def load_graph(path) -> GraphOfGroups:

@@ -10,6 +10,7 @@ sweep.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import time
 from dataclasses import dataclass, replace
@@ -18,6 +19,7 @@ from .errors import RepStabError, ValidationError
 from .graphs import PERTURB_EDGES, PERTURB_FULL, perturb
 from .rng import derived_generator
 from .schatten import _check_exponent
+from .serialize import _overwrite
 from .stabilize import (DEFAULT_GUARD, CorrectionContext, realize, stabilize,
                         uniform_lambda)
 
@@ -116,15 +118,20 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
 
 
 def write_csv(rows, path) -> None:
-    """One CSV line per row under CSV_HEADER; ValidationError if the file cannot be written."""
-    try:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(CSV_HEADER)
-            for row in rows:
-                writer.writerow([row.preset, row.seed, _fmt(row.p), row.dim,
-                                 _fmt(row.epsilon_in), _fmt(row.delta),
-                                 _fmt(row.epsilon_out), _fmt(row.cone_gap),
-                                 _fmt(row.runtime_ms), row.error])
-    except OSError as exc:
-        raise ValidationError(f"could not write {path}: {exc}") from exc
+    """One CSV line per row under CSV_HEADER; ValidationError if the file cannot be written.
+
+    An existing file is rewritten in place: the same inode, a symlink
+    followed, then truncated to the new length. Truncating a file to zero
+    and rewriting it makes ext4 flush it on close, which took 25-67 ms per
+    rewrite against 0.5 ms per sweep cell. An interrupted write leaves a
+    damaged file, as a fresh `open(path, "w")` would.
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_HEADER)
+    for row in rows:
+        writer.writerow([row.preset, row.seed, _fmt(row.p), row.dim,
+                         _fmt(row.epsilon_in), _fmt(row.delta),
+                         _fmt(row.epsilon_out), _fmt(row.cone_gap),
+                         _fmt(row.runtime_ms), row.error])
+    _overwrite(path, buf.getvalue())

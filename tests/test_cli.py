@@ -299,3 +299,17 @@ def test_dump_matrices_flag(capsys):
     assert "vertex_matrices" in obj and "edge_matrices" in obj
     val = obj["edge_matrices"][0][0][0]
     assert isinstance(val, list) and len(val) == 2
+
+
+def test_stabilize_out_rewrite_leaves_only_the_second_report(capsys, tmp_path):
+    args = ("stabilize", "--preset", "hnn_Z4_over_Z2", "--dim", "4", "--eps", "1e-3")
+    out_path = tmp_path / "r.json"
+    assert run_cli(capsys, *args, "--dump-matrices", "--out", str(out_path))[0] == 0
+    long_size = out_path.stat().st_size
+    assert run_cli(capsys, *args, "--out", str(out_path))[0] == 0
+    code, stdout, _ = run_cli(capsys, *args)
+    assert code == 0
+    written, expected = json.loads(out_path.read_text()), json.loads(stdout)
+    assert out_path.stat().st_size < long_size
+    written.pop("timings_ms"), expected.pop("timings_ms")
+    assert written == expected
