@@ -21,7 +21,7 @@ for name in rs.graph_preset_names():
 # realize an exact representation of the HNN extension and read its defect
 ctx = rs.CorrectionContext.build(rs.graph_preset("hnn_Z4_over_Z2"), p=2.0, seed=0)
 lam = rs.uniform_lambda(ctx, 8)
-rho = rs.realize(lam, ctx, seed=0)
+rho = rs.realize(lam, ctx)
 print(f"\nhnn_Z4_over_Z2 at dim 8: multiplicities {lam.blocks}, "
       f"defect {rs.measure_defect(rho, ctx.gog, 2.0):.2e}")
 

@@ -16,7 +16,7 @@ from repstab.serialize import report_to_json
 
 ctx = rs.CorrectionContext.build(rs.graph_preset("Z2_free_Z3"), p=2.0, seed=0)
 lam = rs.uniform_lambda(ctx, 12)
-base = rs.realize(lam, ctx, seed=0)
+base = rs.realize(lam, ctx)
 print(f"base: dim 12 on Z2 * Z3, defect {rs.measure_defect(base, ctx.gog, 2.0):.1e}")
 
 print("\ndefect in -> distance out, median over 10 seeds:")
@@ -25,7 +25,7 @@ for eps in (1e-1, 1e-2, 1e-3, 1e-4):
     for seed in range(10):
         rng = np.random.default_rng(seed)
         inst = rs.perturb(base, ctx.gog, eps, rng=rng)
-        _, report = rs.stabilize(inst, ctx, seed=rng)
+        _, report = rs.stabilize(inst, ctx)
         assert report.output_defect <= 1e-9
         deltas.append(report.delta)
         epsilons.append(report.epsilon)
@@ -46,6 +46,6 @@ skewed = rs.almost_rep(gog, [r0, r1], [np.eye(10)])
 import warnings
 with warnings.catch_warnings():
     warnings.simplefilter("ignore")
-    corrected, report = rs.stabilize(skewed, ctx2, seed=1, guard=1.0)
+    corrected, report = rs.stabilize(skewed, ctx2, guard=1.0)
 print("\nimbalanced instance report:")
 print(json.dumps(report_to_json(report), indent=2))

@@ -126,7 +126,7 @@ def cmd_realize(args) -> int:
     gog = _resolve_graph(args)
     ctx = CorrectionContext.build(gog, p=args.p, seed=args.seed)
     lam = _resolve_lambda(args, ctx)
-    rho = realize(lam, ctx, seed=derived_generator(args.seed, 2))
+    rho = realize(lam, ctx)
     report = _instance_report(gog, ctx, rho, args, extra={"lambda": theta_to_json(lam)})
     _write_json(report, args.out)
     return EXIT_OK
@@ -137,7 +137,7 @@ def cmd_perturb(args) -> int:
     ctx = CorrectionContext.build(gog, p=args.p, seed=args.seed)
     lam = _resolve_lambda(args, ctx)
     rng = derived_generator(args.seed, 2)
-    rho = perturb(realize(lam, ctx, seed=rng), gog, args.eps, mode=args.mode, rng=rng)
+    rho = perturb(realize(lam, ctx), gog, args.eps, mode=args.mode, rng=rng)
     report = _instance_report(gog, ctx, rho, args,
                               extra={"epsilon_in": args.eps, "mode": args.mode})
     _write_json(report, args.out)
@@ -149,9 +149,9 @@ def cmd_stabilize(args) -> int:
     ctx = CorrectionContext.build(gog, p=args.p, seed=args.seed)
     lam = _resolve_lambda(args, ctx)
     rng = derived_generator(args.seed, 2)
-    base = realize(lam, ctx, seed=rng)
+    base = realize(lam, ctx)
     inst = perturb(base, gog, args.eps, mode=args.mode, rng=rng) if args.eps != 0 else base
-    corrected, report = stabilize(inst, ctx, seed=rng, guard=args.guard)
+    corrected, report = stabilize(inst, ctx, guard=args.guard)
     obj = report_to_json(report)
     obj["graph"] = gog.name or "custom"
     if args.dump_matrices:

@@ -7,12 +7,12 @@ from the identity; when the representations are isomorphic the intertwiner
 extends to a unitary within 5*delta of the identity. The constructions here
 are fully explicit: a group average provides an exact intertwiner, singular
 value thresholding extracts the near-isometric part, and the unitary
-intertwiner is the polar factor of the group average, completed on its null
-space by the polar factor of a random seed's group average. When the
-average is certified near-unitary its polar factor is iterated without a
-decomposition. Over the trivial group every unitary intertwines and the
-unitary intertwiner is the exact identity, built without an average or a
-decomposition. The unitary intertwiner warns about far inputs only when it
+intertwiner is the polar factor of the group average: iterated without a
+decomposition when the average is certified near-unitary, and read off the
+isotypic frames of both representations when it is singular. Nothing here
+draws a random number. Over the trivial group every unitary intertwines and
+the unitary intertwiner is the exact identity, built without an average or
+a decomposition. The unitary intertwiner warns about far inputs only when it
 is given a Schatten exponent.
 """
 
@@ -24,15 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IsomorphyError, NumericalError, ValidationError
-from .irreps import (INVARIANCE_ATOL, UNITARY_ATOL, IrrepTable, UnitaryRep, complement,
-                     compress, direct_sum, multiplicities)
-from .rng import as_generator, complex_gaussian
-from .schatten import (_check_exponent, _distance_or_bound, _newton_polar, nearest_unitary,
-                       rep_distance, schatten_norm_normalized, singular_values,
-                       threshold_partial_isometry)
+from .irreps import (INVARIANCE_ATOL, UNITARY_ATOL, IrrepTable, UnitaryRep, direct_sum,
+                     isotypic_components, multiplicities)
+from .schatten import (_check_exponent, _distance_or_bound, _newton_polar, _svd, rep_distance,
+                       schatten_norm_normalized, singular_values, threshold_partial_isometry)
 
 DEFAULT_THRESHOLD = 0.5   # singular value cutoff for the kept subspaces of invariant_intertwiner
-POLAR_RANK_ATOL = 1e-6    # singular value of the group average below which it counts as zero
+POLAR_RANK_ATOL = 1e-6    # smallest singular value of a group average polarized by its own SVD
 INTERTWINE_ATOL = 1e-8    # max |rho2(x) T - T rho1(x)| of an assembled unitary intertwiner
 FAR_DISTANCE = 0.25       # input distance from which the intertwiners warn
 
@@ -73,17 +71,14 @@ def _warn_far(delta: float, stacklevel: int):
                       "the kept subspaces may be small", stacklevel=stacklevel + 1)
 
 
-def _kept_isometry(rho1: UnitaryRep, rho2: UnitaryRep, threshold: float,
-                   t0: np.ndarray | None = None):
+def _kept_isometry(rho1: UnitaryRep, rho2: UnitaryRep, threshold: float):
     """Thresholded group average (T, right, left), with invariance verified.
 
-    `t0` is the group average when the caller has it already. A side whose
-    kept basis is empty or spans the whole space is invariant by
-    construction (its projector is 0 or I to rounding), so only proper kept
-    subspaces are checked.
+    A side whose kept basis is empty or spans the whole space is invariant
+    by construction (its projector is 0 or I to rounding), so only proper
+    kept subspaces are checked.
     """
-    if t0 is None:
-        t0 = averaged_intertwiner(rho1, rho2)
+    t0 = averaged_intertwiner(rho1, rho2)
     t, right, left = threshold_partial_isometry(t0, threshold)
     for rep, basis, side in ((rho1, right, "source"), (rho2, left, "target")):
         if basis.shape[1] in (0, rep.dim):
@@ -116,27 +111,47 @@ def invariant_intertwiner(rho1: UnitaryRep, rho2: UnitaryRep, p: float) -> Inter
                              pair_distance=delta, identity_distance=dev)
 
 
+def _isotypic_polar(rho1: UnitaryRep, rho2: UnitaryRep, table: IrrepTable) -> np.ndarray:
+    """Polar factor T of the group average E of isomorphic inputs, at any rank of E.
+
+    In the copy-major bases B1_k, B2_k of `isotypic_components` both inputs
+    act by I kron pi_k, so Schur's lemma (Serre, Linear Representations of
+    Finite Groups, 2.7) gives B2_k^H E B1_k = M_k kron I, with the m_k x m_k
+    block M_k = tr_alpha(B2_k^H B1_k) / d_k. From the SVD M_k = U_k S_k V_k^H,
+    T = sum_k B2_k (U_k V_k^H kron I) B1_k^H is unitary, intertwines, and
+    makes T^H E positive semidefinite.
+    """
+    t = np.zeros((rho1.dim, rho1.dim), dtype=complex)
+    for b1, b2, d in zip(isotypic_components(rho1, table), isotypic_components(rho2, table),
+                         table.dims):
+        m = b1.shape[1] // d
+        if m:
+            overlap = (b2.conj().T @ b1).reshape(m, d, m, d)
+            u, _, vh = _svd(np.trace(overlap, axis1=1, axis2=3) / d, compute_uv=True)
+            t += b2 @ np.kron(u @ vh, np.eye(d)) @ b1.conj().T
+    return t
+
+
 def unitary_intertwiner(rho1: UnitaryRep, rho2: UnitaryRep, p: float | None = None, *,
-                        table: IrrepTable, rng=None) -> np.ndarray:
+                        table: IrrepTable) -> np.ndarray:
     """Unitary T with rho2(x) T = T rho1(x), close to I for close inputs.
 
     Requires isomorphic inputs (verified through their multiplicity
-    vectors). T is the polar factor of the group average E of rho2(g)
+    vectors). T is a polar factor of the group average E of rho2(g)
     rho1(g)^{-1}: at p = 2 the closest unitary intertwiner to the identity,
     and within 3x of the closest at every p. When ||I - E^H E||_F is at
     most NEWTON_POLAR_RESIDUAL, the polar factor is iterated without an
-    SVD; otherwise it comes from the SVD of the same E. When E is singular
-    (singular values below POLAR_RANK_ATOL), the kernels of E and E^*, which
-    carry isomorphic subrepresentations, are matched by the polar factor of
-    the group average of one complex Gaussian seed drawn from `rng`; `rng`
-    is untouched otherwise. On the trivial group T is the exact identity,
-    with no average and no SVD. The result conjugates rho1 onto rho2 exactly
-    and is verified to INTERTWINE_ATOL. Given a Schatten exponent `p`, a
-    pair at distance FAR_DISTANCE or more warns; without it no distance is
-    measured.
+    SVD; otherwise it is u @ vh from the SVD of E if its smallest singular
+    value is at least POLAR_RANK_ATOL. Below that cut E may be singular,
+    with kernels that carry isomorphic subrepresentations, and the polar
+    factor is read off the isotypic frames of both inputs instead
+    (`_isotypic_polar`). No random number is drawn. On the trivial group T
+    is the exact identity, with no average and no SVD. The result conjugates
+    rho1 onto rho2 exactly and is verified to INTERTWINE_ATOL. Given a
+    Schatten exponent `p`, a pair at distance FAR_DISTANCE or more warns;
+    without it no distance is measured.
     """
     p = None if p is None else _check_exponent(p)
-    rng = as_generator(rng)
     m1 = multiplicities(rho1, table)
     m2 = multiplicities(rho2, table)
     if not np.array_equal(m1, m2):
@@ -154,15 +169,8 @@ def unitary_intertwiner(rho1: UnitaryRep, rho2: UnitaryRep, p: float | None = No
         average = averaged_intertwiner(rho1, rho2)
         t_full = _newton_polar(average)
         if t_full is None:
-            t_full, right, left = _kept_isometry(rho1, rho2, POLAR_RANK_ATOL, average)
-            k = dim - right.shape[1]
-            if k:
-                comp1, comp2 = complement(right, dim), complement(left, dim)
-                rest1, rest2 = compress(rho1.matrices, comp1), compress(rho2.matrices, comp2)
-                x = complex_gaussian(k, rng)
-                seed_avg = ((rest2 @ x @ rest1.conj().transpose(0, 2, 1)).sum(axis=0)
-                            / rho1.group.order)
-                t_full += comp2 @ nearest_unitary(seed_avg) @ comp1.conj().T
+            u, sv, vh = _svd(average, compute_uv=True)
+            t_full = u @ vh if sv[-1] >= POLAR_RANK_ATOL else _isotypic_polar(rho1, rho2, table)
 
     uerr = np.abs(t_full @ t_full.conj().T - np.eye(dim)).max()
     if uerr > UNITARY_ATOL:

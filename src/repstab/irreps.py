@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .errors import MultiplicityError, NumericalError, ValidationError
 from .groups import FiniteGroup, GroupHom
@@ -129,15 +128,6 @@ def compress(mats: np.ndarray, basis: np.ndarray) -> np.ndarray:
     representation in the coordinates of the orthonormal columns of `basis`.
     """
     return basis.conj().T @ mats @ basis
-
-
-def complement(basis: np.ndarray, dim: int) -> np.ndarray:
-    """Orthonormal columns spanning the orthogonal complement of span(basis)."""
-    if basis.shape[1] == 0:
-        return np.eye(dim, dtype=complex)
-    if basis.shape[1] == dim:
-        return np.zeros((dim, 0), dtype=complex)
-    return scipy.linalg.null_space(basis.conj().T)
 
 
 def commutant_average(mats: np.ndarray, h: np.ndarray) -> np.ndarray:

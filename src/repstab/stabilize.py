@@ -35,7 +35,7 @@ from .irreps import (IrrepTable, UnitaryRep, conjugate_rep, direct_sum, irrep_ta
                      isotypic_components, multiplicities, pullback,
                      rep_from_multiplicities, restriction_matrix, unitary_rep)
 from .intertwiners import INTERTWINE_ATOL, unitary_intertwiner
-from .rng import as_generator, derived_generator
+from .rng import derived_generator
 from .schatten import _check_exponent, _distance_or_bound
 
 DEFAULT_GUARD = 0.2
@@ -153,7 +153,7 @@ def _warn_gap(rho: UnitaryRep, target, table: IrrepTable, allowance: float, p: f
 
 def correct_vertex(hom: GroupHom, tau: UnitaryRep, rho: UnitaryRep, target,
                    table_sub: IrrepTable, table: IrrepTable, p: float,
-                   rng=None, delta_hint: float | None = None) -> UnitaryRep:
+                   delta_hint: float | None = None) -> UnitaryRep:
     """Correct one vertex representation against an edge constraint.
 
     Returns a representation with the target multiplicities whose pullback
@@ -166,7 +166,6 @@ def correct_vertex(hom: GroupHom, tau: UnitaryRep, rho: UnitaryRep, target,
     bounded first, by `schatten._distance_or_bound`. The distance moved is of
     the order of max(d(pullback(rho), tau), replaced fraction^(1/p)).
     """
-    rng = as_generator(rng)
     target = np.asarray(target, dtype=int)
     tau_mults = multiplicities(tau, table_sub)
     restricted = restriction_matrix(hom, table_sub, table) @ target
@@ -186,7 +185,7 @@ def correct_vertex(hom: GroupHom, tau: UnitaryRep, rho: UnitaryRep, target,
 
     rho_out = replace_summands(rho, target, table)
     if not trivial_edge:
-        t = unitary_intertwiner(tau, pullback(hom, rho_out), p, table=table_sub, rng=rng)
+        t = unitary_intertwiner(tau, pullback(hom, rho_out), p, table=table_sub)
         rho_out = conjugate_rep(rho_out, t.conj().T)
     err = np.abs(pullback(hom, rho_out).matrices - tau.matrices).max()
     if err > INTERTWINE_ATOL:
@@ -238,18 +237,18 @@ def realize(lam: MultiplicityVector, ctx: CorrectionContext, seed=0) -> AlmostRe
     that the two edge-group restrictions across the tree edge agree exactly.
     Tree stable letters are the identity; the remaining stable letters are
     unitary intertwiners between the two restrictions across their edge.
+    No random number is drawn: `seed` has no effect on the output.
     """
     if ctx.boundary.kernel_norm(lam) <= 0:
         raise ValidationError("kernel cone vector must have positive norm")
-    rng = as_generator(seed)
 
     def fit_child(child, into_child, tau, edge_table):
         fresh = rep_from_multiplicities(ctx.vertex_tables[child], lam.blocks[child])
-        s = unitary_intertwiner(pullback(into_child, fresh), tau, table=edge_table, rng=rng)
+        s = unitary_intertwiner(pullback(into_child, fresh), tau, table=edge_table)
         return conjugate_rep(fresh, s)
 
     def fit_edge(k, origin, terminus):
-        return unitary_intertwiner(origin, terminus, table=ctx.edge_tables[k], rng=rng)
+        return unitary_intertwiner(origin, terminus, table=ctx.edge_tables[k])
 
     root = ctx.gog.graph.tree.root
     reps = _walk_tree(ctx, rep_from_multiplicities(ctx.vertex_tables[root], lam.blocks[root]),
@@ -263,11 +262,11 @@ def stabilize(rho: AlmostRep, ctx: CorrectionContext, seed=0,
 
     Refuses when the measured defect reaches `guard` (the correction bounds
     are vacuous for large defects; raise the guard to experiment anyway).
-    A NaN guard, which no defect reaches, is rejected.
+    A NaN guard, which no defect reaches, is rejected. No random number is
+    drawn: `seed` has no effect on the output.
     """
     if np.isnan(guard):
         raise ValidationError("guard must not be NaN")
-    rng = as_generator(seed)
     dim = rho.dim
     timings: dict[str, float] = {}
 
@@ -291,13 +290,12 @@ def stabilize(rho: AlmostRep, ctx: CorrectionContext, seed=0,
 
     def fit_child(child, into_child, tau, edge_table):
         return correct_vertex(into_child, tau, rho.vertex_reps[child], lam_out.blocks[child],
-                              edge_table, ctx.vertex_tables[child], ctx.p,
-                              rng=rng, delta_hint=hint)
+                              edge_table, ctx.vertex_tables[child], ctx.p, delta_hint=hint)
 
     def fit_edge(k, origin, terminus):
         s = rho.edge_unitaries[k]
         t = unitary_intertwiner(conjugate_rep(origin, s), terminus, ctx.p,
-                                table=ctx.edge_tables[k], rng=rng)
+                                table=ctx.edge_tables[k])
         return t @ s
 
     with _stage("vertex_corrections", timings):

@@ -99,10 +99,10 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
                 for si in range(config.seeds_per_cell):
                     rng = derived_generator(config.master_seed, pi, ei, qi, si)
                     try:
-                        base = realize(lam, ctx, seed=rng)
+                        base = realize(lam, ctx)
                         inst = perturb(base, ctx.gog, eps, mode=config.mode, rng=rng)
                         tic = time.perf_counter()
-                        _, report = stabilize(inst, ctx, seed=rng, guard=config.guard)
+                        _, report = stabilize(inst, ctx, guard=config.guard)
                         runtime = (time.perf_counter() - tic) * 1e3
                         rows.append(SweepRow(preset=name, seed=si, p=p, dim=report.dim,
                                              epsilon_in=eps, delta=report.delta,

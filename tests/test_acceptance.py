@@ -125,7 +125,7 @@ def test_criterion_3_intertwiner_bounds():
         res = rs.invariant_intertwiner(rho1, rho2, p)
         assert res.kept_dim >= (1 - (2 * delta) ** p) * dim
         assert res.identity_distance <= 3 * delta + 1e-12
-        tprime = rs.unitary_intertwiner(rho1, rho2, p, table=table, rng=rng)
+        tprime = rs.unitary_intertwiner(rho1, rho2, p, table=table)
         dev = rs.schatten_norm_normalized(tprime - np.eye(dim), p)
         assert dev <= 5 * delta + 1e-12
         err = np.abs(np.matmul(rho2.matrices, tprime)

@@ -1,7 +1,9 @@
+import sys
 import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import repstab as rs
 from repstab.errors import IsomorphyError
@@ -104,7 +106,7 @@ def test_threshold_knob_changes_kept_subspace(z2_table):
 
 def test_unitary_intertwiner_equal_inputs(s3_table):
     rho = random_rep(s3_table, 6, np.random.default_rng(5))
-    t = rs.unitary_intertwiner(rho, rho, 2.0, table=s3_table, rng=np.random.default_rng(0))
+    t = rs.unitary_intertwiner(rho, rho, 2.0, table=s3_table)
     np.testing.assert_allclose(t, np.eye(6), atol=1e-10)
 
 
@@ -112,7 +114,7 @@ def test_unitary_intertwiner_diag_phase_case(z2, z2_table):
     rho1 = rs.rep_from_multiplicities(z2_table, [1, 1])
     u = np.diag([np.exp(0.3j), np.exp(-0.2j)])
     rho2 = rs.conjugate_rep(rho1, u)
-    t = rs.unitary_intertwiner(rho1, rho2, 2.0, table=z2_table, rng=np.random.default_rng(0))
+    t = rs.unitary_intertwiner(rho1, rho2, 2.0, table=z2_table)
     err = np.abs(np.matmul(rho2.matrices, t) - np.matmul(t, rho1.matrices)).max()
     assert err < 1e-8
     assert np.abs(t @ t.conj().T - np.eye(2)).max() < 1e-10
@@ -124,7 +126,7 @@ def test_unitary_intertwiner_bound_over_eps(z4, eps):
     rng = np.random.default_rng(int(1 / eps))
     for p in (1.0, 2.0, 4.0):
         rho1, rho2, delta = _phase_conjugated_pair(table, 8, eps, rng, p)
-        t = rs.unitary_intertwiner(rho1, rho2, p, table=table, rng=rng)
+        t = rs.unitary_intertwiner(rho1, rho2, p, table=table)
         dev = rs.schatten_norm_normalized(t - np.eye(8), p)
         assert dev <= 5 * delta + 1e-12
         err = np.abs(np.matmul(rho2.matrices, t) - np.matmul(t, rho1.matrices)).max()
@@ -138,7 +140,7 @@ def test_unitary_intertwiner_far_isomorphic_pair(s3_table):
     rho1 = random_rep(s3_table, 6, rng)
     rho2 = rs.conjugate_rep(rho1, random_unitary(6, rng))
     with pytest.warns(UserWarning):
-        t = rs.unitary_intertwiner(rho1, rho2, 2.0, table=s3_table, rng=rng)
+        t = rs.unitary_intertwiner(rho1, rho2, 2.0, table=s3_table)
     err = np.abs(np.matmul(rho2.matrices, t) - np.matmul(t, rho1.matrices)).max()
     assert err < 1e-8
 
@@ -213,7 +215,7 @@ def test_unitary_intertwiner_computes_no_identity_distance(monkeypatch, z3_table
     rho1, rho2, _ = _phase_conjugated_pair(z3_table, 6, 1e-2, rng, 2.0)
     norms = _count_calls(monkeypatch, intertwiners, "schatten_norm_normalized")
     distances = _count_calls(monkeypatch, intertwiners, "rep_distance")
-    rs.unitary_intertwiner(rho1, rho2, 2.0, table=z3_table, rng=rng)
+    rs.unitary_intertwiner(rho1, rho2, 2.0, table=z3_table)
     assert norms == []
     assert distances == []   # the pair is too close for the far warning to measure it
     # the partial-isometry lemma still reports both distances
@@ -243,13 +245,59 @@ def test_unitary_intertwiner_on_singular_averages(z2_table, s3_table):
         rho2 = rs.conjugate_rep(rho1, u)
         sv = np.linalg.svd(averaged_intertwiner(rho1, rho2), compute_uv=False)
         np.testing.assert_allclose(sv, expected_sv, atol=1e-14)
-        runs = [rs.unitary_intertwiner(rho1, rho2, table=table,
-                                       rng=np.random.default_rng(seed))
-                for seed in (7, 7, 8)]
+        runs = [rs.unitary_intertwiner(rho1, rho2, table=table) for _ in range(3)]
         for t in runs:
             assert np.abs(t @ t.conj().T - np.eye(rho1.dim)).max() < 1e-12
             assert np.abs(np.matmul(rho2.matrices, t) - np.matmul(t, rho1.matrices)).max() < 1e-12
-        assert np.array_equal(runs[0], runs[1])
+            assert np.array_equal(t, runs[0])
+
+
+def _forbid(monkeypatch, name):
+    """Make `name` raise in scipy.linalg and in every repstab module that binds it."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"{name} was called")
+
+    modules = [scipy.linalg, *(m for n, m in list(sys.modules.items())
+                               if n == "repstab" or n.startswith("repstab."))]
+    for module in modules:
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, forbidden)
+
+
+def test_singular_averages_are_completed_in_the_isotypic_frame(monkeypatch, z2_table, s3_table):
+    # the same cases in a Haar-random basis: T^H E is positive semidefinite,
+    # so T is a polar factor of E, and no null space or random seed is used
+    rng = np.random.default_rng(21)
+    cases = [(table, rs.conjugate_rep(rho1, w), w @ u @ w.conj().T)
+             for table, rho1, u, _ in _singular_average_cases(z2_table, s3_table)
+             for w in [random_unitary(rho1.dim, rng)]]
+    for name in ("null_space", "complex_gaussian"):
+        _forbid(monkeypatch, name)
+    for table, rho1, u in cases:
+        rho2 = rs.conjugate_rep(rho1, u)
+        t = rs.unitary_intertwiner(rho1, rho2, table=table)
+        h = t.conj().T @ averaged_intertwiner(rho1, rho2)
+        assert np.abs(h - h.conj().T).max() < 1e-12
+        assert np.linalg.eigvalsh((h + h.conj().T) / 2).min() > -1e-12
+        assert np.abs(np.matmul(rho2.matrices, t) - np.matmul(t, rho1.matrices)).max() < 1e-12
+
+
+@pytest.mark.parametrize("c", [5e-7, 2e-6])
+def test_average_on_either_side_of_the_rank_cut_takes_its_polar_factor(z2_table, c):
+    # trivial+trivial+sign against its rotation in the last two lines: the
+    # average has singular values 1, c, c, so its polar factor is unique; c
+    # lies below POLAR_RANK_ATOL (isotypic frame) or above it (SVD of E)
+    from repstab import intertwiners
+    s = np.sqrt(1.0 - c * c)
+    rot = np.eye(3)
+    rot[1:, 1:] = [[c, -s], [s, c]]
+    rho1 = rs.rep_from_multiplicities(z2_table, [2, 1])
+    rho2 = rs.conjugate_rep(rho1, rot)
+    u, sv, vh = np.linalg.svd(averaged_intertwiner(rho1, rho2))
+    np.testing.assert_allclose(sv, [1.0, c, c], rtol=1e-6)
+    t = rs.unitary_intertwiner(rho1, rho2, table=z2_table)
+    assert np.abs(t - u @ vh).max() < 1e-9
+    assert np.abs(t - intertwiners._isotypic_polar(rho1, rho2, z2_table)).max() < 1e-9
 
 
 def test_unitary_intertwiner_is_polar_factor_of_nonsingular_average(z2_table):
@@ -261,15 +309,16 @@ def test_unitary_intertwiner_is_polar_factor_of_nonsingular_average(z2_table):
     rho2 = rs.conjugate_rep(rho1, np.array([[c, -s], [s, c]]))
     t0 = averaged_intertwiner(rho1, rho2)
     np.testing.assert_allclose(np.linalg.svd(t0, compute_uv=False), [0.3, 0.3], atol=1e-12)
-    for seed in range(3):
-        t = rs.unitary_intertwiner(rho1, rho2, table=z2_table,
-                                   rng=np.random.default_rng(seed))
-        np.testing.assert_allclose(t, rs.nearest_unitary(t0), atol=1e-12)
+    t = rs.unitary_intertwiner(rho1, rho2, table=z2_table)
+    np.testing.assert_allclose(t, rs.nearest_unitary(t0), atol=1e-12)
 
 
+@pytest.mark.filterwarnings("ignore:measured distance .* is not below 1/4")
 def test_invariance_failure_reports_the_cut(monkeypatch, z2_table):
-    # a kept line that mixes the two trivial lines with the sign line is not
-    # invariant; the error names the singular values on both sides of the cut
+    # the average has singular values 1, 0.3, 0.3, so one line is kept at the
+    # default threshold; a kept line that mixes the two trivial lines with the
+    # sign line is not invariant, and the error names the singular values on
+    # both sides of the cut
     from repstab import intertwiners
     theta = np.arccos(0.3)
     c, s = np.cos(theta), np.sin(theta)
@@ -282,26 +331,26 @@ def test_invariance_failure_reports_the_cut(monkeypatch, z2_table):
                         lambda a, threshold: (line @ line.conj().T, line, line))
     with pytest.raises(rs.NumericalError,
                        match="smallest kept singular value 1, largest dropped 0.3$"):
-        rs.unitary_intertwiner(rho1, rho2, table=z2_table)
+        rs.invariant_intertwiner(rho1, rho2, 2.0)
 
 
 def test_unitary_intertwiner_on_the_trivial_group_is_the_identity(monkeypatch):
-    from repstab import intertwiners
     table = rs.irrep_table(rs.cyclic_group(1), seed=0)
     rng = np.random.default_rng(3)
     rho1, rho2 = random_rep(table, 24, rng), random_rep(table, 24, rng)
     # the polar factor of the average, as built for every nontrivial group
-    polar = intertwiners._kept_isometry(rho1, rho2, intertwiners.POLAR_RANK_ATOL)[0]
+    polar = rs.nearest_unitary(averaged_intertwiner(rho1, rho2))
     assert np.abs(polar - np.eye(24)).max() < 1e-14
 
     def failing_svd(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
 
     monkeypatch.setattr(np.linalg, "svd", failing_svd)
-    t = rs.unitary_intertwiner(rho1, rho2, 1.0, table=table, rng=rng)
+    t = rs.unitary_intertwiner(rho1, rho2, 1.0, table=table)
     assert np.array_equal(t, np.eye(24))
 
 
+@pytest.mark.filterwarnings("ignore:measured distance .* is not below 1/4")
 def test_invariance_check_skips_only_full_kept_subspaces(monkeypatch, z2_table):
     # with a zero tolerance any rounding fails the check: it is skipped where
     # the kept basis spans the whole space, and still runs on a proper one
@@ -309,17 +358,17 @@ def test_invariance_check_skips_only_full_kept_subspaces(monkeypatch, z2_table):
     monkeypatch.setattr(intertwiners, "INVARIANCE_ATOL", 0.0)
     rng = np.random.default_rng(5)
     rho1, rho2, _ = _phase_conjugated_pair(z2_table, 6, 1e-2, rng, 2.0)
-    rs.unitary_intertwiner(rho1, rho2, table=z2_table, rng=rng)
+    assert rs.invariant_intertwiner(rho1, rho2, 2.0).kept_dim == 6
 
     # trivial+trivial+sign with the last two lines swapped, in a random basis:
-    # the average has rank one
+    # the average has singular values 1, 0, 0, so one line is kept
     swap = np.eye(3)
     swap[1:, 1:] = [[0.0, 1.0], [1.0, 0.0]]
     v = random_unitary(3, rng)
     rho1 = rs.conjugate_rep(rs.rep_from_multiplicities(z2_table, [2, 1]), v)
     rho2 = rs.conjugate_rep(rho1, v @ swap @ v.conj().T)
     with pytest.raises(rs.NumericalError, match="subspace not invariant"):
-        rs.unitary_intertwiner(rho1, rho2, table=z2_table, rng=rng)
+        rs.invariant_intertwiner(rho1, rho2, 2.0)
 
 
 def _failing_svd(*args, **kwargs):
@@ -337,7 +386,7 @@ def test_certified_average_takes_the_newton_polar_factor(monkeypatch, name):
             rho1, rho2, _ = _phase_conjugated_pair(table, dim, eps, rng, 2.0)
             with monkeypatch.context() as m:
                 m.setattr(np.linalg, "svd", _failing_svd)
-                t = rs.unitary_intertwiner(rho1, rho2, 2.0, table=table, rng=rng)
+                t = rs.unitary_intertwiner(rho1, rho2, 2.0, table=table)
             polar = rs.nearest_unitary(averaged_intertwiner(rho1, rho2))
             assert np.abs(t - polar).max() <= 1e-13
             assert np.abs(np.matmul(rho2.matrices, t) - np.matmul(t, rho1.matrices)).max() < 1e-12
@@ -389,7 +438,7 @@ def test_unitary_intertwiner_validates_p(z3_table, p, far):
 def _far_warnings(rho1, rho2, p, table):
     with warnings.catch_warnings(record=True) as records:
         warnings.simplefilter("always")
-        rs.unitary_intertwiner(rho1, rho2, p, table=table, rng=np.random.default_rng(0))
+        rs.unitary_intertwiner(rho1, rho2, p, table=table)
     return [r for r in records if "not below 1/4" in str(r.message)]
 
 
@@ -431,7 +480,7 @@ def test_unitary_intertwiner_without_p_measures_and_warns_nothing(monkeypatch, s
                for module in (schatten, intertwiners)]
     with warnings.catch_warnings(record=True) as records:
         warnings.simplefilter("always")
-        t = rs.unitary_intertwiner(rho1, rho2, table=s3_table, rng=rng)
+        t = rs.unitary_intertwiner(rho1, rho2, table=s3_table)
     assert records == [] and counted == [[], []]
     assert np.abs(np.matmul(rho2.matrices, t) - np.matmul(t, rho1.matrices)).max() < 1e-8
 

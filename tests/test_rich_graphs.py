@@ -252,3 +252,26 @@ def test_epsilon_is_continuous_in_the_stable_letter(block, p):
         assert report.output_defect <= 1e-9
         epsilons.append(report.epsilon)
     assert max(epsilons) - min(epsilons) <= 1e-12
+
+
+@pytest.mark.parametrize("name, blocks", [
+    ("twisted_hnn", ((3, 1, 1, 3),)),
+    ("z4_chain", ((3, 1, 2, 2), (5, 1, 2, 0), (3, 2, 1, 2))),
+])
+def test_realize_does_not_depend_on_the_seed(monkeypatch, request, name, blocks):
+    # both vectors give an intertwiner whose group average is singular, so the
+    # isotypic frame completes it; no random number is drawn
+    from repstab import intertwiners
+    completed = []
+    frame = intertwiners._isotypic_polar
+    monkeypatch.setattr(intertwiners, "_isotypic_polar",
+                        lambda *args: completed.append(1) or frame(*args))
+    ctx = rs.CorrectionContext.build(request.getfixturevalue(name), p=2.0, seed=0)
+    lam = rs.MultiplicityVector("vertex", blocks)
+    first, second = (rs.realize(lam, ctx, seed=seed) for seed in (0, 1))
+    assert completed
+    for a, b in zip(first.vertex_reps, second.vertex_reps):
+        assert np.array_equal(a.matrices, b.matrices)
+    for a, b in zip(first.edge_unitaries, second.edge_unitaries):
+        assert np.array_equal(a, b)
+    assert rs.measure_defect(first, ctx.gog, 2.0) < 1e-12

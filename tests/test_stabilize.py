@@ -148,7 +148,7 @@ def test_correct_vertex_nothing_to_do(z2, z2_table, s3, s3_table):
     hom = rs.group_hom(z2, s3, [0, 1], require_injective=True)
     tau = pullback(hom, rho)
     target = rs.multiplicities(rho, s3_table)
-    out = rs.correct_vertex(hom, tau, rho, target, z2_table, s3_table, 2.0, rng=rng)
+    out = rs.correct_vertex(hom, tau, rho, target, z2_table, s3_table, 2.0)
     assert rs.rep_distance(out, rho, 2.0) <= 1e-8
 
 
@@ -168,7 +168,7 @@ def test_correct_vertex_trivial_subgroup_resort(s3, s3_table):
     tau = rs.unitary_rep(z1, np.eye(9)[None])
     hom = trivial_embedding(s3, z1)
     with pytest.warns(UserWarning, match="multiplicity gap"):
-        out = rs.correct_vertex(hom, tau, rho, target, t1, s3_table, 2.0, rng=rng)
+        out = rs.correct_vertex(hom, tau, rho, target, t1, s3_table, 2.0)
     assert rs.multiplicities(out, s3_table).tolist() == target.tolist()
 
 
@@ -187,7 +187,7 @@ def test_correct_vertex_across_trivial_group_takes_no_svd(s3, s3_table, monkeypa
     monkeypatch.setattr(np.linalg, "svd", failing_svd)
     with pytest.warns(UserWarning, match="multiplicity gap"):
         out = rs.correct_vertex(trivial_embedding(s3, z1), tau, rho, target,
-                                rs.irrep_table(z1), s3_table, 1.0, rng=rng)
+                                rs.irrep_table(z1), s3_table, 1.0)
     assert rs.multiplicities(out, s3_table).tolist() == target.tolist()
 
 
@@ -209,7 +209,7 @@ def test_correct_vertex_near_exact_pair_at_p1_takes_no_svd(z2, z2_table, s3, s3_
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         out = rs.correct_vertex(hom, tau, rho, target, z2_table, s3_table, 1.0,
-                                rng=rng, delta_hint=0.1)
+                                delta_hint=0.1)
     assert np.abs(pullback(hom, out).matrices - tau.matrices).max() < 1e-8
 
 
@@ -229,7 +229,7 @@ def test_correct_vertex_swapped_multiplicity(z2, z2_table, s3, s3_table):
     tau = pullback(hom, rho)
     # tau is exact, so no measured distance covers the swapped summands
     with pytest.warns(UserWarning, match="multiplicity gap"):
-        out = rs.correct_vertex(hom, tau, rho, target, z2_table, s3_table, 2.0, rng=rng)
+        out = rs.correct_vertex(hom, tau, rho, target, z2_table, s3_table, 2.0)
     assert rs.multiplicities(out, s3_table).tolist() == target.tolist()
     err = np.abs(pullback(hom, out).matrices - tau.matrices).max()
     assert err < 1e-8
@@ -238,13 +238,11 @@ def test_correct_vertex_swapped_multiplicity(z2, z2_table, s3, s3_table):
 
 
 def test_correct_vertex_rejects_mismatched_constraint(z2, z2_table, s3, s3_table):
-    rng = np.random.default_rng(5)
     rho = rs.rep_from_multiplicities(s3_table, [2, 2, 1])
     hom = rs.group_hom(z2, s3, [0, 1], require_injective=True)
     tau = pullback(hom, rs.rep_from_multiplicities(s3_table, [4, 1, 1]))
     with pytest.raises(IsomorphyError):
-        rs.correct_vertex(hom, tau, rho, np.array([2, 2, 1]), z2_table, s3_table,
-                          2.0, rng=rng)
+        rs.correct_vertex(hom, tau, rho, np.array([2, 2, 1]), z2_table, s3_table, 2.0)
 
 
 def test_stabilize_exact_input_fixed_point(preset_contexts):
