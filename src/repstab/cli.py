@@ -17,7 +17,8 @@ import numpy as np
 from .cones import MultiplicityVector, as_integer
 from .errors import (GuardExceededError, NumericalError, RepStabError,
                      ValidationError)
-from .graphs import GraphOfGroups, measure_defect, perturb, rep_multiplicities
+from .graphs import (PERTURB_EDGES, PERTURB_FULL, GraphOfGroups, measure_defect, perturb,
+                     rep_multiplicities)
 from .groups import group_from_json
 from .irreps import irrep_table
 from .presets import (graph_preset, graph_preset_names, group_preset,
@@ -81,6 +82,10 @@ def _instance_report(gog, ctx, rho, args, extra=None) -> dict:
     }
     if extra:
         obj.update(extra)
+    return _with_matrices(obj, rho, args)
+
+
+def _with_matrices(obj: dict, rho, args) -> dict:
     if args.dump_matrices:
         obj["vertex_matrices"] = [[matrix_to_json(m) for m in rep.matrices]
                                   for rep in rho.vertex_reps]
@@ -154,11 +159,7 @@ def cmd_stabilize(args) -> int:
     corrected, report = stabilize(inst, ctx, guard=args.guard)
     obj = report_to_json(report)
     obj["graph"] = gog.name or "custom"
-    if args.dump_matrices:
-        obj["vertex_matrices"] = [[matrix_to_json(m) for m in rep.matrices]
-                                  for rep in corrected.vertex_reps]
-        obj["edge_matrices"] = [matrix_to_json(u) for u in corrected.edge_unitaries]
-    _write_json(obj, args.out)
+    _write_json(_with_matrices(obj, corrected, args), args.out)
     if report.output_defect > OUTPUT_DEFECT_TOL:
         print(f"output defect {report.output_defect:.3e} exceeds {OUTPUT_DEFECT_TOL}",
               file=sys.stderr)
@@ -198,8 +199,11 @@ def _add_graph_args(sub, with_eps: bool):
     sub.add_argument("--dump-matrices", action="store_true", help="include matrices in the output")
     if with_eps:
         sub.add_argument("--eps", type=float, default=0.0, help="perturbation size")
-        sub.add_argument("--mode", default="edges-only",
-                         choices=["edges-only", "edges-and-conjugate-vertices"])
+        _add_mode_arg(sub)
+
+
+def _add_mode_arg(sub):
+    sub.add_argument("--mode", default=PERTURB_EDGES, choices=[PERTURB_EDGES, PERTURB_FULL])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -233,8 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--p", type=float, action="append", help="Schatten exponent (repeatable)")
     sw.add_argument("--seeds", type=int, default=20, help="seeds per cell")
     sw.add_argument("--seed", type=int, default=0, help="master seed")
-    sw.add_argument("--mode", default="edges-only",
-                    choices=["edges-only", "edges-and-conjugate-vertices"])
+    _add_mode_arg(sw)
     sw.add_argument("--guard", type=float, default=DEFAULT_GUARD)
     sw.add_argument("--out", required=True, help="CSV output path")
     return parser

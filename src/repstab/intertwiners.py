@@ -111,7 +111,7 @@ def invariant_intertwiner(rho1: UnitaryRep, rho2: UnitaryRep, p: float) -> Inter
                              pair_distance=delta, identity_distance=dev)
 
 
-def _isotypic_polar(rho1: UnitaryRep, rho2: UnitaryRep, table: IrrepTable) -> np.ndarray:
+def _isotypic_polar(rho1: UnitaryRep, rho2: UnitaryRep, table: IrrepTable, mults) -> np.ndarray:
     """Polar factor T of the group average E of isomorphic inputs, at any rank of E.
 
     In the copy-major bases B1_k, B2_k of `isotypic_components` both inputs
@@ -119,11 +119,12 @@ def _isotypic_polar(rho1: UnitaryRep, rho2: UnitaryRep, table: IrrepTable) -> np
     Finite Groups, 2.7) gives B2_k^H E B1_k = M_k kron I, with the m_k x m_k
     block M_k = tr_alpha(B2_k^H B1_k) / d_k. From the SVD M_k = U_k S_k V_k^H,
     T = sum_k B2_k (U_k V_k^H kron I) B1_k^H is unitary, intertwines, and
-    makes T^H E positive semidefinite.
+    makes T^H E positive semidefinite. `mults` is the inputs' shared
+    multiplicity vector.
     """
     t = np.zeros((rho1.dim, rho1.dim), dtype=complex)
-    for b1, b2, d in zip(isotypic_components(rho1, table), isotypic_components(rho2, table),
-                         table.dims):
+    for b1, b2, d in zip(isotypic_components(rho1, table, mults),
+                         isotypic_components(rho2, table, mults), table.dims):
         m = b1.shape[1] // d
         if m:
             overlap = (b2.conj().T @ b1).reshape(m, d, m, d)
@@ -170,7 +171,7 @@ def unitary_intertwiner(rho1: UnitaryRep, rho2: UnitaryRep, p: float | None = No
         t_full = _newton_polar(average)
         if t_full is None:
             u, sv, vh = _svd(average, compute_uv=True)
-            t_full = u @ vh if sv[-1] >= POLAR_RANK_ATOL else _isotypic_polar(rho1, rho2, table)
+            t_full = u @ vh if sv[-1] >= POLAR_RANK_ATOL else _isotypic_polar(rho1, rho2, table, m1)
 
     uerr = np.abs(t_full @ t_full.conj().T - np.eye(dim)).max()
     if uerr > UNITARY_ATOL:

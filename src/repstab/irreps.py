@@ -234,7 +234,7 @@ def irreducible_components(rep: UnitaryRep, rng=None) -> list[Component]:
         f"eigenvalue clustering failed after {CLUSTER_RETRIES + 1} attempts: {last_err}")
 
 
-def isotypic_components(rep: UnitaryRep, table: IrrepTable) -> list[np.ndarray]:
+def isotypic_components(rep: UnitaryRep, table: IrrepTable, mults) -> list[np.ndarray]:
     """Orthonormal bases of the copies of each irreducible in rep, in table order.
 
     Basis k is (dim, m_k d_k): p_0 x_j, ..., p_{d-1} x_j for each vector x_j
@@ -242,9 +242,10 @@ def isotypic_components(rep: UnitaryRep, table: IrrepTable) -> list[np.ndarray]:
     p_a = (d/|G|) sum_g conj(pi_k(g)[a, 0]) rho(g) (Serre, Linear Representations
     of Finite Groups, 2.7, Prop. 8), so rep acts on copy j by `table.irreps[k]`.
     One `eigh` of sum_k (k + 1) p_0 labels each range by rounded eigenvalues; the
-    counts must equal `multiplicities`, each basis be invariant to INVARIANCE_ATOL.
+    counts must equal `mults`, the caller's `multiplicities(rep, table)`, and
+    each basis be invariant to INVARIANCE_ATOL.
     """
-    mults, mats, n = multiplicities(rep, table), rep.matrices, rep.dim
+    mats, n = rep.matrices, rep.dim
     coeffs = [np.tensordot(p.matrices[:, :, 0].conj() * (p.dim / len(mats)), mats, axes=(0, 0))
               for p in table.irreps]
     w, x = np.linalg.eigh(sum((k + 1) * c[0] for k, c in enumerate(coeffs)))

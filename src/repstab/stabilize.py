@@ -136,7 +136,7 @@ def replace_summands(rho: UnitaryRep, target, table: IrrepTable) -> UnitaryRep:
                         for irrep, m in zip(table.irreps, mults) for _ in range(m)]).matrices
     if common.any():
         kept, dropped = zip(*(np.hsplit(b, [c]) for b, c in
-                              zip(isotypic_components(rho, table), common * table.dims)))
+                              zip(isotypic_components(rho, table, lam), common * table.dims)))
         q = np.hstack(kept + dropped)
         mats = q @ mats @ q.conj().T
     return unitary_rep(rho.group, mats, check=True)

@@ -1,10 +1,11 @@
 """Seeded experiment sweeps over perturbation size, exponent, and seeds.
 
-Cells are independent pure computations keyed by (preset, eps, p, seed)
-indices; each derives its own random stream from the master seed, so the
-CSV output is byte-identical across reruns, except for the runtime column.
-Cells run in order. Failures are recorded per cell and do not stop the
-sweep.
+Cells are pure computations keyed by (preset, eps, p, seed) indices; each
+derives its own random stream from the master seed, so the CSV output is
+byte-identical across reruns, except for the runtime column. The cells of
+a preset share one base representation (`realize` draws no random number
+and reads no exponent), run in order, and record their failures per row
+without stopping the sweep.
 """
 
 from __future__ import annotations
@@ -13,18 +14,16 @@ import csv
 import io
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .errors import RepStabError, ValidationError
 from .graphs import PERTURB_EDGES, PERTURB_FULL, perturb
+from .presets import graph_preset, graph_preset_names
 from .rng import derived_generator
 from .schatten import _check_exponent
 from .serialize import _overwrite
 from .stabilize import (DEFAULT_GUARD, CorrectionContext, realize, stabilize,
                         uniform_lambda)
-
-CSV_HEADER = ("preset", "seed", "p", "dim", "epsilon_in", "delta",
-              "epsilon_out", "cone_gap", "runtime_ms", "error")
 
 DEFAULT_EPS_GRID = (1e-1, 1e-2, 1e-3, 1e-4)
 DEFAULT_P_GRID = (1.0, 2.0, 4.0)
@@ -46,6 +45,10 @@ class SweepConfig:
     def __post_init__(self):
         if not self.presets or not self.eps_grid or not self.p_grid:
             raise ValidationError("sweep grids must be nonempty")
+        unknown = [name for name in self.presets if name not in graph_preset_names()]
+        if unknown:
+            raise ValidationError(f"unknown graph preset {unknown[0]!r}; "
+                                  f"available: {', '.join(graph_preset_names())}")
         if not all(0 <= e < math.inf for e in self.eps_grid):
             raise ValidationError("perturbation sizes must be finite and nonnegative")
         if math.isnan(self.guard):
@@ -65,11 +68,14 @@ class SweepRow:
     p: float
     dim: int
     epsilon_in: float
-    delta: float | None
-    epsilon_out: float | None
-    cone_gap: float | None
-    runtime_ms: float | None
+    delta: float | None = None
+    epsilon_out: float | None = None
+    cone_gap: float | None = None
+    runtime_ms: float | None = None
     error: str = ""
+
+
+CSV_HEADER = tuple(f.name for f in fields(SweepRow))
 
 
 def _fmt(x) -> str:
@@ -81,11 +87,7 @@ def _fmt(x) -> str:
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRow]:
-    """Execute every cell of the grid; one row per (preset, eps, p, seed).
-
-    Preset names are resolved through the preset registry.
-    """
-    from .presets import graph_preset
+    """Execute every cell of the grid; one row per (preset, eps, p, seed)."""
     rows = []
     for pi, name in enumerate(config.presets):
         # the tables and the boundary map are seeded by master_seed alone, so
@@ -93,27 +95,25 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
         base_ctx = CorrectionContext.build(graph_preset(name), p=config.p_grid[0],
                                            seed=config.master_seed)
         lam = uniform_lambda(base_ctx, config.dim)
+        base = None
         for ei, eps in enumerate(config.eps_grid):
             for qi, p in enumerate(config.p_grid):
                 ctx = replace(base_ctx, p=float(p))
                 for si in range(config.seeds_per_cell):
                     rng = derived_generator(config.master_seed, pi, ei, qi, si)
                     try:
-                        base = realize(lam, ctx)
+                        if base is None:  # a failed realize is retried by each cell
+                            base = realize(lam, base_ctx)
                         inst = perturb(base, ctx.gog, eps, mode=config.mode, rng=rng)
                         tic = time.perf_counter()
                         _, report = stabilize(inst, ctx, guard=config.guard)
-                        runtime = (time.perf_counter() - tic) * 1e3
-                        rows.append(SweepRow(preset=name, seed=si, p=p, dim=report.dim,
-                                             epsilon_in=eps, delta=report.delta,
-                                             epsilon_out=report.epsilon,
-                                             cone_gap=float(report.cone_gap),
-                                             runtime_ms=runtime))
+                        result = dict(delta=report.delta, epsilon_out=report.epsilon,
+                                      cone_gap=float(report.cone_gap),
+                                      runtime_ms=(time.perf_counter() - tic) * 1e3)
                     except RepStabError as exc:
-                        rows.append(SweepRow(preset=name, seed=si, p=p, dim=config.dim,
-                                             epsilon_in=eps, delta=None, epsilon_out=None,
-                                             cone_gap=None, runtime_ms=None,
-                                             error=f"{type(exc).__name__}: {exc}"))
+                        result = dict(error=f"{type(exc).__name__}: {exc}")
+                    rows.append(SweepRow(preset=name, seed=si, p=p, dim=config.dim,
+                                         epsilon_in=eps, **result))
     return rows
 
 
@@ -129,9 +129,5 @@ def write_csv(rows, path) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    for row in rows:
-        writer.writerow([row.preset, row.seed, _fmt(row.p), row.dim,
-                         _fmt(row.epsilon_in), _fmt(row.delta),
-                         _fmt(row.epsilon_out), _fmt(row.cone_gap),
-                         _fmt(row.runtime_ms), row.error])
+    writer.writerows([_fmt(getattr(row, name)) for name in CSV_HEADER] for row in rows)
     _overwrite(path, buf.getvalue())

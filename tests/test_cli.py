@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from repstab import cli
+from repstab import cli, sweep
 from repstab.cli import main
 from repstab.errors import ValidationError
 from repstab.sweep import CSV_HEADER, SweepConfig
@@ -210,6 +210,19 @@ def test_sweep_deterministic_modulo_runtime(capsys, tmp_path):
     assert run_cli(capsys, *args, "--out", str(path1))[0] == 0
     assert run_cli(capsys, *args, "--out", str(path2))[0] == 0
     assert _strip_runtime(path1.read_text()) == _strip_runtime(path2.read_text())
+
+
+def test_sweep_rejects_an_unknown_preset_before_any_cell(capsys, tmp_path, monkeypatch):
+    def no_cell(*args, **kwargs):
+        raise AssertionError("a cell ran before the presets were checked")
+
+    monkeypatch.setattr(sweep, "realize", no_cell)
+    out_path = tmp_path / "sweep.csv"
+    code, _, err = run_cli(capsys, "sweep", "--preset", "Z2_free_Z3", "--preset", "nope",
+                           "--out", str(out_path))
+    assert code == 2
+    assert "unknown graph preset 'nope'" in err
+    assert not out_path.exists()
 
 
 def test_sweep_rejects_empty_grid(capsys, tmp_path):

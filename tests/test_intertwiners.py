@@ -297,7 +297,7 @@ def test_average_on_either_side_of_the_rank_cut_takes_its_polar_factor(z2_table,
     np.testing.assert_allclose(sv, [1.0, c, c], rtol=1e-6)
     t = rs.unitary_intertwiner(rho1, rho2, table=z2_table)
     assert np.abs(t - u @ vh).max() < 1e-9
-    assert np.abs(t - intertwiners._isotypic_polar(rho1, rho2, z2_table)).max() < 1e-9
+    assert np.abs(t - intertwiners._isotypic_polar(rho1, rho2, z2_table, [2, 1])).max() < 1e-9
 
 
 def test_unitary_intertwiner_is_polar_factor_of_nonsingular_average(z2_table):

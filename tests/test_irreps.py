@@ -210,12 +210,18 @@ def test_trivial_index_has_the_unit_character(name):
 
 def test_isotypic_components_in_table_order(s3_table):
     rep = rs.rep_from_multiplicities(s3_table, [2, 0, 1])
-    bases = isotypic_components(rep, s3_table)
+    bases = isotypic_components(rep, s3_table, [2, 0, 1])
     assert [b.shape for b in bases] == [(4, 2), (4, 0), (4, 2)]
     for p, b in zip(s3_table.irreps, bases):
         for j in range(b.shape[1] // p.dim):
             copy = b[:, j * p.dim:(j + 1) * p.dim]
             np.testing.assert_allclose(compress(rep.matrices, copy), p.matrices, atol=1e-12)
+
+
+def test_isotypic_components_checks_the_counts_it_is_given(s3_table):
+    rep = rs.rep_from_multiplicities(s3_table, [2, 0, 1])
+    with pytest.raises(NumericalError, match="found 2 copies of irrep 0, expected 1"):
+        isotypic_components(rep, s3_table, [1, 2, 1])
 
 
 @pytest.mark.parametrize("name", group_preset_names())
@@ -225,7 +231,7 @@ def test_isotypic_components_compress_to_the_table(name):
     mults = rng.integers(1, 4, size=len(table))
     exact = rs.rep_from_multiplicities(table, mults)
     rep = rs.conjugate_rep(exact, random_unitary(exact.dim, rng))
-    for p, m, b in zip(table.irreps, mults, isotypic_components(rep, table)):
+    for p, m, b in zip(table.irreps, mults, isotypic_components(rep, table, mults)):
         assert b.shape == (rep.dim, m * p.dim)
         assert np.abs(b.conj().T @ b - np.eye(b.shape[1])).max() <= 1e-12
         blocks = np.stack([np.kron(np.eye(m), x) for x in p.matrices])
