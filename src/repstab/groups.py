@@ -3,12 +3,15 @@
 Elements are indices ``0..order-1``. A group is defined by its square
 multiplication table; identity, inverses, and conjugacy classes are computed
 and validated on construction. Conjugacy classes are ordered by their least
-element, which fixes the class order used by all character arithmetic.
+element, which fixes the class order used by all character arithmetic. The
+generating set that the exactness checks of the package run over is built
+from the table too, so it is the same on every run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -37,6 +40,30 @@ class FiniteGroup:
     @property
     def class_sizes(self) -> np.ndarray:
         return np.array([len(c) for c in self.classes])
+
+    @cached_property
+    def generators(self) -> np.ndarray:
+        """Generating set, computed on first use and kept, read-only.
+
+        Each generator is the least element outside the subgroup generated by
+        the ones before it, so Z_n has one, S3, D4, V4 and A4 two, S4 and Q8
+        three, and the one-element group none. Every element is a product of
+        them.
+        """
+        reached = np.zeros(self.order, dtype=bool)
+        reached[self.identity] = True
+        gens = []
+        while not reached.all():
+            gens.append(int(np.argmin(reached)))
+            # close the reached set under right multiplication by the generators
+            frontier = np.flatnonzero(reached)
+            while frontier.size:
+                frontier = np.unique(self.mult[np.ix_(frontier, gens)])
+                frontier = frontier[~reached[frontier]]
+                reached[frontier] = True
+        out = np.array(gens, dtype=np.intp)
+        out.setflags(write=False)
+        return out
 
     def __repr__(self) -> str:
         label = self.name or f"order-{self.order}"

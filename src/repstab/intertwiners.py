@@ -64,11 +64,12 @@ def averaged_intertwiner(rho1: UnitaryRep, rho2: UnitaryRep) -> np.ndarray:
     return prods.sum(axis=0) / rho1.group.order
 
 
-def _warn_far(delta: float, stacklevel: int):
-    """Far-distance warning; `stacklevel` counts from the caller, as in warnings.warn."""
+def _warn_far(delta: float, risk: str, stacklevel: int):
+    """Far-distance warning naming the caller's `risk`; `stacklevel` counts
+    from the caller, as in warnings.warn."""
     if delta >= FAR_DISTANCE:
-        warnings.warn(f"measured distance {delta:.3e} is not below 1/4; "
-                      "the kept subspaces may be small", stacklevel=stacklevel + 1)
+        warnings.warn(f"measured distance {delta:.3e} is not below 1/4; {risk}",
+                      stacklevel=stacklevel + 1)
 
 
 def _kept_isometry(rho1: UnitaryRep, rho2: UnitaryRep, threshold: float):
@@ -84,7 +85,8 @@ def _kept_isometry(rho1: UnitaryRep, rho2: UnitaryRep, threshold: float):
         if basis.shape[1] in (0, rep.dim):
             continue
         proj = basis @ basis.conj().T
-        err = np.abs(np.matmul(rep.matrices, proj) - np.matmul(proj, rep.matrices)).max()
+        gens = rep.matrices[rep.group.generators]
+        err = np.abs(gens @ proj - proj @ gens).max(initial=0.0)
         if err > INVARIANCE_ATOL:
             sv = singular_values(t0)
             kept = basis.shape[1]
@@ -104,7 +106,7 @@ def invariant_intertwiner(rho1: UnitaryRep, rho2: UnitaryRep, p: float) -> Inter
     singular values straddling the threshold.
     """
     delta = rep_distance(rho1, rho2, p)
-    _warn_far(delta, stacklevel=2)
+    _warn_far(delta, "the kept subspaces may be small", stacklevel=2)
     t, right, left = _kept_isometry(rho1, rho2, DEFAULT_THRESHOLD)
     dev = schatten_norm_normalized(t - np.eye(rho1.dim), p)
     return IntertwinerResult(operator=t, source_basis=right, target_basis=left,
@@ -148,9 +150,11 @@ def unitary_intertwiner(rho1: UnitaryRep, rho2: UnitaryRep, p: float | None = No
     factor is read off the isotypic frames of both inputs instead
     (`_isotypic_polar`). No random number is drawn. On the trivial group T
     is the exact identity, with no average and no SVD. The result conjugates
-    rho1 onto rho2 exactly and is verified to INTERTWINE_ATOL. Given a
-    Schatten exponent `p`, a pair at distance FAR_DISTANCE or more warns;
-    without it no distance is measured.
+    rho1 onto rho2 exactly. It is verified unitary to UNITARY_ATOL (on the
+    Newton path by the iteration's last residual, which bounds every entry
+    of I - T T^H) and intertwining on the group's generators to
+    INTERTWINE_ATOL. Given a Schatten exponent `p`, a pair at distance
+    FAR_DISTANCE or more warns; without it no distance is measured.
     """
     p = None if p is None else _check_exponent(p)
     m1 = multiplicities(rho1, table)
@@ -166,17 +170,21 @@ def unitary_intertwiner(rho1: UnitaryRep, rho2: UnitaryRep, p: float | None = No
         t_full = np.eye(dim, dtype=complex)
     else:
         if p is not None:
-            _warn_far(_distance_or_bound(rho1, rho2, p, FAR_DISTANCE), stacklevel=2)
+            _warn_far(_distance_or_bound(rho1, rho2, p, FAR_DISTANCE),
+                      "the intertwiner may be far from the identity", stacklevel=2)
         average = averaged_intertwiner(rho1, rho2)
-        t_full = _newton_polar(average)
-        if t_full is None:
+        newton = _newton_polar(average)
+        if newton is not None:
+            # ||I - T^H T||_F = ||I - T T^H||_F for square T, and it bounds every entry
+            t_full, uerr = newton
+        else:
             u, sv, vh = _svd(average, compute_uv=True)
             t_full = u @ vh if sv[-1] >= POLAR_RANK_ATOL else _isotypic_polar(rho1, rho2, table, m1)
-
-    uerr = np.abs(t_full @ t_full.conj().T - np.eye(dim)).max()
-    if uerr > UNITARY_ATOL:
-        raise NumericalError(f"assembled intertwiner is not unitary (deviation {uerr:.3e})")
-    ierr = np.abs(np.matmul(rho2.matrices, t_full) - np.matmul(t_full, rho1.matrices)).max()
+            uerr = np.abs(t_full @ t_full.conj().T - np.eye(dim)).max()
+        if uerr > UNITARY_ATOL:
+            raise NumericalError(f"assembled intertwiner is not unitary (deviation {uerr:.3e})")
+    gens = rho1.group.generators
+    ierr = np.abs(rho2.matrices[gens] @ t_full - t_full @ rho1.matrices[gens]).max(initial=0.0)
     if ierr > INTERTWINE_ATOL:
         raise NumericalError(f"assembled operator fails to intertwine (deviation {ierr:.3e})")
     return t_full

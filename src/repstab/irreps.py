@@ -68,13 +68,17 @@ def unitary_rep(group: FiniteGroup, matrices, check: bool = True) -> UnitaryRep:
     if not np.all(np.isfinite(mats.view(float))):
         raise ValidationError("matrices contain NaN or Inf")
     if check:
-        d = mats.shape[1]
-        eye = np.eye(d)
+        eye = np.eye(mats.shape[1])
         uerr = np.abs(mats @ mats.conj().transpose(0, 2, 1) - eye).max()
         if uerr > UNITARY_ATOL:
             raise ValidationError(f"matrices not unitary: max deviation {uerr:.3e}")
-        prod = np.matmul(mats[:, None], mats[None, :])
-        herr = np.abs(prod - mats[group.mult]).max()
+        # rho(e) = I and rho(s) rho(h) = rho(sh) for each generator s and every
+        # h give rho(g) rho(h) = rho(gh) for all pairs, since every g is a
+        # product of generators; rho(e) = I follows from the products unless
+        # the group is trivial
+        herr = np.abs(mats[group.identity] - eye).max()
+        for s in group.generators:
+            herr = max(herr, np.abs(mats[s] @ mats - mats[group.mult[s]]).max())
         if herr > UNITARY_ATOL:
             raise ValidationError(f"not a homomorphism: max deviation {herr:.3e}")
     mats.setflags(write=False)
@@ -198,14 +202,16 @@ def irreducible_components(rep: UnitaryRep, rng=None) -> list[Component]:
     Averages a random Hermitian matrix over the group action; the eigenspaces
     of the result are generically irreducible invariant subspaces. Each
     candidate cluster (eigenvalues closer than CLUSTER_GAP_RTOL) is checked
-    for invariance and irreducibility; on failure (eigenvalue collision
-    across components) the seed is re-drawn, up to CLUSTER_RETRIES more times.
+    for invariance under the group's generators and for irreducibility; on
+    failure (eigenvalue collision across components) the seed is re-drawn,
+    up to CLUSTER_RETRIES more times.
     """
     rng = as_generator(rng)
     group, mats = rep.group, rep.matrices
     n = rep.dim
     sizes = group.class_sizes
     reps_idx = list(group.class_representatives)
+    gens = mats[group.generators]
     last_err = ""
     for attempt in range(CLUSTER_RETRIES + 1):
         h = random_hermitian(n, rng)
@@ -215,12 +221,11 @@ def irreducible_components(rep: UnitaryRep, rng=None) -> list[Component]:
         ok = True
         for idxs in _cluster_eigenvalues(w):
             basis = q[:, idxs]
-            sub = compress(mats, basis)
-            inv_err = np.abs(np.matmul(mats, basis) - np.matmul(basis, sub)).max()
+            inv_err = np.abs(gens @ basis - basis @ compress(gens, basis)).max(initial=0.0)
             if inv_err > INVARIANCE_ATOL:
                 ok, last_err = False, f"cluster not invariant (deviation {inv_err:.3e})"
                 break
-            chi = np.trace(sub[reps_idx], axis1=1, axis2=2)
+            chi = np.trace(compress(mats[reps_idx], basis), axis1=1, axis2=2)
             norm2 = float(np.sum(sizes * np.abs(chi) ** 2)) / group.order
             if abs(norm2 - 1.0) > IRREDUCIBLE_ATOL:
                 ok, last_err = False, f"cluster reducible (|chi|^2 = {norm2:.6f})"
@@ -243,9 +248,9 @@ def isotypic_components(rep: UnitaryRep, table: IrrepTable, mults) -> list[np.nd
     of Finite Groups, 2.7, Prop. 8), so rep acts on copy j by `table.irreps[k]`.
     One `eigh` of sum_k (k + 1) p_0 labels each range by rounded eigenvalues; the
     counts must equal `mults`, the caller's `multiplicities(rep, table)`, and
-    each basis be invariant to INVARIANCE_ATOL.
+    each basis be invariant to INVARIANCE_ATOL under the group's generators.
     """
-    mats, n = rep.matrices, rep.dim
+    mats, n, gens = rep.matrices, rep.dim, rep.group.generators
     coeffs = [np.tensordot(p.matrices[:, :, 0].conj() * (p.dim / len(mats)), mats, axes=(0, 0))
               for p in table.irreps]
     w, x = np.linalg.eigh(sum((k + 1) * c[0] for k, c in enumerate(coeffs)))
@@ -255,8 +260,8 @@ def isotypic_components(rep: UnitaryRep, table: IrrepTable, mults) -> list[np.nd
         if xk.shape[1] != m:
             raise NumericalError(f"found {xk.shape[1]} copies of irrep {k}, expected {m}")
         basis = (c @ xk).transpose(1, 2, 0).reshape(n, -1)
-        acted = (basis.reshape(-1, p.dim) @ p.matrices).reshape(len(mats), n, -1)
-        err = np.abs(mats @ basis - acted).max(initial=0.0)
+        acted = (basis.reshape(-1, p.dim) @ p.matrices[gens]).reshape(len(gens), *basis.shape)
+        err = np.abs(mats[gens] @ basis - acted).max(initial=0.0)
         if err > INVARIANCE_ATOL:
             raise NumericalError(f"copies of irrep {k} not invariant ({err:.1e})")
         bases.append(basis)

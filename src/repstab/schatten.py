@@ -4,7 +4,9 @@ Norms are computed for whole stacks of matrices at once. At p = 2 the norm
 is the Frobenius norm and at p = 4 it is the square root of the Frobenius
 norm of A^H A (since ||A||_4^4 = tr((A^H A)^2)); both are exact and need no
 decomposition. Every other p takes one singular value decomposition per
-stack. The Schatten exponent p is a runtime parameter, any real p >= 1.
+stack. Exactly zero members of a stack read 0 and take no kernel, so a
+stack of zeros takes no decomposition and no product. The Schatten exponent
+p is a runtime parameter, any real p >= 1.
 
 The unitary polar factor of a matrix certified near-unitary is taken by the
 Newton-Schulz iteration (Higham, 1986), which needs only products; every
@@ -61,18 +63,33 @@ def singular_values(a) -> np.ndarray:
 
 
 def _norms(stack: np.ndarray, p: float) -> np.ndarray:
-    """Unnormalized p-Schatten norm of each matrix of a finite (n, r, c) stack."""
+    """Unnormalized p-Schatten norm of each matrix of a finite (n, r, c) stack.
+
+    An exactly zero matrix reads 0.0 and takes no kernel: only the nonzero
+    matrices are decomposed or multiplied."""
     if stack.size == 0:
         return np.zeros(len(stack))
+    nonzero = stack.reshape(len(stack), -1).any(axis=1)
+    if nonzero.all():
+        return _nonzero_norms(stack, p)
+    norms = np.zeros(len(stack))
+    if nonzero.any():
+        norms[nonzero] = _nonzero_norms(stack[nonzero], p)
+    return norms
+
+
+def _nonzero_norms(stack: np.ndarray, p: float) -> np.ndarray:
+    """`_norms` of a stack with no zero matrix."""
     if p not in (2.0, 4.0):
         sv = _svd(stack)
         top = sv[:, 0]
         # factor out the largest value so large p does not overflow
         ratios = sv / np.where(top > 0.0, top, 1.0)[:, None]
         return top * np.sum(ratios ** p, axis=1) ** (1.0 / p)
-    # divide by the largest |entry| so squaring neither overflows nor underflows
+    # divide by the largest |entry|, positive for a nonzero matrix, so
+    # squaring neither overflows nor underflows
     top = np.abs(stack).max(axis=(1, 2))
-    scaled = stack * (1.0 / np.where(top > 0.0, top, 1.0))[:, None, None]
+    scaled = stack * (1.0 / top)[:, None, None]
     if p == 4.0:
         adj = scaled.conj().transpose(0, 2, 1)
         scaled = adj @ scaled if stack.shape[2] <= stack.shape[1] else scaled @ adj
@@ -159,8 +176,9 @@ def nearest_unitary(a) -> np.ndarray:
     return u @ vh
 
 
-def _newton_polar(a: np.ndarray) -> np.ndarray | None:
-    """Unitary polar factor of a square matrix certified near-unitary, else None.
+def _newton_polar(a: np.ndarray) -> tuple[np.ndarray, float] | None:
+    """Unitary polar factor X of a square matrix certified near-unitary, with
+    its residual ||I - X^H X||_F; None when the matrix is not certified.
 
     The Newton-Schulz iteration X <- X (3I - X^H X) / 2 starts only when the
     residual ||I - A^H A||_F is at most NEWTON_POLAR_RESIDUAL = r. Every
@@ -182,9 +200,9 @@ def _newton_polar(a: np.ndarray) -> np.ndarray | None:
         if residual > limit:
             # at step 0 the matrix is not certified; later the residual has
             # stopped halving, which it does only at rounding level
-            return x if step else None
+            return (x, residual) if step else None
         if residual == 0.0:
-            return x
+            return x, residual
         x = x @ (1.5 * eye - 0.5 * gram)
         limit = residual / 2
     return None

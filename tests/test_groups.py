@@ -96,3 +96,35 @@ def test_group_json_roundtrip():
     assert g2.name == "S3"
     with pytest.raises(ValidationError):
         group_from_json({"order": 3, "mult": [[0, 1], [1, 0]]})
+
+
+def _closure(group, gens):
+    """Subgroup generated by `gens`, by right multiplication from the identity."""
+    reached = {group.identity}
+    while True:
+        grown = reached | {int(group.mult[h, s]) for h in reached for s in gens}
+        if grown == reached:
+            return reached
+        reached = grown
+
+
+@pytest.mark.parametrize("name", group_preset_names())
+def test_generators_are_least_elements_outside_and_generate(name):
+    g = group_preset(name)
+    gens = g.generators
+    assert gens is g.generators
+    assert not gens.flags.writeable
+    assert np.array_equal(gens, rs.validate_group(g.mult, name=name).generators)
+    assert (gens.size == 0) == (name == "Z1")
+    expected = {"S3": 2, "D4": 2, "V4": 2, "A4": 2, "S4": 3, "Q8": 3}
+    assert gens.size == expected.get(name, 1 if name != "Z1" else 0)
+    for k, s in enumerate(gens.tolist()):
+        assert s == min(set(range(g.order)) - _closure(g, gens[:k].tolist()))
+    assert _closure(g, gens.tolist()) == set(range(g.order))
+
+
+def test_generators_of_a_relabelled_group():
+    # the identity is element 1 here, so the least element outside {1} is 0
+    g = rs.validate_group([[2, 0, 1], [0, 1, 2], [1, 2, 0]])
+    assert g.identity == 1
+    assert g.generators.tolist() == [0]

@@ -77,7 +77,7 @@ def test_invariant_intertwiner_keeps_common_summand(z2, z2_table):
     doubled = rs.rep_from_multiplicities(z2_table, [2, 0])
     t0 = averaged_intertwiner(mixed, doubled)
     np.testing.assert_allclose(t0, np.diag([1.0, 0.0]), atol=1e-14)
-    with pytest.warns(UserWarning, match="1/4"):
+    with pytest.warns(UserWarning, match="1/4; the kept subspaces may be small$"):
         res = rs.invariant_intertwiner(mixed, doubled, 2.0)
     assert res.kept_dim == 1
     np.testing.assert_allclose(np.abs(res.source_basis), [[1.0], [0.0]], atol=1e-12)
@@ -392,6 +392,18 @@ def test_certified_average_takes_the_newton_polar_factor(monkeypatch, name):
             assert np.abs(np.matmul(rho2.matrices, t) - np.matmul(t, rho1.matrices)).max() < 1e-12
 
 
+def test_newton_polar_factor_is_certified_by_its_residual(monkeypatch, s3_table):
+    # with no unitarity slack the last Newton residual, which is not exactly
+    # 0 here, still refuses the operator: the check holds without a T T^H product
+    from repstab import intertwiners
+    rho1, rho2, _ = _phase_conjugated_pair(s3_table, 12, 1e-3, np.random.default_rng(2), 2.0)
+    monkeypatch.setattr(np.linalg, "svd", _failing_svd)
+    rs.unitary_intertwiner(rho1, rho2, table=s3_table)
+    monkeypatch.setattr(intertwiners, "UNITARY_ATOL", 0.0)
+    with pytest.raises(rs.NumericalError, match="assembled intertwiner is not unitary"):
+        rs.unitary_intertwiner(rho1, rho2, table=s3_table)
+
+
 def _rotated_pair(z2_table, residual):
     """trivial+trivial+sign against its rotation in the last two lines, by
     the angle that makes ||I - E^H E||_F of the average E equal `residual`.
@@ -451,7 +463,8 @@ def test_far_warning_fires_exactly_from_a_quarter(z3_table, p):
         far = _far_warnings(rho1, rho2, p, z3_table)
         assert len(far) == (delta >= 0.25)
         if far:
-            assert f"measured distance {delta:.3e} " in str(far[0].message)
+            assert str(far[0].message) == (f"measured distance {delta:.3e} is not below "
+                                           "1/4; the intertwiner may be far from the identity")
             assert far[0].filename == __file__
         fired.add(bool(far))
     assert fired == {True, False}

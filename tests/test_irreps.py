@@ -284,6 +284,33 @@ def test_unitary_rep_rejects_bad_input(z2, s3):
         rs.unitary_rep(s3, np.stack([np.eye(5)] + [random_unitary(5, rng) for _ in range(5)]))
 
 
+@pytest.mark.parametrize("name", ["S4", "Q8"])
+def test_unitary_rep_check_sees_one_moved_non_generator(name):
+    # the homomorphism check multiplies only by the generators; a move of any
+    # other element still shows, in a product with it or as its value
+    group = group_preset(name)
+    exact = rs.regular_representation(group)
+    rs.unitary_rep(group, exact.matrices)
+    for g in sorted(set(range(group.order)) - set(group.generators.tolist())):
+        turned = exact.matrices.copy()
+        turned[g] = turned[g] * np.exp(1e-9j)
+        moved = rs.unitary_rep(group, turned, check=False)
+        with pytest.raises(ValidationError, match="homomorphism"):
+            rs.unitary_rep(group, moved.matrices)
+        scaled = exact.matrices.copy()
+        scaled[g] *= 1.0 + 1e-9
+        with pytest.raises(ValidationError, match="unitary"):
+            rs.unitary_rep(group, scaled)
+
+
+def test_unitary_rep_check_on_the_trivial_group():
+    # Z1 has no generators: its one matrix must be I, not any unitary
+    z1 = group_preset("Z1")
+    rs.unitary_rep(z1, np.eye(2)[None])
+    with pytest.raises(ValidationError, match="homomorphism"):
+        rs.unitary_rep(z1, np.diag([1.0, 1j])[None])
+
+
 def _complex_stack(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 

@@ -263,3 +263,39 @@ def test_stacked_norm_property(rows, cols, n, log_scale, p, seed):
 
 def test_max_normalized_norm_of_empty_stack_is_zero():
     assert schatten.max_normalized_norm(np.zeros((0, 3, 3)), 1.0) == 0.0
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0])
+@pytest.mark.parametrize("shape", [(8, 8), (9, 4), (4, 9)])
+def test_zero_members_take_no_kernel(monkeypatch, p, shape):
+    # zeros read exactly 0 and never reach the SVD; every other member reads
+    # as it does alone, whatever zeros share its stack
+    rng = np.random.default_rng(21)
+    stack = _complex_stack(rng, 6, *shape)
+    stack[[0, 2, 3]] = 0.0
+    alone = [schatten_norm(a, p) for a in stack]
+    stacks = []
+    real_svd = np.linalg.svd
+
+    def recorded_svd(a, *args, **kwargs):
+        stacks.append(a.copy())
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded_svd)
+    got = schatten._norms(stack, p)
+    assert got[[0, 2, 3]].tolist() == [0.0, 0.0, 0.0]
+    np.testing.assert_allclose(got[[1, 4, 5]], np.array(alone)[[1, 4, 5]], rtol=1e-15, atol=0.0)
+    assert all(a.reshape(len(a), -1).any(axis=1).all() for a in stacks)
+    assert len(stacks) == (p not in (2.0, 4.0))
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0])
+def test_a_stack_of_zeros_takes_no_kernel(monkeypatch, p):
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("a kernel ran on a stack of zeros")
+
+    for name in ("svd", "norm"):
+        monkeypatch.setattr(np.linalg, name, no_kernel)
+    monkeypatch.setattr(np, "einsum", no_kernel)
+    assert schatten._norms(np.zeros((4, 5, 5), dtype=complex), p).tolist() == [0.0] * 4
+    assert schatten.max_normalized_norm(np.zeros((2, 3, 3)), p) == 0.0
