@@ -8,14 +8,17 @@ kernel intersected with the nonnegative cone is exactly the set of vectors
 realizable by genuine representations.
 
 Norms are exact rationals (denominators are the vertex and edge counts).
-The projection onto the kernel cone is exact. When the links of the map
-form a spanning tree and every edge preserves dimension, it is a dynamic
-program over that tree; otherwise it is an integer program solved by HiGHS.
+The map is built from the graph's edges, which also give its edge tree:
+the loops, and the links between distinct vertices when they form a
+spanning tree. The projection onto the kernel cone is exact. On a map with
+an edge tree it is a dynamic program over that tree; otherwise (a cycle of
+links, or a map given only as a matrix) it is an integer program solved by
+HiGHS.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import comb
@@ -87,6 +90,20 @@ class MultiplicityVector:
         return MultiplicityVector(side, tuple(blocks))
 
 
+@dataclass(frozen=True)
+class EdgeTree:
+    """The geometric edges of a boundary map whose links form a spanning tree.
+
+    `loops[v]` holds the blocks of the edges on vertex v alone whose two
+    restrictions differ: a kernel vector has `loop @ mu_v = 0` for each. A
+    link `(u, v, r_u, r_v)` joins u to v, and a kernel vector has
+    `r_u @ mu_u = r_v @ mu_v`.
+    """
+
+    loops: tuple[tuple[np.ndarray, ...], ...]
+    links: tuple[tuple[int, int, np.ndarray, np.ndarray], ...]
+
+
 @dataclass(frozen=True, eq=False)
 class BoundaryMap:
     """Integer boundary map from vertex space to edge space.
@@ -95,15 +112,57 @@ class BoundaryMap:
     terminus, - the restriction at the origin, so the block of edge 2k+1 is
     the negation of the block of 2k. Applying the map to the multiplicity
     vector of a genuine representation gives zero on every oriented edge.
+    A map built from a graph's edges (`_from_edges`) also carries its
+    `edge_tree` when its links form a spanning tree; a map built from a
+    matrix has none.
     """
 
     vertex_dims: tuple[tuple[int, ...], ...]       # irrep dims per vertex block
     edge_dims: tuple[tuple[int, ...], ...]         # irrep dims per oriented edge block
     matrix: np.ndarray                             # edge coordinates x vertex coordinates
     trivial_indices: tuple[int, ...]               # trivial-irrep coordinate per vertex
+    edge_tree: EdgeTree | None = field(default=None, init=False)
 
     def __post_init__(self):
         self.matrix.setflags(write=False)
+
+    @classmethod
+    def _from_edges(cls, vertex_dims, edges, trivial_indices) -> "BoundaryMap":
+        """The map of a graph from one `(origin, terminus, edge irrep dims,
+        r_origin, r_terminus)` per geometric edge, r_x restricting vertex x's
+        multiplicities to the edge group's.
+
+        Each edge writes the row blocks of its two orientations. An edge on
+        one vertex is a loop, and adds no condition when its restrictions
+        agree; any other edge is a link. The links form a spanning tree when
+        there are n - 1 of them and none closes a cycle. Restrictions
+        preserve dimension, so every kernel vector then has one dimension at
+        all vertices, which `_project_on_tree` needs.
+        """
+        n = len(vertex_dims)
+        v_off = np.cumsum([0, *map(len, vertex_dims)])
+        blocks, edge_dims = [np.zeros((0, v_off[-1]), dtype=np.int64)], []
+        loops, links = [[] for _ in range(n)], []
+        component, acyclic = list(range(n)), True
+        for o, t, dims, r_o, r_t in edges:
+            block = np.zeros((len(dims), v_off[-1]), dtype=np.int64)
+            block[:, v_off[t]:v_off[t + 1]] += r_t
+            block[:, v_off[o]:v_off[o + 1]] -= r_o
+            blocks += [block, -block]
+            edge_dims += [dims, dims]
+            if o == t:
+                if not np.array_equal(r_o, r_t):
+                    loops[o].append(r_t - r_o)
+                continue
+            links.append((o, t, r_o, r_t))
+            co, ct = component[o], component[t]
+            acyclic &= co != ct   # a cycle clears the tree; later edges are still written
+            component = [co if c == ct else c for c in component]
+        bmap = cls(vertex_dims, tuple(edge_dims), np.vstack(blocks), trivial_indices)
+        if acyclic and len(links) == n - 1:
+            object.__setattr__(bmap, "edge_tree",
+                               EdgeTree(tuple(map(tuple, loops)), tuple(links)))
+        return bmap
 
     @property
     def n_vertices(self) -> int:
@@ -164,11 +223,6 @@ class BoundaryMap:
         """Flattened irrep dimensions, the l1 weights on vertex coordinates."""
         return np.array([d for dims in self.vertex_dims for d in dims], dtype=np.int64)
 
-    @cached_property
-    def edge_tree(self) -> "EdgeTree | None":
-        """Loops and spanning-tree links for the projection DP; see `_edge_tree`."""
-        return _edge_tree(self)
-
     def trivial_vector(self) -> MultiplicityVector:
         """One copy of the trivial irrep on every vertex; lies in the kernel."""
         blocks = []
@@ -184,13 +238,12 @@ def project_to_kernel_cone(lam: MultiplicityVector, bmap: BoundaryMap) -> Multip
 
     Minimizes ||lam - mu||_V over integer mu >= 0 with boundary zero and
     ||mu||_V <= ||lam||_V; ties are broken toward the lexicographically
-    smallest optimum in canonical coordinate order. When the links of the
-    map form a spanning tree and every edge preserves dimension, this is an
-    exact dynamic program over that tree (`_project_on_tree`); otherwise,
-    or when a vertex has more than `DP_MAX_CANDIDATES` candidates, it is a
-    mixed-integer program solved by HiGHS (`_project_by_milp`). The
-    returned point is re-verified in exact integer arithmetic. The zero
-    vector is always feasible.
+    smallest optimum in canonical coordinate order. When the map carries an
+    `edge_tree`, this is an exact dynamic program over that tree
+    (`_project_on_tree`); otherwise, or when a vertex has more than
+    `DP_MAX_CANDIDATES` candidates, it is a mixed-integer program solved by
+    HiGHS (`_project_by_milp`). The returned point is re-verified in exact
+    integer arithmetic. The zero vector is always feasible.
     """
     bmap._require(lam, VERTEX_SIDE)
     if not lam.is_nonnegative():
@@ -211,68 +264,6 @@ def project_to_kernel_cone(lam: MultiplicityVector, bmap: BoundaryMap) -> Multip
     if bmap.vertex_norm(out) > bmap.vertex_norm(lam):
         raise NumericalError("projection violated the norm cap")
     return out
-
-
-@dataclass(frozen=True)
-class EdgeTree:
-    """The geometric edges of a boundary map whose links form a spanning tree.
-
-    `loops[v]` holds the blocks of the edges that touch only vertex v, on
-    its columns: a kernel vector has `loop @ mu_v = 0` for each. A link
-    `(u, v, r_u, r_v)` touches exactly u and v, and a kernel vector has
-    `r_u @ mu_u = r_v @ mu_v`.
-    """
-
-    loops: tuple[tuple[np.ndarray, ...], ...]
-    links: tuple[tuple[int, int, np.ndarray, np.ndarray], ...]
-
-
-def _edge_tree(bmap: BoundaryMap) -> EdgeTree | None:
-    """The loops and links of `bmap`, or None when the DP cannot use them.
-
-    None unless every oriented block pair is (B, -B), every block touches at
-    most two vertices, every block preserves dimension (the edge dimensions
-    of a link's restrictions are the vertex weights on both sides, with
-    opposite signs, and those of a loop cancel), and the links form a
-    spanning tree. Then every kernel vector has the same dimension at every
-    vertex.
-    """
-    w = bmap.vertex_weights
-    if len(bmap.edge_dims) % 2 or (w <= 0).any():
-        return None
-    v_off = np.cumsum([0, *bmap.vertex_block_lengths])
-    e_off = np.cumsum([0, *bmap.edge_block_lengths])
-    cols = [slice(v_off[v], v_off[v + 1]) for v in range(bmap.n_vertices)]
-    loops = [[] for _ in range(bmap.n_vertices)]
-    links = []
-    component = list(range(bmap.n_vertices))
-    for k in range(0, len(bmap.edge_dims), 2):
-        block = bmap.matrix[e_off[k]:e_off[k + 1]]
-        if not np.array_equal(bmap.matrix[e_off[k + 1]:e_off[k + 2]], -block):
-            return None
-        dims = np.array(bmap.edge_dims[k], dtype=np.int64) @ block
-        touched = [v for v in range(bmap.n_vertices) if block[:, cols[v]].any()]
-        if len(touched) > 2:
-            return None
-        if len(touched) < 2:
-            if dims.any():
-                return None
-            if touched:
-                loops[touched[0]].append(block[:, cols[touched[0]]])
-            continue
-        u, v = touched
-        sign = 1 if np.array_equal(dims[cols[v]], w[cols[v]]) else -1
-        if not (np.array_equal(dims[cols[v]], sign * w[cols[v]])
-                and np.array_equal(dims[cols[u]], -sign * w[cols[u]])):
-            return None
-        cu, cv = component[u], component[v]
-        if cu == cv:
-            return None
-        component = [cu if c == cv else c for c in component]
-        links.append((u, v, block[:, cols[u]], -block[:, cols[v]]))
-    if len(links) != bmap.n_vertices - 1:
-        return None
-    return EdgeTree(tuple(map(tuple, loops)), tuple(links))
 
 
 def _candidates(w: np.ndarray, d_cap: int) -> np.ndarray:
@@ -312,8 +303,9 @@ def _project_on_tree(lam_flat: np.ndarray, bmap: BoundaryMap) -> np.ndarray | No
     weight at most that, which satisfy its loops; their cost is the weighted
     l1 distance to lam_v. The tie-break roots the DP at each vertex in turn
     and fixes the first optimal candidate, the lexicographically smallest.
-    None when the map has no such tree, or when some vertex could have more
-    than DP_MAX_CANDIDATES candidates.
+    None when the map has no edge tree (only `BoundaryMap._from_edges`
+    builds one, from the graph's edges), or when some vertex could have
+    more than DP_MAX_CANDIDATES candidates.
     """
     tree = bmap.edge_tree
     w = bmap.vertex_weights

@@ -2,11 +2,11 @@
 
 A graph is stored Serre-style: geometric edge k owns the oriented pair
 (2k, 2k+1), with 2k running origin -> terminus as entered and 2k+1 the
-opposite. The chosen orientation is the set of even oriented edges. The
-fundamental group is presented on the vertex-group elements and one stable
-letter per geometric edge, modulo a stable-letter relator per tree edge and a
-conjugation relator per (geometric edge, nonidentity edge-group element),
-indexed once per graph of groups, with the words as display and oracle form.
+opposite. The fundamental group is presented on the vertex-group elements
+and one stable letter per geometric edge, modulo a stable-letter relator per
+tree edge and a conjugation relator per (geometric edge, nonidentity
+edge-group element), indexed once per graph of groups, with the words as
+display and oracle form.
 
 An AlmostRep assigns an exact unitary representation to every vertex group
 and an arbitrary unitary to every stable letter; its defect is the largest
@@ -58,10 +58,6 @@ class SerreGraph:
 
     def opposite(self, e: int) -> int:
         return e ^ 1
-
-    def orientation(self) -> tuple[int, ...]:
-        """The chosen orientation: one representative per pair (the even one)."""
-        return tuple(range(0, self.n_oriented_edges, 2))
 
     @cached_property
     def tree(self) -> "SpanningTree":
@@ -344,26 +340,15 @@ def perturb(rho: AlmostRep, gog: GraphOfGroups, eps: float, mode: str = PERTURB_
 def boundary_map(gog: GraphOfGroups, vertex_tables, edge_tables) -> BoundaryMap:
     """Boundary map of a graph of groups in the given canonical tables.
 
-    The row block of oriented edge 2k holds + the restriction along its
-    injection at the terminus and - the restriction along the opposite
-    injection at the origin; the block of 2k+1 is its negation.
+    Per geometric edge k, the restrictions at its origin (along the
+    injection of 2k+1) and at its terminus (along that of 2k); the map's
+    row blocks and edge tree are built from them by `BoundaryMap._from_edges`.
     """
-    graph = gog.graph
     vertex_tables = tuple(vertex_tables)
-    edge_tables = tuple(edge_tables)
-    v_dims = tuple(tuple(int(d) for d in t.dims) for t in vertex_tables)
-    e_dims = tuple(tuple(int(d) for d in edge_tables[e // 2].dims)
-                   for e in range(graph.n_oriented_edges))
-    v_off = np.cumsum([0] + [len(d) for d in v_dims])
-    e_off = np.cumsum([0] + [len(d) for d in e_dims])
-    a = np.zeros((e_off[-1], v_off[-1]), dtype=np.int64)
-    for e in graph.orientation():
-        k = e // 2
-        block = a[e_off[e]:e_off[e + 1]]
-        for sign, hom_e, v in ((1, e, graph.terminus(e)),
-                               (-1, graph.opposite(e), graph.origin(e))):
-            block[:, v_off[v]:v_off[v + 1]] += sign * restriction_matrix(
-                gog.injections[hom_e], edge_tables[k], vertex_tables[v])
-        a[e_off[e + 1]:e_off[e + 2]] = -block
-    trivial = tuple(t.trivial_index for t in vertex_tables)
-    return BoundaryMap(vertex_dims=v_dims, edge_dims=e_dims, matrix=a, trivial_indices=trivial)
+    edges = []
+    for k, ((o, t), table) in enumerate(zip(gog.graph.endpoints, edge_tables)):
+        edges.append((o, t, tuple(int(d) for d in table.dims),
+                      restriction_matrix(gog.injections[2 * k + 1], table, vertex_tables[o]),
+                      restriction_matrix(gog.injections[2 * k], table, vertex_tables[t])))
+    return BoundaryMap._from_edges(tuple(tuple(int(d) for d in t.dims) for t in vertex_tables),
+                                   edges, tuple(t.trivial_index for t in vertex_tables))

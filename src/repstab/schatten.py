@@ -63,7 +63,7 @@ def singular_values(a) -> np.ndarray:
 
 
 def _norms(stack: np.ndarray, p: float) -> np.ndarray:
-    """Unnormalized p-Schatten norm of each matrix of a finite (n, r, c) stack.
+    """Unnormalized p-Schatten norm of each matrix of a finite complex (n, r, c) stack.
 
     An exactly zero matrix reads 0.0 and takes no kernel: only the nonzero
     matrices are decomposed or multiplied."""
@@ -82,14 +82,15 @@ def _nonzero_norms(stack: np.ndarray, p: float) -> np.ndarray:
     """`_norms` of a stack with no zero matrix."""
     if p not in (2.0, 4.0):
         sv = _svd(stack)
-        top = sv[:, 0]
+        top = sv[:, 0]   # positive for a nonzero matrix
         # factor out the largest value so large p does not overflow
-        ratios = sv / np.where(top > 0.0, top, 1.0)[:, None]
-        return top * np.sum(ratios ** p, axis=1) ** (1.0 / p)
+        return top * np.sum((sv / top[:, None]) ** p, axis=1) ** (1.0 / p)
     # divide by the largest |entry|, positive for a nonzero matrix, so
-    # squaring neither overflows nor underflows
+    # squaring neither overflows nor underflows; the real and imaginary
+    # parts are divided as floats, since the reciprocal of a subnormal top
+    # overflows and complex division takes one
     top = np.abs(stack).max(axis=(1, 2))
-    scaled = stack * (1.0 / top)[:, None, None]
+    scaled = (np.ascontiguousarray(stack).view(float) / top[:, None, None]).view(complex)
     if p == 4.0:
         adj = scaled.conj().transpose(0, 2, 1)
         scaled = adj @ scaled if stack.shape[2] <= stack.shape[1] else scaled @ adj

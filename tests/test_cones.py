@@ -286,8 +286,15 @@ def test_dp_tie_break_matches_brute_force_on_every_input():
                              [[0, 2]] * 4, name="z4_chain")
     b = rs.CorrectionContext.build(gog, p=2.0, seed=0).boundary
     assert b.edge_tree is not None
+    _assert_projects_as_brute_force(b, 4)
+
+
+def _assert_projects_as_brute_force(b, total):
+    """Every input of weighted total at most `total` projects to the
+    lexicographically smallest brute-force optimum; over 1000 of them lie
+    off the kernel."""
     w = b.vertex_weights
-    lmat = np.array([lam.flatten() for lam in enumerate_cone(b.vertex_dims, 4)])
+    lmat = np.array([lam.flatten() for lam in enumerate_cone(b.vertex_dims, total)])
     kmat = lmat[~(lmat @ b.matrix.T).any(axis=1)]
     off_kernel = 0
     for flat in lmat:
@@ -319,8 +326,10 @@ def test_cycle_of_links_falls_back_to_highs(milp_calls):
 
 
 def test_loop_that_changes_dimension_falls_back_to_highs(milp_calls):
-    # the one-vertex map with kernel x1 = x0 + x7: its loop does not cancel
-    # the edge dimensions, so the DP does not apply, however small the input
+    # the one-vertex map with kernel x1 = x0 + x7, whose loop does not
+    # cancel the edge dimensions: no graph of groups has it, since
+    # restrictions preserve dimension, so it is built from its matrix, and
+    # a map built so has no edge tree; HiGHS takes it, however small the input
     row = np.array([[1, -1, 0, 0, 0, 0, 0, 1]])
     b = rs.BoundaryMap(vertex_dims=((1,) * 8,), edge_dims=((1,), (1,)),
                        matrix=np.vstack([row, -row]), trivial_indices=(0,))
@@ -331,6 +340,81 @@ def test_loop_that_changes_dimension_falls_back_to_highs(milp_calls):
     assert b.vertex_norm(lam - out) == dist
     assert out == argmin
     assert len(milp_calls) > 0
+
+
+def _chain_of_z4(n_vertices, endpoints):
+    z4, z2 = rs.cyclic_group(4), rs.cyclic_group(2)
+    gog = rs.graph_of_groups(rs.serre_graph(n_vertices, endpoints), [z4] * n_vertices,
+                             [z2] * len(endpoints), [[0, 2]] * (2 * len(endpoints)))
+    return rs.CorrectionContext.build(gog, p=2.0, seed=0)
+
+
+def test_edgeless_graph_keeps_its_tree():
+    b = _chain_of_z4(1, []).boundary
+    assert b.matrix.shape == (0, 4)
+    assert b.edge_tree is not None
+    assert b.edge_tree.loops == ((),) and b.edge_tree.links == ()
+    lam = rs.MultiplicityVector("vertex", ((1, 0, 3, 2),))
+    assert rs.project_to_kernel_cone(lam, b) == lam
+
+
+def test_a_cycle_of_links_keeps_every_row():
+    # a triangle, then a pendant edge after the edge that closes the cycle:
+    # the cycle clears the tree, and the pendant edge's rows are still
+    # written, as the restrictions of each edge say
+    ctx = _chain_of_z4(4, [(0, 1), (1, 2), (2, 0), (2, 3)])
+    b = ctx.boundary
+    assert b.edge_tree is None
+    assert b.matrix.shape == (16, 16)
+    for k, (o, t) in enumerate(ctx.gog.graph.endpoints):
+        block = np.zeros((2, 16), dtype=np.int64)
+        for sign, e, v in ((1, 2 * k, t), (-1, 2 * k + 1, o)):
+            block[:, 4 * v:4 * v + 4] += sign * rs.restriction_matrix(
+                ctx.gog.injections[e], ctx.edge_tables[k], ctx.vertex_tables[v])
+        np.testing.assert_array_equal(b.matrix[4 * k:4 * k + 4], np.vstack([block, -block]))
+
+
+def test_links_that_close_a_cycle_clear_the_tree():
+    # three links on four vertices: a spanning tree as a path, none as a
+    # triangle that leaves the fourth vertex apart
+    one = np.ones((1, 1), dtype=np.int64)
+
+    def tree(endpoints):
+        edges = [(o, t, (1,), one, one) for o, t in endpoints]
+        return rs.BoundaryMap._from_edges(((1,),) * 4, edges, (0,) * 4).edge_tree
+
+    assert tree([(0, 1), (1, 2), (2, 3)]) is not None
+    assert tree([(0, 1), (1, 2), (2, 0)]) is None
+
+
+def test_hand_built_map_has_no_tree_and_reaches_highs(milp_calls):
+    # `_equal_blocks_map` has one link between its two blocks, a spanning
+    # tree, but only a map built from a graph's edges carries an edge tree
+    b = _equal_blocks_map()
+    assert b.edge_tree is None
+    with pytest.raises(TypeError):
+        rs.BoundaryMap(b.vertex_dims, b.edge_dims, b.matrix, b.trivial_indices, None)
+    lam = rs.MultiplicityVector("vertex", ((2, 0, 1, 0), (0, 1, 1, 1)))
+    out = rs.project_to_kernel_cone(lam, b)
+    assert len(milp_calls) > 0
+    dist, argmin = brute_force_projection(lam, b)
+    assert b.vertex_norm(lam - out) == dist
+    assert out == argmin
+
+
+def test_dp_with_a_loop_and_a_link_matches_brute_force(milp_calls):
+    # two V4 vertices joined over Z2, and a Z2 loop at vertex 0 included as
+    # two different subgroups: the DP filters candidates by a nonzero loop
+    # and joins the vertices by a link
+    v4, z2 = rs.klein_four_group(), rs.cyclic_group(2)
+    gog = rs.graph_of_groups(rs.serre_graph(2, [(0, 1), (0, 0)]), [v4, v4], [z2, z2],
+                             [[0, 1], [0, 1], [0, 1], [0, 2]], name="v4_link_and_loop")
+    b = rs.CorrectionContext.build(gog, p=2.0, seed=0).boundary
+    tree = b.edge_tree
+    assert [len(loops) for loops in tree.loops] == [1, 0] and tree.loops[0][0].any()
+    assert [link[:2] for link in tree.links] == [(0, 1)]
+    _assert_projects_as_brute_force(b, 6)
+    assert len(milp_calls) == 0
 
 
 def test_highs_tie_break_is_the_lexicographic_minimum(milp_calls, monkeypatch):

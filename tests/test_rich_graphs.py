@@ -84,6 +84,15 @@ def test_measure_defect_matches_the_relator_words(request, name):
             assert rs.measure_defect(inst, gog, p) == max_normalized_norm(words, p)
 
 
+@pytest.mark.parametrize("name", rs.graph_preset_names() + RICH_GRAPHS)
+def test_every_preset_and_benchmark_graph_has_an_edge_tree(request, name):
+    # the exact DP serves every graph of the presets and the benchmark
+    gog = request.getfixturevalue(name) if name in RICH_GRAPHS else rs.graph_preset(name)
+    tree = rs.CorrectionContext.build(gog, p=2.0, seed=0).boundary.edge_tree
+    assert tree is not None
+    assert len(tree.links) == gog.graph.n_vertices - 1
+
+
 def test_projection_dp_agrees_with_highs(z2_amalgam, twisted_hnn, z4_chain,
                                          s3_twisted_amalgam, milp_calls, monkeypatch):
     # every off-kernel input of small weighted total, projected by the DP and

@@ -261,6 +261,28 @@ def test_stacked_norm_property(rows, cols, n, log_scale, p, seed):
     _assert_matches_reference(stack, p)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("p", ORACLE_PS)
+@pytest.mark.parametrize("entry", [1e-310, 1e-310 + 1e-310j, 5e-324])
+def test_subnormal_matrix_has_a_finite_norm(p, entry):
+    # the all-`entry` 2x2 matrix has singular values 2|entry| and 0; a
+    # reciprocal of a subnormal largest |entry| overflows, so p = 2 and 4
+    # once read NaN with an overflow warning
+    expected = 2 * abs(entry)
+    assert schatten_norm(np.full((2, 2), entry), p) == pytest.approx(expected, rel=1e-9)
+    stack = np.stack([np.full((2, 2), entry), np.eye(2)])
+    np.testing.assert_allclose(schatten._norms(stack.astype(complex), p),
+                               [expected, 2 ** (1 / p)], rtol=1e-9)
+
+
+def test_stacked_norm_reads_a_transposed_view():
+    rng = np.random.default_rng(5)
+    stack = _complex_stack(rng, 3, 4, 6)
+    for p in ORACLE_PS:
+        np.testing.assert_allclose(schatten._norms(stack.transpose(0, 2, 1), p),
+                                   schatten._norms(stack, p), rtol=1e-13)
+
+
 def test_max_normalized_norm_of_empty_stack_is_zero():
     assert schatten.max_normalized_norm(np.zeros((0, 3, 3)), 1.0) == 0.0
 
