@@ -7,13 +7,12 @@ from the identity; when the representations are isomorphic the intertwiner
 extends to a unitary within 5*delta of the identity. The constructions here
 are fully explicit: a group average provides an exact intertwiner, singular
 value thresholding extracts the near-isometric part, and the unitary
-intertwiner is the polar factor of the group average: iterated without a
-decomposition when the average is certified near-unitary, and read off the
-isotypic frames of both representations when it is singular. Nothing here
-draws a random number. Over the trivial group every unitary intertwines and
-the unitary intertwiner is the exact identity, built without an average or
-a decomposition. The unitary intertwiner warns about far inputs only when it
-is given a Schatten exponent.
+intertwiner is the polar factor of the group average, read off the
+isotypic frames that both representations carry, at any rank of the
+average. Nothing here draws a random number. Over the trivial group every
+unitary intertwines and the unitary intertwiner is the exact identity,
+built without a frame or a decomposition. The unitary intertwiner warns
+about far inputs only when it is given a Schatten exponent.
 """
 
 from __future__ import annotations
@@ -24,13 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IsomorphyError, NumericalError, ValidationError
-from .irreps import (INVARIANCE_ATOL, UNITARY_ATOL, IrrepTable, UnitaryRep, direct_sum,
-                     isotypic_components, multiplicities)
-from .schatten import (_check_exponent, _distance_or_bound, _newton_polar, _svd, rep_distance,
+from .irreps import (INVARIANCE_ATOL, UNITARY_ATOL, IrrepTable, UnitaryRep, _column_blocks,
+                     _isotypic_frame, direct_sum)
+from .schatten import (_check_exponent, _distance_or_bound, _svd, rep_distance,
                        schatten_norm_normalized, singular_values, threshold_partial_isometry)
 
 DEFAULT_THRESHOLD = 0.5   # singular value cutoff for the kept subspaces of invariant_intertwiner
-POLAR_RANK_ATOL = 1e-6    # smallest singular value of a group average polarized by its own SVD
 INTERTWINE_ATOL = 1e-8    # max |rho2(x) T - T rho1(x)| of an assembled unitary intertwiner
 FAR_DISTANCE = 0.25       # input distance from which the intertwiners warn
 
@@ -113,52 +111,46 @@ def invariant_intertwiner(rho1: UnitaryRep, rho2: UnitaryRep, p: float) -> Inter
                              pair_distance=delta, identity_distance=dev)
 
 
-def _isotypic_polar(rho1: UnitaryRep, rho2: UnitaryRep, table: IrrepTable, mults) -> np.ndarray:
-    """Polar factor T of the group average E of isomorphic inputs, at any rank of E.
+def _isotypic_polar(frame1, frame2, table: IrrepTable) -> np.ndarray:
+    """Polar factor T of the group average E of two isomorphic representations
+    with these isotypic frames, at any rank of E.
 
-    In the copy-major bases B1_k, B2_k of `isotypic_components` both inputs
-    act by I kron pi_k, so Schur's lemma (Serre, Linear Representations of
-    Finite Groups, 2.7) gives B2_k^H E B1_k = M_k kron I, with the m_k x m_k
-    block M_k = tr_alpha(B2_k^H B1_k) / d_k. From the SVD M_k = U_k S_k V_k^H,
+    In the copy-major bases B1_k, B2_k of the frames both act by
+    I kron pi_k, so Schur's lemma (Serre, Linear Representations of Finite
+    Groups, 2.7) gives B2_k^H E B1_k = M_k kron I, with the m_k x m_k block
+    M_k = tr_alpha(B2_k^H B1_k) / d_k. From the SVD M_k = U_k S_k V_k^H,
     T = sum_k B2_k (U_k V_k^H kron I) B1_k^H is unitary, intertwines, and
-    makes T^H E positive semidefinite. `mults` is the inputs' shared
-    multiplicity vector.
+    makes T^H E positive semidefinite; d_k M_k has the same U_k and V_k.
     """
-    t = np.zeros((rho1.dim, rho1.dim), dtype=complex)
-    for b1, b2, d in zip(isotypic_components(rho1, table, mults),
-                         isotypic_components(rho2, table, mults), table.dims):
-        m = b1.shape[1] // d
+    widths = frame1.mults * table.dims
+    turned = []
+    for b1, b2, m, d in zip(_column_blocks(frame1.basis, widths),
+                            _column_blocks(frame2.basis, widths), frame1.mults, table.dims):
         if m:
             overlap = (b2.conj().T @ b1).reshape(m, d, m, d)
-            u, _, vh = _svd(np.trace(overlap, axis1=1, axis2=3) / d, compute_uv=True)
-            t += b2 @ np.kron(u @ vh, np.eye(d)) @ b1.conj().T
-    return t
+            u, _, vh = _svd(overlap.trace(axis1=1, axis2=3), compute_uv=True)
+            # U V^H kron I as one broadcast product
+            turned.append(b2 @ ((u @ vh)[:, None, :, None] * np.eye(d)[:, None]).reshape(m * d, -1))
+    return np.hstack(turned) @ frame1.basis.conj().T
 
 
 def unitary_intertwiner(rho1: UnitaryRep, rho2: UnitaryRep, p: float | None = None, *,
                         table: IrrepTable) -> np.ndarray:
     """Unitary T with rho2(x) T = T rho1(x), close to I for close inputs.
 
-    Requires isomorphic inputs (verified through their multiplicity
-    vectors). T is a polar factor of the group average E of rho2(g)
-    rho1(g)^{-1}: at p = 2 the closest unitary intertwiner to the identity,
-    and within 3x of the closest at every p. When ||I - E^H E||_F is at
-    most NEWTON_POLAR_RESIDUAL, the polar factor is iterated without an
-    SVD; otherwise it is u @ vh from the SVD of E if its smallest singular
-    value is at least POLAR_RANK_ATOL. Below that cut E may be singular,
-    with kernels that carry isomorphic subrepresentations, and the polar
-    factor is read off the isotypic frames of both inputs instead
-    (`_isotypic_polar`). No random number is drawn. On the trivial group T
-    is the exact identity, with no average and no SVD. The result conjugates
-    rho1 onto rho2 exactly. It is verified unitary to UNITARY_ATOL (on the
-    Newton path by the iteration's last residual, which bounds every entry
-    of I - T T^H) and intertwining on the group's generators to
-    INTERTWINE_ATOL. Given a Schatten exponent `p`, a pair at distance
-    FAR_DISTANCE or more warns; without it no distance is measured.
+    Requires isomorphic inputs (verified through the multiplicities of their
+    isotypic frames, which representations built by `repstab.irreps` carry).
+    T is the polar factor of the group average E of rho2(g) rho1(g)^{-1},
+    read off the frames at any rank of E (`_isotypic_polar`): at p = 2 the
+    closest unitary intertwiner to the identity, and within 3x of the
+    closest at every p. On the trivial group T is the exact identity. T is
+    verified unitary to UNITARY_ATOL and intertwining on the group's
+    generators to INTERTWINE_ATOL. Given a Schatten exponent `p`, a pair at
+    distance FAR_DISTANCE or more warns; without it no distance is measured.
     """
     p = None if p is None else _check_exponent(p)
-    m1 = multiplicities(rho1, table)
-    m2 = multiplicities(rho2, table)
+    frame1, frame2 = (_isotypic_frame(rho, table) for rho in (rho1, rho2))
+    m1, m2 = frame1.mults, frame2.mults
     if not np.array_equal(m1, m2):
         raise IsomorphyError(
             f"representations are not isomorphic: multiplicities {m1.tolist()} vs {m2.tolist()}",
@@ -172,15 +164,8 @@ def unitary_intertwiner(rho1: UnitaryRep, rho2: UnitaryRep, p: float | None = No
         if p is not None:
             _warn_far(_distance_or_bound(rho1, rho2, p, FAR_DISTANCE),
                       "the intertwiner may be far from the identity", stacklevel=2)
-        average = averaged_intertwiner(rho1, rho2)
-        newton = _newton_polar(average)
-        if newton is not None:
-            # ||I - T^H T||_F = ||I - T T^H||_F for square T, and it bounds every entry
-            t_full, uerr = newton
-        else:
-            u, sv, vh = _svd(average, compute_uv=True)
-            t_full = u @ vh if sv[-1] >= POLAR_RANK_ATOL else _isotypic_polar(rho1, rho2, table, m1)
-            uerr = np.abs(t_full @ t_full.conj().T - np.eye(dim)).max()
+        t_full = _isotypic_polar(frame1, frame2, table)
+        uerr = np.abs(t_full @ t_full.conj().T - np.eye(dim)).max()
         if uerr > UNITARY_ATOL:
             raise NumericalError(f"assembled intertwiner is not unitary (deviation {uerr:.3e})")
     gens = rho1.group.generators

@@ -9,11 +9,12 @@ lexicographic character over the class order). The canonical order fixes the
 coordinates of every multiplicity vector produced by the package. With the
 table, `isotypic_components` splits any representation into copies of its
 irreducibles, in their coordinates, from matrix coefficients: no randomness.
+Representations built here carry that split, their isotypic frame.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -37,14 +38,27 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
+class _Frame:
+    """The bases of `isotypic_components` side by side; with `hom` set, the
+    frame of the parent of a pullback along `hom`."""
+
+    table: IrrepTable
+    mults: np.ndarray
+    basis: np.ndarray
+    hom: GroupHom | None = None
+
+
+@dataclass(frozen=True, eq=False)
 class UnitaryRep:
     """Exact unitary representation: one matrix per group element.
 
-    `character` is computed on first use and kept, read-only.
+    `character` and the isotypic frame are computed on first use and kept,
+    read-only; the constructions of this module carry the frame over.
     """
 
     group: FiniteGroup
     matrices: np.ndarray  # (|G|, dim, dim) complex
+    _frame: _Frame | None = field(default=None, init=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -85,6 +99,12 @@ def unitary_rep(group: FiniteGroup, matrices, check: bool = True) -> UnitaryRep:
     return UnitaryRep(group=group, matrices=mats)
 
 
+def _framed(rep: UnitaryRep, frame: _Frame | None) -> UnitaryRep:
+    """`rep`, carrying `frame` from now on."""
+    object.__setattr__(rep, "_frame", frame)
+    return rep
+
+
 def regular_representation(group: FiniteGroup) -> UnitaryRep:
     """Left-translation permutation representation of dimension |G|."""
     n = group.order
@@ -113,16 +133,24 @@ def direct_sum(*reps: UnitaryRep) -> UnitaryRep:
 
 
 def conjugate_rep(rep: UnitaryRep, u: np.ndarray) -> UnitaryRep:
-    """g -> u rho(g) u* for a fixed unitary u."""
+    """g -> u rho(g) u* for a fixed unitary u; a frame B becomes u B."""
     mats = np.matmul(np.matmul(u, rep.matrices), u.conj().T)
-    return unitary_rep(rep.group, mats, check=False)
+    frame = rep._frame
+    if frame is not None:
+        frame = replace(frame, basis=_read_only(u @ frame.basis))
+    return _framed(unitary_rep(rep.group, mats, check=False), frame)
 
 
 def pullback(hom: GroupHom, rep: UnitaryRep) -> UnitaryRep:
-    """Representation of the source group: h -> rho(hom(h))."""
+    """Representation of the source group: h -> rho(hom(h)), carrying the
+    frame of `rep` to be split along `hom` when first read."""
     if rep.group is not hom.target:
         raise ValidationError("representation group does not match hom target")
-    return unitary_rep(hom.source, rep.matrices[hom.map], check=False)
+    frame = rep._frame
+    if frame is not None:
+        # a pullback of a pullback is left without a frame
+        frame = replace(frame, hom=hom) if frame.hom is None else None
+    return _framed(unitary_rep(hom.source, rep.matrices[hom.map], check=False), frame)
 
 
 def compress(mats: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -144,11 +172,18 @@ class IrrepTable:
     """Complete list of irreducibles of a group, in canonical order.
 
     `dims`, `trivial_index` and `weighted_conj_characters` are computed on
-    first use and kept; the arrays are read-only.
+    first use and kept; the arrays are read-only. So are the restrictions
+    into this table, per homomorphism and target table contents.
     """
 
     group: FiniteGroup
     irreps: tuple[UnitaryRep, ...]
+    _restrictions: dict = field(default_factory=dict, init=False, repr=False)
+
+    @cached_property
+    def _contents(self) -> bytes:
+        """The irreducibles' matrices: equal for tables that agree entry by entry."""
+        return b"".join(p.matrices.tobytes() for p in self.irreps)
 
     @cached_property
     def dims(self) -> np.ndarray:
@@ -327,16 +362,39 @@ def multiplicities(rep: UnitaryRep, table: IrrepTable) -> np.ndarray:
 
 
 def rep_from_multiplicities(table: IrrepTable, mults) -> UnitaryRep:
-    """Block-diagonal representation with the given multiplicity vector."""
+    """Block-diagonal representation with the given multiplicity vector, the
+    copies of each irreducible in table order; its frame is the identity."""
     mults = np.asarray(mults, dtype=int)
     if mults.shape != (len(table),) or mults.min() < 0:
         raise ValidationError("multiplicity vector must be nonnegative, one entry per irrep")
-    blocks = []
-    for p, m in zip(table.irreps, mults):
-        blocks.extend([p] * int(m))
-    if not blocks:
+    dim = int(mults @ table.dims)
+    if dim == 0:
         raise ValidationError("total dimension must be positive")
-    return direct_sum(*blocks)
+    mats = np.zeros((table.group.order, dim, dim), dtype=complex)
+    for p, lines in zip(table.irreps, _column_blocks(np.arange(dim)[None], mults * table.dims)):
+        copies = lines.reshape(-1, p.dim)
+        mats[:, copies[:, :, None], copies[:, None, :]] = p.matrices[:, None]
+    return _framed(unitary_rep(table.group, mats, check=False),
+                   _Frame(table, _read_only(mults.copy()), _read_only(np.eye(dim))))
+
+
+def _restriction(hom: GroupHom, table_source: IrrepTable, table_target: IrrepTable):
+    """Restriction matrix R along `hom`, and per target irreducible pi_k the
+    bases S_k[l] of `isotypic_components` of its pullback, kept on
+    `table_source` per homomorphism and target table contents."""
+    if table_source.group is not hom.source or table_target.group is not hom.target:
+        raise ValidationError("tables do not match the homomorphism")
+    key = (hom, table_target._contents)
+    if key not in table_source._restrictions:
+        cols, splits = [], []
+        for p in table_target.irreps:
+            pulled = pullback(hom, p)
+            cols.append(multiplicities(pulled, table_source))
+            # a 1-dimensional pullback is, to rounding, the irreducible it counts
+            splits.append(isotypic_components(pulled, table_source, cols[-1]) if p.dim > 1
+                          else [np.ones((1, 1))[:, :m] for m in cols[-1]])
+        table_source._restrictions[key] = _read_only(np.stack(cols, axis=1)), tuple(splits)
+    return table_source._restrictions[key]
 
 
 def restriction_matrix(hom: GroupHom, table_source: IrrepTable,
@@ -346,10 +404,37 @@ def restriction_matrix(hom: GroupHom, table_source: IrrepTable,
     Column j holds the multiplicities, in the source group, of the pullback
     of the target group's j-th irreducible. Applying the matrix to rho's
     multiplicity vector gives the multiplicity vector of the pullback of rho.
+    It is computed once per homomorphism and table contents, and read-only.
     """
-    if table_source.group is not hom.source or table_target.group is not hom.target:
-        raise ValidationError("tables do not match the homomorphism")
-    cols = []
-    for p in table_target.irreps:
-        cols.append(multiplicities(pullback(hom, p), table_source))
-    return np.stack(cols, axis=1)
+    return _restriction(hom, table_source, table_target)[0]
+
+
+def _column_blocks(a: np.ndarray, widths) -> list[np.ndarray]:
+    """The consecutive column blocks of `a` with the given widths."""
+    edges = [0, *np.cumsum(widths).tolist()]
+    return [a[:, i:j] for i, j in zip(edges, edges[1:])]
+
+
+def _isotypic_frame(rep: UnitaryRep, table: IrrepTable) -> _Frame:
+    """The frame of `rep` in `table`, which `rep` keeps. A carried frame is
+    read in a table with the same contents; a pullback's frame turns copy j
+    of pi_k by the split S_k of `_restriction` and takes the copies of each
+    l in the order (k, j, i). Without a frame, `rep` is decomposed and then
+    checked to be unitary and a homomorphism, as a carried frame certifies."""
+    frame = rep._frame
+    if frame is not None and frame.hom is not None:
+        r, splits = _restriction(frame.hom, table, frame.table)
+        blocks = _column_blocks(frame.basis, frame.mults * frame.table.dims)
+        basis = np.hstack([(b.reshape(-1, d) @ s[l]).reshape(rep.dim, -1) for l in range(len(table))
+                           for b, d, s in zip(blocks, frame.table.dims, splits) if b.size and s[l].size])
+        frame = _Frame(table, _read_only(r @ frame.mults), _read_only(basis))
+    if frame is None or frame.table._contents != table._contents:
+        mults = multiplicities(rep, table)
+        basis = np.hstack(isotypic_components(rep, table, mults))
+        try:
+            unitary_rep(rep.group, rep.matrices)
+        except ValidationError as exc:
+            raise NumericalError(str(exc)) from None
+        frame = _Frame(table, _read_only(mults), _read_only(basis))
+    _framed(rep, frame)
+    return frame

@@ -8,11 +8,9 @@ stack. Exactly zero members of a stack read 0 and take no kernel, so a
 stack of zeros takes no decomposition and no product. The Schatten exponent
 p is a runtime parameter, any real p >= 1.
 
-The unitary polar factor of a matrix certified near-unitary is taken by the
-Newton-Schulz iteration (Higham, 1986), which needs only products; every
-other polar factor comes from a singular value decomposition. A distance
-that only decides whether a level is reached is bounded first by a
-Frobenius norm, and measured exactly only when the bound reaches the level.
+A polar factor comes from a singular value decomposition. A distance that
+only decides whether a level is reached is bounded first by a Frobenius
+norm, and measured exactly only when the bound reaches the level.
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 
 RANK_RTOL = 1e-12   # smallest singular value, relative to max(largest, 1), of a full-rank factor
-NEWTON_POLAR_RESIDUAL = 0.5   # largest ||I - A^H A||_F at which a polar factor is iterated
 BOUND_RTOL = 1e-12  # slack that keeps rounding in a distance bound from hiding the level
 
 
@@ -175,38 +172,6 @@ def nearest_unitary(a) -> np.ndarray:
             f"matrix is rank deficient (smallest singular value {sv[-1] if sv.size else 0.0:.3e}); "
             "polar factor is not unique")
     return u @ vh
-
-
-def _newton_polar(a: np.ndarray) -> tuple[np.ndarray, float] | None:
-    """Unitary polar factor X of a square matrix certified near-unitary, with
-    its residual ||I - X^H X||_F; None when the matrix is not certified.
-
-    The Newton-Schulz iteration X <- X (3I - X^H X) / 2 starts only when the
-    residual ||I - A^H A||_F is at most NEWTON_POLAR_RESIDUAL = r. Every
-    squared singular value then lies in [1 - r, 1 + r], and the residual
-    falls quadratically, at least halving at each step. A matrix with
-    |n - ||A||_F^2| > r sqrt(n) is refused before any product, since by
-    Cauchy-Schwarz its residual exceeds r. The loop stops when the residual
-    is 0 or no longer halves, which happens only at rounding level; a
-    matrix that does not get there within 8 steps is refused.
-    """
-    n = a.shape[0]
-    if abs(n - np.vdot(a, a).real) > NEWTON_POLAR_RESIDUAL * np.sqrt(n):
-        return None
-    eye = np.eye(n)
-    x, limit = a, NEWTON_POLAR_RESIDUAL
-    for step in range(8):
-        gram = x.conj().T @ x
-        residual = np.linalg.norm(eye - gram)
-        if residual > limit:
-            # at step 0 the matrix is not certified; later the residual has
-            # stopped halving, which it does only at rounding level
-            return (x, residual) if step else None
-        if residual == 0.0:
-            return x, residual
-        x = x @ (1.5 * eye - 0.5 * gram)
-        limit = residual / 2
-    return None
 
 
 def threshold_partial_isometry(a, threshold: float):

@@ -31,9 +31,9 @@ from .errors import (GuardExceededError, IsomorphyError, NumericalError,
 from .graphs import (AlmostRep, GraphOfGroups, almost_rep, boundary_map,
                      generator_distance, measure_defect, rep_multiplicities)
 from .groups import GroupHom
-from .irreps import (IrrepTable, UnitaryRep, conjugate_rep, direct_sum, irrep_table,
-                     isotypic_components, multiplicities, pullback,
-                     rep_from_multiplicities, restriction_matrix, unitary_rep)
+from .irreps import (IrrepTable, UnitaryRep, _column_blocks, _isotypic_frame, conjugate_rep,
+                     irrep_table, multiplicities, pullback, rep_from_multiplicities,
+                     restriction_matrix, unitary_rep)
 from .intertwiners import INTERTWINE_ATOL, unitary_intertwiner
 from .rng import derived_generator
 from .schatten import _check_exponent, _distance_or_bound
@@ -120,10 +120,10 @@ def replace_summands(rho: UnitaryRep, target, table: IrrepTable) -> UnitaryRep:
     """Representation with the target multiplicities sharing rho's common part.
 
     Keeps the rho-invariant subspace carrying the coordinatewise minimum of
-    the two multiplicity vectors (the first copies of the matrix-coefficient
-    basis of `isotypic_components` for each irreducible) and fills the
-    dropped copies with canonical blocks realizing the remainder of the
-    target.
+    the two multiplicity vectors (the first copies of each irreducible in
+    the isotypic frame of rho) and fills the dropped copies with canonical
+    blocks realizing the remainder of the target. The result carries the
+    frame it is built in.
     """
     target = np.asarray(target, dtype=int)
     lam = multiplicities(rho, table)
@@ -132,14 +132,14 @@ def replace_summands(rho: UnitaryRep, target, table: IrrepTable) -> UnitaryRep:
     if np.array_equal(lam, target):
         return rho
     common = np.minimum(lam, target)
-    mats = direct_sum(*[irrep for mults in (common, target - common)
-                        for irrep, m in zip(table.irreps, mults) for _ in range(m)]).matrices
-    if common.any():
-        kept, dropped = zip(*(np.hsplit(b, [c]) for b, c in
-                              zip(isotypic_components(rho, table, lam), common * table.dims)))
-        q = np.hstack(kept + dropped)
-        mats = q @ mats @ q.conj().T
-    return unitary_rep(rho.group, mats, check=True)
+    bases = _column_blocks(_isotypic_frame(rho, table).basis, lam * table.dims)
+    kept = [b[:, :c] for b, c in zip(bases, common * table.dims)]
+    dropped = np.hstack([b[:, c:] for b, c in zip(bases, common * table.dims)])
+    fill = _column_blocks(dropped, (target - common) * table.dims)
+    out = conjugate_rep(rep_from_multiplicities(table, target),
+                        np.hstack([b for pair in zip(kept, fill) for b in pair]))
+    unitary_rep(rho.group, out.matrices)   # ValidationError unless exact
+    return out
 
 
 def _warn_gap(rho: UnitaryRep, target, table: IrrepTable, allowance: float, p: float):
@@ -299,6 +299,10 @@ def stabilize(rho: AlmostRep, ctx: CorrectionContext, seed=0,
         return t @ s
 
     with _stage("vertex_corrections", timings):
+        # an input vertex without a frame is decomposed here, which checks
+        # that it is an exact representation
+        for rep, table in zip(rho.vertex_reps, ctx.vertex_tables):
+            _isotypic_frame(rep, table)
         root = ctx.gog.graph.tree.root
         at_root = (rho.vertex_reps[root], lam_out.blocks[root], ctx.vertex_tables[root])
         _warn_gap(*at_root, hint, ctx.p)

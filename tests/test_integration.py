@@ -183,12 +183,11 @@ def _failing_svd(*args, **kwargs):
     pytest.param("Z2_free_Z3", 1.0, 1e-3, "edges-only", "measure_defect",
                  id="1.0-measure_defect")])
 def test_stage_tags_on_svd_failure(z2_amalgam, monkeypatch, graph, p, eps, mode, stage):
-    # p = 2 measures the defect without an SVD, and a group average certified
-    # near-unitary takes its polar factor without one, so the first SVD is
-    # the polar factor of an average that fails the certificate: across the
-    # Z2 tree edge of z2_amalgam in the vertex stage (dim - ||E||_F^2 = 1.55),
-    # across the Z2 loop of the HNN in the edge stage (1.52), both above
-    # 0.5 * sqrt(6) = 1.22; p = 1 fails while measuring the defect
+    # p = 2 measures the defect without an SVD, so the first SVD is that of a
+    # multiplicity block of the first polar factor: across the Z2 tree edge
+    # of z2_amalgam in the vertex stage, and across the Z2 loop of the HNN
+    # (one vertex, no tree edge) in the edge stage; p = 1 fails while
+    # measuring the defect
     gog = z2_amalgam if graph == "z2_amalgam" else rs.graph_preset(graph)
     ctx = rs.CorrectionContext.build(gog, p=p, seed=0)
     base = rs.realize(rs.uniform_lambda(ctx, 6), ctx, seed=0)
@@ -225,23 +224,33 @@ def test_free_products_stabilize_without_svd(preset_contexts, monkeypatch, name,
     (name, p, 0 if p != 1.0 else 3 if name == "hnn_Z4_over_Z2" else 2)
     for name in rs.graph_preset_names() for p in (1.0, 2.0, 4.0)])
 def test_svd_budget_of_one_stabilize(preset_contexts, monkeypatch, name, p, svds):
-    # at p = 1 one SVD stack each for the input defect, the output defect and
-    # the distance moved, except that the output defect of a free product is a
-    # stack of exact zeros (its tree letter is I) and takes none; the stable
-    # letters of close inputs take their polar factor without an SVD, and
-    # p = 2 and p = 4 measure without one
+    # library-built inputs carry their isotypic frames, so realize and
+    # stabilize run no eigh, no isotypic decomposition and no SVD of a
+    # dim x dim matrix, even when the input was realized with a context
+    # built apart from the one that stabilizes it. At p = 1 one SVD stack
+    # each for the input defect, the output defect and the distance moved,
+    # except that the output defect of a free product is a stack of exact
+    # zeros (its tree letter is I) and takes none; p = 2 and p = 4 measure
+    # without one
+    from repstab import irreps
     ctx = preset_contexts[(name, p)]
-    base = rs.realize(rs.uniform_lambda(ctx, 12), ctx, seed=0)
+    realizing = rs.CorrectionContext.build(ctx.gog, p=2.0, seed=0)
+    calls = []
+    for module, kernel in ((np.linalg, "svd"), (np.linalg, "eigh"),
+                           (irreps, "isotypic_components")):
+        def counted(a, *args, _real=getattr(module, kernel), _kernel=kernel, **kwargs):
+            calls.append((_kernel, np.shape(a)))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(module, kernel, counted)
+    base = rs.realize(rs.uniform_lambda(realizing, 12), realizing, seed=0)
+    realized = list(calls)
     rho = rs.perturb(base, ctx.gog, 1e-3, mode="edges-and-conjugate-vertices",
                      rng=np.random.default_rng(1))
-    calls = []
-    real_svd = np.linalg.svd
-
-    def counted_svd(*args, **kwargs):
-        calls.append(None)
-        return real_svd(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    calls.clear()
     _, report = rs.stabilize(rho, ctx, seed=0)
     assert report.output_defect < 1e-10
-    assert len(calls) == svds
+    assert [kernel for kernel, _ in realized + calls if kernel != "svd"] == []
+    assert (12, 12) not in [shape for _, shape in realized + calls]
+    assert [len(shape) for _, shape in realized].count(3) == 0
+    assert [len(shape) for _, shape in calls].count(3) == svds

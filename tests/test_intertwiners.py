@@ -202,10 +202,10 @@ def test_realize_measures_no_distances_in_intertwiners(monkeypatch):
     ctx = rs.CorrectionContext.build(rs.graph_preset("hnn_Z4_over_Z2"), p=2.0)
     distances = _count_calls(monkeypatch, intertwiners, "rep_distance")
     norms = _count_calls(monkeypatch, intertwiners, "schatten_norm_normalized")
-    averages = _count_calls(monkeypatch, intertwiners, "averaged_intertwiner")
+    polars = _count_calls(monkeypatch, intertwiners, "_isotypic_polar")
     rho = rs.realize(rs.uniform_lambda(ctx, 12), ctx, seed=0)
     assert rs.measure_defect(rho, ctx.gog, 2.0) < 1e-10
-    assert averages, "realize built no intertwiner"
+    assert polars, "realize built no intertwiner"
     assert distances == [] and norms == []
 
 
@@ -286,8 +286,8 @@ def test_singular_averages_are_completed_in_the_isotypic_frame(monkeypatch, z2_t
 def test_average_on_either_side_of_the_rank_cut_takes_its_polar_factor(z2_table, c):
     # trivial+trivial+sign against its rotation in the last two lines: the
     # average has singular values 1, c, c, so its polar factor is unique; c
-    # lies below POLAR_RANK_ATOL (isotypic frame) or above it (SVD of E)
-    from repstab import intertwiners
+    # lies on either side of 1e-6, where a rank cut once chose between the
+    # SVD of E and the isotypic frame, and the frame gives u @ vh on both
     s = np.sqrt(1.0 - c * c)
     rot = np.eye(3)
     rot[1:, 1:] = [[c, -s], [s, c]]
@@ -297,7 +297,6 @@ def test_average_on_either_side_of_the_rank_cut_takes_its_polar_factor(z2_table,
     np.testing.assert_allclose(sv, [1.0, c, c], rtol=1e-6)
     t = rs.unitary_intertwiner(rho1, rho2, table=z2_table)
     assert np.abs(t - u @ vh).max() < 1e-9
-    assert np.abs(t - intertwiners._isotypic_polar(rho1, rho2, z2_table, [2, 1])).max() < 1e-9
 
 
 def test_unitary_intertwiner_is_polar_factor_of_nonsingular_average(z2_table):
@@ -371,65 +370,29 @@ def test_invariance_check_skips_only_full_kept_subspaces(monkeypatch, z2_table):
         rs.invariant_intertwiner(rho1, rho2, 2.0)
 
 
-def _failing_svd(*args, **kwargs):
-    raise np.linalg.LinAlgError("SVD did not converge")
-
-
 @pytest.mark.parametrize("name", [n for n in group_preset_names() if group_preset(n).order > 1])
-def test_certified_average_takes_the_newton_polar_factor(monkeypatch, name):
-    # close pairs certify their average near-unitary: with the SVD failing,
-    # the iterated polar factor matches the SVD one of the same average
+def test_certified_average_takes_the_newton_polar_factor(name):
+    # the frame polar factor against the SVD oracle: the nearest unitary to
+    # the group average, for close and farther pairs alike
     table = rs.irrep_table(group_preset(name), seed=0)
     rng = np.random.default_rng(14)
     for dim in (6, 24, 96):
         for eps in (1e-6, 1e-3, 1e-1):
             rho1, rho2, _ = _phase_conjugated_pair(table, dim, eps, rng, 2.0)
-            with monkeypatch.context() as m:
-                m.setattr(np.linalg, "svd", _failing_svd)
-                t = rs.unitary_intertwiner(rho1, rho2, 2.0, table=table)
+            t = rs.unitary_intertwiner(rho1, rho2, 2.0, table=table)
             polar = rs.nearest_unitary(averaged_intertwiner(rho1, rho2))
             assert np.abs(t - polar).max() <= 1e-13
             assert np.abs(np.matmul(rho2.matrices, t) - np.matmul(t, rho1.matrices)).max() < 1e-12
 
 
-def test_newton_polar_factor_is_certified_by_its_residual(monkeypatch, s3_table):
-    # with no unitarity slack the last Newton residual, which is not exactly
-    # 0 here, still refuses the operator: the check holds without a T T^H product
+def test_frame_polar_factor_is_refused_when_not_unitary(monkeypatch, s3_table):
+    # with no unitarity slack the rounding in T T^H refuses the operator
     from repstab import intertwiners
     rho1, rho2, _ = _phase_conjugated_pair(s3_table, 12, 1e-3, np.random.default_rng(2), 2.0)
-    monkeypatch.setattr(np.linalg, "svd", _failing_svd)
     rs.unitary_intertwiner(rho1, rho2, table=s3_table)
     monkeypatch.setattr(intertwiners, "UNITARY_ATOL", 0.0)
     with pytest.raises(rs.NumericalError, match="assembled intertwiner is not unitary"):
         rs.unitary_intertwiner(rho1, rho2, table=s3_table)
-
-
-def _rotated_pair(z2_table, residual):
-    """trivial+trivial+sign against its rotation in the last two lines, by
-    the angle that makes ||I - E^H E||_F of the average E equal `residual`.
-
-    E has singular values 1, c, c with sqrt(2) (1 - c^2) = residual, so
-    |3 - ||E||_F^2| = sqrt(2) residual stays below 0.5 sqrt(3) near
-    residual 0.5, and only the residual decides the certificate.
-    """
-    c = np.sqrt(1.0 - residual / np.sqrt(2.0))
-    s = np.sqrt(1.0 - c * c)
-    rot = np.eye(3)
-    rot[1:, 1:] = [[c, -s], [s, c]]
-    rho1 = rs.rep_from_multiplicities(z2_table, [2, 1])
-    return rho1, rs.conjugate_rep(rho1, rot)
-
-
-@pytest.mark.parametrize("residual, svds", [(0.5 * (1 - 1e-6), 0), (0.5 * (1 + 1e-6), 1)])
-def test_average_just_past_the_residual_cut_takes_the_svd(monkeypatch, z2_table, residual, svds):
-    rho1, rho2 = _rotated_pair(z2_table, residual)
-    t0 = averaged_intertwiner(rho1, rho2)
-    assert np.linalg.norm(np.eye(3) - t0.conj().T @ t0) == pytest.approx(residual, rel=1e-12)
-    calls = _count_calls(monkeypatch, np.linalg, "svd")
-    t = rs.unitary_intertwiner(rho1, rho2, table=z2_table)
-    assert len(calls) == svds
-    monkeypatch.undo()
-    np.testing.assert_allclose(t, rs.nearest_unitary(t0), atol=1e-13)
 
 
 @pytest.mark.parametrize("p", [float("nan"), 0.5])

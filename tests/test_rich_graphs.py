@@ -268,8 +268,9 @@ def test_epsilon_is_continuous_in_the_stable_letter(block, p):
     ("z4_chain", ((3, 1, 2, 2), (5, 1, 2, 0), (3, 2, 1, 2))),
 ])
 def test_realize_does_not_depend_on_the_seed(monkeypatch, request, name, blocks):
-    # both vectors give an intertwiner whose group average is singular, so the
-    # isotypic frame completes it; no random number is drawn
+    # both vectors give an intertwiner whose group average is singular; its
+    # polar factor is read off the isotypic frames like every other, and no
+    # random number is drawn
     from repstab import intertwiners
     completed = []
     frame = intertwiners._isotypic_polar
@@ -284,3 +285,67 @@ def test_realize_does_not_depend_on_the_seed(monkeypatch, request, name, blocks)
     for a, b in zip(first.edge_unitaries, second.edge_unitaries):
         assert np.array_equal(a, b)
     assert rs.measure_defect(first, ctx.gog, 2.0) < 1e-12
+
+
+def _assert_carried_frame(rep, table):
+    """The frame `rep` carries in `table` is read without a decomposition, is
+    orthonormal and copy-major, and rep(g) B_k = B_k (I kron pi_k(g)) for
+    every g."""
+    from repstab.irreps import INVARIANCE_ATOL, _column_blocks, _isotypic_frame
+    assert rep._frame is not None
+    mults = rs.multiplicities(rep, table)
+    frame = _isotypic_frame(rep, table)
+    basis = frame.basis
+    assert frame.mults.tolist() == mults.tolist()
+    assert np.abs(basis.conj().T @ basis - np.eye(rep.dim)).max() < 1e-12
+    for b, p, m in zip(_column_blocks(basis, mults * table.dims), table.irreps, mults):
+        copies = b.reshape(rep.dim, m, p.dim)
+        acted = np.einsum("nja,gab->gnjb", copies, p.matrices).reshape(len(p.matrices), *b.shape)
+        assert np.abs(rep.matrices @ b - acted).max(initial=0.0) <= INVARIANCE_ATOL
+
+
+@pytest.mark.parametrize("name", rs.graph_preset_names() + RICH_GRAPHS)
+def test_library_built_representations_carry_their_isotypic_frames(request, monkeypatch, name):
+    from repstab import irreps
+    from repstab.graphs import PERTURB_FULL
+    from repstab.stabilize import replace_summands
+    gog = request.getfixturevalue(name) if name in RICH_GRAPHS else rs.graph_preset(name)
+    ctx = rs.CorrectionContext.build(gog, p=2.0, seed=0)
+    # stabilized with a context built apart from the one that realized
+    ctx_apart = rs.CorrectionContext.build(gog, p=1.0, seed=0)
+    rng = np.random.default_rng(11)
+    lam = rs.uniform_lambda(ctx, 12)
+    realized = rs.realize(lam, ctx)
+    inst = rs.perturb(realized, gog, 1e-2, mode=PERTURB_FULL, rng=rng)
+    out, _ = rs.stabilize(inst, ctx_apart)
+
+    def failing(*args, **kwargs):
+        raise AssertionError("a carried frame was decomposed again")
+
+    monkeypatch.setattr(irreps, "isotypic_components", failing)
+    table = ctx.vertex_tables[0]
+    built = rs.rep_from_multiplicities(table, lam.blocks[0])
+    target = np.array(lam.blocks[0])
+    other = next(k for k, d in enumerate(table.dims) if d == 1 and k != table.trivial_index)
+    target[[table.trivial_index, other]] += [-1, 1] if target[table.trivial_index] else [1, -1]
+    reps = [(built, table), (rs.conjugate_rep(built, random_unitary(12, rng)), table),
+            (replace_summands(realized.vertex_reps[0], target, table), table)]
+    for rho in (realized, out):
+        reps += list(zip(rho.vertex_reps, ctx.vertex_tables))
+        reps += [(irreps.pullback(gog.injections[e], rho.vertex_reps[gog.graph.terminus(e)]),
+                  ctx.edge_tables[e // 2]) for e in range(gog.graph.n_oriented_edges)]
+    for rep, tab in reps:
+        _assert_carried_frame(rep, tab)
+
+    # a frameless twin, decomposed from its matrices, gives the same
+    # intertwiner: the averages of these close pairs are nonsingular
+    monkeypatch.undo()
+    for e in range(gog.graph.n_oriented_edges):
+        rep = irreps.pullback(gog.injections[e], out.vertex_reps[gog.graph.terminus(e)])
+        w, v = np.linalg.eigh(random_hermitian(12, rng))
+        near = rs.conjugate_rep(rep, (v * np.exp(1e-2j * w / np.abs(w).max())) @ v.conj().T)
+        twins = [rs.unitary_rep(r.group, r.matrices, check=False) for r in (rep, near)]
+        framed = rs.unitary_intertwiner(rep, near, table=ctx.edge_tables[e // 2])
+        assert twins[0]._frame is None
+        frameless = rs.unitary_intertwiner(*twins, table=ctx.edge_tables[e // 2])
+        assert np.abs(framed - frameless).max() <= 1e-12

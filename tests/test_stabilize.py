@@ -194,18 +194,23 @@ def test_correct_vertex_across_trivial_group_takes_no_svd(s3, s3_table, monkeypa
 def test_correct_vertex_near_exact_pair_at_p1_takes_no_svd(z2, z2_table, s3, s3_table,
                                                           monkeypatch):
     # across a Z2 tree edge with a near-exact constraint, the Frobenius bound
-    # already lies below the hint and the far cut, so p = 1 needs no SVD
+    # already lies below the hint and the far cut, so p = 1 needs no SVD of
+    # a 9 x 9 matrix; the polar factor takes only SVDs of its smaller
+    # multiplicity blocks
     rng = np.random.default_rng(6)
     rho = random_rep(s3_table, 9, rng)
     hom = rs.group_hom(z2, s3, [0, 1], require_injective=True)
     w, v = np.linalg.eigh(random_hermitian(9, rng) * 1e-3)
     tau = rs.conjugate_rep(pullback(hom, rho), (v * np.exp(1j * w)) @ v.conj().T)
     target = rs.multiplicities(rho, s3_table)
+    real_svd = np.linalg.svd
 
-    def failing_svd(*args, **kwargs):
-        raise np.linalg.LinAlgError("SVD did not converge")
+    def svd_below_dim_9(a, *args, **kwargs):
+        if a.shape[-1] == 9:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return real_svd(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", failing_svd)
+    monkeypatch.setattr(np.linalg, "svd", svd_below_dim_9)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         out = rs.correct_vertex(hom, tau, rho, target, z2_table, s3_table, 1.0,
@@ -243,6 +248,30 @@ def test_correct_vertex_rejects_mismatched_constraint(z2, z2_table, s3, s3_table
     tau = pullback(hom, rs.rep_from_multiplicities(s3_table, [4, 1, 1]))
     with pytest.raises(IsomorphyError):
         rs.correct_vertex(hom, tau, rho, np.array([2, 2, 1]), z2_table, s3_table, 2.0)
+
+
+@pytest.mark.parametrize("eta", [1e-9, 1e-7])
+@pytest.mark.parametrize("name", ["Z2_free_Z3", "hnn_Z4_over_Z2"])
+def test_stabilize_refuses_vertex_maps_that_are_not_homomorphisms(preset_contexts, name, eta):
+    # the last element of each vertex turned by exp(i eta H): still unitary,
+    # with characters that round to the same multiplicities, but no longer a
+    # homomorphism; vertex maps given from outside carry no isotypic frame,
+    # so stabilize decomposes them and checks them
+    ctx = preset_contexts[(name, 2.0)]
+    base = rs.realize(rs.uniform_lambda(ctx, 12), ctx, seed=0)
+    rng = np.random.default_rng(9)
+    reps = []
+    for rep in base.vertex_reps:
+        w, v = np.linalg.eigh(random_hermitian(12, rng))
+        mats = rep.matrices.copy()
+        mats[-1] = (v * np.exp(1j * eta * w / np.abs(w).max())) @ v.conj().T @ mats[-1]
+        reps.append(rs.unitary_rep(rep.group, mats, check=False))
+        with pytest.raises(ValidationError, match="not a homomorphism"):
+            rs.unitary_rep(rep.group, mats)
+    rho = rs.almost_rep(ctx.gog, reps, base.edge_unitaries, check=False)
+    assert rs.rep_multiplicities(rho, ctx.vertex_tables) == rs.rep_multiplicities(base, ctx.vertex_tables)
+    with pytest.raises(NumericalError, match=r"^\[vertex_corrections\] "):
+        rs.stabilize(rho, ctx, seed=0)
 
 
 def test_stabilize_exact_input_fixed_point(preset_contexts):
