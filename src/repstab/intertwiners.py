@@ -11,8 +11,8 @@ intertwiner is the polar factor of the group average, read off the
 isotypic frames that both representations carry, at any rank of the
 average. Nothing here draws a random number. Over the trivial group every
 unitary intertwines and the unitary intertwiner is the exact identity,
-built without a frame or a decomposition. The unitary intertwiner warns
-about far inputs only when it is given a Schatten exponent.
+built without an SVD. The unitary intertwiner warns about far inputs only
+when it is given a Schatten exponent.
 """
 
 from __future__ import annotations

@@ -244,6 +244,8 @@ def realize(lam: MultiplicityVector, ctx: CorrectionContext, seed=0) -> AlmostRe
 
     def fit_child(child, into_child, tau, edge_table):
         fresh = rep_from_multiplicities(ctx.vertex_tables[child], lam.blocks[child])
+        if tau.group.order == 1:  # a trivial edge group constrains nothing
+            return fresh
         s = unitary_intertwiner(pullback(into_child, fresh), tau, table=edge_table)
         return conjugate_rep(fresh, s)
 
