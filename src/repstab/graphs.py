@@ -27,7 +27,7 @@ from .groups import FiniteGroup, GroupHom, group_hom
 from .irreps import (UNITARY_ATOL, UnitaryRep, _read_only, conjugate_rep,
                      multiplicities, restriction_matrix, unitary_rep)
 from .rng import as_generator, random_hermitian
-from .schatten import max_normalized_norm, singular_values
+from .schatten import _normalized_norms, max_normalized_norm, singular_values
 
 PERTURB_EDGES = "edges-only"
 PERTURB_FULL = "edges-and-conjugate-vertices"
@@ -255,21 +255,36 @@ def evaluate_word(rho: AlmostRep, word: tuple) -> np.ndarray:
     return out
 
 
-def measure_defect(rho: AlmostRep, gog: GraphOfGroups, p: float) -> float:
-    """Largest normalized p-Schatten distance from a relator image to I, read
-    off the presentation index: s - I per tree letter s, and per edge with a
-    nontrivial edge group one stacked product s^H A s B - I over its
-    conjugation relators, multiplied left to right as in `evaluate_word`.
-    Raises ValidationError when `rho` does not fit the graph of groups."""
+def _relator_norms(rho: AlmostRep, gog: GraphOfGroups,
+                   p: float) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The normalized p-Schatten norms of the relator images minus I, read
+    off the presentation index in one stack, and per geometric edge k the
+    view of its own: s - I first when k is a tree edge, then s^H A s B - I
+    per conjugation relator, multiplied left to right as in
+    `evaluate_word`. Raises ValidationError when `rho` does not fit the
+    graph of groups."""
     _check_fits(gog, rho.vertex_reps, rho.edge_unitaries)
     tree_edges, conjugations = gog._relator_index
-    eye, s = np.eye(rho.dim), rho.edge_unitaries
-    diffs = [np.empty((0, rho.dim, rho.dim))] + [s[k][None] - eye for k in tree_edges]
-    for (o, t), (terminus, origin_inv), u in zip(gog.graph.endpoints, conjugations, s):
+    eye = np.eye(rho.dim)
+    diffs, ends = [np.empty((0, rho.dim, rho.dim))], [0]
+    for k, ((o, t), (terminus, origin_inv), u) in enumerate(
+            zip(gog.graph.endpoints, conjugations, rho.edge_unitaries)):
+        if k in tree_edges:
+            diffs.append(u[None] - eye)
         if len(terminus):
             a, b = rho.vertex_reps[t].matrices[terminus], rho.vertex_reps[o].matrices[origin_inv]
             diffs.append(u.conj().T @ a @ u @ b - eye)
-    return max_normalized_norm(np.concatenate(diffs), p)
+        ends.append(ends[-1] + (k in tree_edges) + len(terminus))
+    norms = _normalized_norms(np.concatenate(diffs), p)
+    return norms, [norms[i:j] for i, j in zip(ends, ends[1:])]
+
+
+def measure_defect(rho: AlmostRep, gog: GraphOfGroups, p: float) -> float:
+    """Largest normalized p-Schatten distance from a relator image to I:
+    of s - I per tree letter s, and of s^H A s B - I per conjugation
+    relator, as `_relator_norms` reads them. Raises ValidationError when
+    `rho` does not fit the graph of groups."""
+    return float(_relator_norms(rho, gog, p)[0].max(initial=0.0))
 
 
 def rep_multiplicities(rho: AlmostRep, vertex_tables) -> MultiplicityVector:

@@ -9,10 +9,13 @@ are fully explicit: a group average provides an exact intertwiner, singular
 value thresholding extracts the near-isometric part, and the unitary
 intertwiner is the polar factor of the group average, read off the
 isotypic frames that both representations carry, at any rank of the
-average. Nothing here draws a random number. Over the trivial group every
-unitary intertwines and the unitary intertwiner is the exact identity,
-built without an SVD. The unitary intertwiner warns about far inputs only
-when it is given a Schatten exponent.
+average. The stable letters of `stabilize` are built by the same routine:
+the polar factor of the twisted average of rho2(g) s rho1(g)^{-1} for a
+letter s, of which the unitary intertwiner is the case s = I. Nothing here
+draws a random number. Over the trivial group every unitary intertwines
+and the unitary intertwiner is the exact identity, built without an SVD.
+The unitary intertwiner warns about far inputs only when it is given a
+Schatten exponent.
 """
 
 from __future__ import annotations
@@ -111,20 +114,22 @@ def invariant_intertwiner(rho1: UnitaryRep, rho2: UnitaryRep, p: float) -> Inter
                              pair_distance=delta, identity_distance=dev)
 
 
-def _isotypic_polar(frame1, frame2, table: IrrepTable) -> np.ndarray:
-    """Polar factor T of the group average E of two isomorphic representations
-    with these isotypic frames, at any rank of E.
+def _isotypic_polar(frame1, frame2, table: IrrepTable, s=None) -> np.ndarray:
+    """Polar factor L of F = mean_h rho2(h) s rho1(h)^H, with s = I when
+    None, for two isomorphic representations with these isotypic frames,
+    at any rank of F.
 
     In the copy-major bases B1_k, B2_k of the frames both act by
     I kron pi_k, so Schur's lemma (Serre, Linear Representations of Finite
-    Groups, 2.7) gives B2_k^H E B1_k = M_k kron I, with the m_k x m_k block
-    M_k = tr_alpha(B2_k^H B1_k) / d_k. From the SVD M_k = U_k S_k V_k^H,
-    T = sum_k B2_k (U_k V_k^H kron I) B1_k^H is unitary, intertwines, and
-    makes T^H E positive semidefinite; d_k M_k has the same U_k and V_k.
+    Groups, 2.7) gives B2_k^H F B1_k = M_k kron I, with the m_k x m_k block
+    M_k = tr_alpha(B2_k^H s B1_k) / d_k. From the SVD M_k = U_k S_k V_k^H,
+    L = sum_k B2_k (U_k V_k^H kron I) B1_k^H is unitary, intertwines, and
+    makes L^H F positive semidefinite; d_k M_k has the same U_k and V_k.
     """
     widths = frame1.mults * table.dims
+    moved = frame1.basis if s is None else s @ frame1.basis
     turned = []
-    for b1, b2, m, d in zip(_column_blocks(frame1.basis, widths),
+    for b1, b2, m, d in zip(_column_blocks(moved, widths),
                             _column_blocks(frame2.basis, widths), frame1.mults, table.dims):
         if m:
             overlap = (b2.conj().T @ b1).reshape(m, d, m, d)
@@ -134,21 +139,14 @@ def _isotypic_polar(frame1, frame2, table: IrrepTable) -> np.ndarray:
     return np.hstack(turned) @ frame1.basis.conj().T
 
 
-def unitary_intertwiner(rho1: UnitaryRep, rho2: UnitaryRep, p: float | None = None, *,
-                        table: IrrepTable) -> np.ndarray:
-    """Unitary T with rho2(x) T = T rho1(x), close to I for close inputs.
-
-    Requires isomorphic inputs (verified through the multiplicities of their
-    isotypic frames, which representations built by `repstab.irreps` carry).
-    T is the polar factor of the group average E of rho2(g) rho1(g)^{-1},
-    read off the frames at any rank of E (`_isotypic_polar`): at p = 2 the
-    closest unitary intertwiner to the identity, and within 3x of the
-    closest at every p. On the trivial group T is the exact identity. T is
-    verified unitary to UNITARY_ATOL and intertwining on the group's
-    generators to INTERTWINE_ATOL. Given a Schatten exponent `p`, a pair at
-    distance FAR_DISTANCE or more warns; without it no distance is measured.
-    """
-    p = None if p is None else _check_exponent(p)
+def _polar_letter(rho1: UnitaryRep, rho2: UnitaryRep, table: IrrepTable, s=None,
+                  far=None) -> np.ndarray:
+    """The polar factor L of F = mean_h rho2(h) s rho1(h)^H (`_isotypic_polar`),
+    verified unitary to UNITARY_ATOL and to satisfy rho2(x) L = L rho1(x) on
+    the group's generators to INTERTWINE_ATOL. With s = I (None) over the
+    trivial group L is the exact identity. Given `far`, a callable returning
+    the inputs' distance, a distance of FAR_DISTANCE or more warns, over a
+    nontrivial group and only once the inputs are known to be isomorphic."""
     frame1, frame2 = (_isotypic_frame(rho, table) for rho in (rho1, rho2))
     m1, m2 = frame1.mults, frame2.mults
     if not np.array_equal(m1, m2):
@@ -157,22 +155,41 @@ def unitary_intertwiner(rho1: UnitaryRep, rho2: UnitaryRep, p: float | None = No
             left=m1, right=m2)
 
     dim = rho1.dim
-    if rho1.group.order == 1:
-        # nothing to intertwine: I is the exact polar factor of E = I
-        t_full = np.eye(dim, dtype=complex)
-    else:
-        if p is not None:
-            _warn_far(_distance_or_bound(rho1, rho2, p, FAR_DISTANCE),
-                      "the intertwiner may be far from the identity", stacklevel=2)
-        t_full = _isotypic_polar(frame1, frame2, table)
-        uerr = np.abs(t_full @ t_full.conj().T - np.eye(dim)).max()
-        if uerr > UNITARY_ATOL:
-            raise NumericalError(f"assembled intertwiner is not unitary (deviation {uerr:.3e})")
+    if rho1.group.order == 1 and s is None:
+        # nothing to intertwine: I is the exact polar factor of F = I
+        return np.eye(dim, dtype=complex)
+    if far is not None and rho1.group.order > 1:
+        _warn_far(far(), "the intertwiner may be far from the identity", stacklevel=3)
+    letter = _isotypic_polar(frame1, frame2, table, s)
+    uerr = np.abs(letter @ letter.conj().T - np.eye(dim)).max()
+    if uerr > UNITARY_ATOL:
+        raise NumericalError(f"assembled intertwiner is not unitary (deviation {uerr:.3e})")
     gens = rho1.group.generators
-    ierr = np.abs(rho2.matrices[gens] @ t_full - t_full @ rho1.matrices[gens]).max(initial=0.0)
+    ierr = np.abs(rho2.matrices[gens] @ letter - letter @ rho1.matrices[gens]).max(initial=0.0)
     if ierr > INTERTWINE_ATOL:
         raise NumericalError(f"assembled operator fails to intertwine (deviation {ierr:.3e})")
-    return t_full
+    return letter
+
+
+def unitary_intertwiner(rho1: UnitaryRep, rho2: UnitaryRep, p: float | None = None, *,
+                        table: IrrepTable) -> np.ndarray:
+    """Unitary T with rho2(x) T = T rho1(x), close to I for close inputs.
+
+    Requires isomorphic inputs (verified through the multiplicities of their
+    isotypic frames, which representations built by `repstab.irreps` carry).
+    T is the polar factor of the group average E of rho2(g) rho1(g)^{-1},
+    read off the frames at any rank of E: at p = 2 the closest unitary
+    intertwiner to the identity, and within 3x of the closest at every p.
+    It is the s = I case of the stable letter that `stabilize` fits, built
+    and verified by the same routine (`_polar_letter`): on the trivial group
+    T is the exact identity; elsewhere T is verified unitary to
+    UNITARY_ATOL and intertwining on the group's generators to
+    INTERTWINE_ATOL. Given a Schatten exponent `p`, a pair at distance
+    FAR_DISTANCE or more warns; without it no distance is measured.
+    """
+    p = None if p is None else _check_exponent(p)
+    far = None if p is None else (lambda: _distance_or_bound(rho1, rho2, p, FAR_DISTANCE))
+    return _polar_letter(rho1, rho2, table, far=far)
 
 
 def direct_sum_padding_distance(rho: UnitaryRep, sigma1: UnitaryRep,

@@ -102,11 +102,11 @@ def schatten_norm(a, p: float) -> float:
     return float(_norms(_as_matrix(a)[None], p)[0])
 
 
-def max_normalized_norm(mats, p: float) -> float:
-    """Largest normalized p-Schatten norm over a stack of square matrices.
+def _normalized_norms(mats, p: float) -> np.ndarray:
+    """Normalized p-Schatten norm of each square matrix of a stack.
 
-    The normalized norm is the p-power mean of the singular values. An empty
-    stack gives 0.0; empty matrices have no normalized norm.
+    The normalized norm is the p-power mean of the singular values; empty
+    matrices have none.
     """
     mats = _matrices_of(mats)
     n, rows, cols = mats.shape
@@ -116,8 +116,16 @@ def max_normalized_norm(mats, p: float) -> float:
         raise ValidationError("normalized norm requires a nonempty matrix")
     p = _check_exponent(p)
     if n == 0:
-        return 0.0
-    return float(_norms(_finite(mats), p).max() / rows ** (1.0 / p))
+        return np.zeros(0)
+    return _norms(_finite(mats), p) / rows ** (1.0 / p)
+
+
+def max_normalized_norm(mats, p: float) -> float:
+    """Largest normalized p-Schatten norm over a stack of square matrices.
+
+    An empty stack gives 0.0; empty matrices have no normalized norm.
+    """
+    return float(_normalized_norms(mats, p).max(initial=0.0))
 
 
 def schatten_norm_normalized(a, p: float) -> float:

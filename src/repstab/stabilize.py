@@ -19,7 +19,7 @@ from __future__ import annotations
 import time
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -28,13 +28,13 @@ from .cones import (BoundaryMap, MultiplicityVector, pad_with_trivial,
                     project_to_kernel_cone)
 from .errors import (GuardExceededError, IsomorphyError, NumericalError,
                      ValidationError)
-from .graphs import (AlmostRep, GraphOfGroups, almost_rep, boundary_map,
+from .graphs import (AlmostRep, GraphOfGroups, _relator_norms, almost_rep, boundary_map,
                      generator_distance, measure_defect, rep_multiplicities)
 from .groups import GroupHom
 from .irreps import (IrrepTable, UnitaryRep, _column_blocks, _isotypic_frame, conjugate_rep,
                      irrep_table, multiplicities, pullback, rep_from_multiplicities,
                      restriction_matrix, unitary_rep)
-from .intertwiners import INTERTWINE_ATOL, unitary_intertwiner
+from .intertwiners import INTERTWINE_ATOL, _polar_letter, unitary_intertwiner
 from .rng import derived_generator
 from .schatten import _check_exponent, _distance_or_bound
 
@@ -266,6 +266,17 @@ def stabilize(rho: AlmostRep, ctx: CorrectionContext, seed=0,
     are vacuous for large defects; raise the guard to experiment anyway).
     A NaN guard, which no defect reaches, is rejected. No random number is
     drawn: `seed` has no effect on the output.
+
+    Each non-tree letter s becomes the polar factor of its twisted average
+    F(s) = mean_h b(h) s a(h)^H over the edge group, a and b the corrected
+    restrictions at its origin and terminus, read off their isotypic frames.
+    The input letters are not checked to be unitary: F(c s) = c F(s), so a
+    positive multiple of a unitary ends at the same letter as the unitary.
+    A letter warns, as `unitary_intertwiner` does, when the largest norm of
+    its edge's conjugation relators, measured in stage 1, reaches
+    FAR_DISTANCE; for a unitary s that norm is the distance from
+    s a(h) s^H to b(h). The distance moved takes each tree letter's norm
+    from stage 1 too, since its output letter is I.
     """
     if np.isnan(guard):
         raise ValidationError("guard must not be NaN")
@@ -273,7 +284,8 @@ def stabilize(rho: AlmostRep, ctx: CorrectionContext, seed=0,
     timings: dict[str, float] = {}
 
     with _stage("measure_defect", timings):
-        delta = measure_defect(rho, ctx.gog, ctx.p)
+        norms, edge_norms = _relator_norms(rho, ctx.gog, ctx.p)
+        delta = float(norms.max(initial=0.0))
     if delta >= guard:
         raise GuardExceededError(
             f"measured defect {delta:.4g} is not below the guard {guard:.4g}",
@@ -295,10 +307,10 @@ def stabilize(rho: AlmostRep, ctx: CorrectionContext, seed=0,
                               edge_table, ctx.vertex_tables[child], ctx.p, delta_hint=hint)
 
     def fit_edge(k, origin, terminus):
-        s = rho.edge_unitaries[k]
-        t = unitary_intertwiner(conjugate_rep(origin, s), terminus, ctx.p,
-                                table=ctx.edge_tables[k])
-        return t @ s
+        # for a unitary s, |s a(h) s^H - b(h)|'_p is the norm of the
+        # conjugation relator s^H b(h) s a(h)^-1 - I, measured in stage 1
+        return _polar_letter(origin, terminus, ctx.edge_tables[k], rho.edge_unitaries[k],
+                             far=lambda: edge_norms[k].max(initial=0.0))
 
     with _stage("vertex_corrections", timings):
         # an input vertex without a frame is decomposed here, which checks
@@ -316,7 +328,14 @@ def stabilize(rho: AlmostRep, ctx: CorrectionContext, seed=0,
     out = almost_rep(ctx.gog, new_reps, edges, check=False)
     with _stage("verification", timings):
         output_defect = measure_defect(out, ctx.gog, ctx.p)
-        epsilon = generator_distance(rho, out, ctx.p)
+        # each output tree letter is I, so it moved by the norm of its tree
+        # relator s - I from stage 1; the input with its tree letters set to
+        # I differs from the output there by exact zeros, which take no kernel
+        tree = ctx.gog.graph.tree.geometric_edges
+        tree_set = replace(rho, edge_unitaries=tuple(
+            edges[k] if k in tree else s for k, s in enumerate(rho.edge_unitaries)))
+        epsilon = float(max([generator_distance(tree_set, out, ctx.p),
+                             *(edge_norms[k][0] for k in tree)]))
 
     report = StabilizationReport(p=ctx.p, dim=dim, delta=delta, epsilon=epsilon,
                                  output_defect=output_defect, cone_gap=cone_gap,

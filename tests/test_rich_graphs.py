@@ -14,8 +14,9 @@ import scipy.linalg
 
 import repstab as rs
 from repstab import cones
-from repstab.graphs import evaluate_word
-from repstab.schatten import max_normalized_norm
+from repstab.graphs import evaluate_word, generator_distance
+from repstab.irreps import pullback
+from repstab.schatten import max_normalized_norm, singular_values
 from repstab.rng import random_hermitian, random_unitary
 
 from conftest import brute_force_projection, enumerate_cone, enumerate_kernel_cone
@@ -349,3 +350,75 @@ def test_library_built_representations_carry_their_isotypic_frames(request, monk
         assert twins[0]._frame is None
         frameless = rs.unitary_intertwiner(*twins, table=ctx.edge_tables[e // 2])
         assert np.abs(framed - frameless).max() <= 1e-12
+
+
+def _check_letters_against_the_twisted_average(ctx, rho, out):
+    """Each non-tree letter L of `out` against F = mean_h b(h) s a(h)^H, formed
+    by brute force from the input letter s and the output restrictions a, b
+    across its edge. Where F has full rank, L is the parent route's letter
+    T s, with T the unitary intertwiner from s a s^H to b; where F is
+    singular, L is unitary, intertwines a to b, and L^H F is Hermitian
+    positive semidefinite. Returns the ranks seen, full (True) or not."""
+    gog, seen = ctx.gog, set()
+    for k, (o, t) in enumerate(gog.graph.endpoints):
+        if k in gog.graph.tree.geometric_edges:
+            continue
+        s, letter, table = rho.edge_unitaries[k], out.edge_unitaries[k], ctx.edge_tables[k]
+        origin = pullback(gog.injections[2 * k + 1], out.vertex_reps[o])
+        terminus = pullback(gog.injections[2 * k], out.vertex_reps[t])
+        f = (terminus.matrices @ s @ origin.matrices.conj().transpose(0, 2, 1)).mean(axis=0)
+        sv = singular_values(f)
+        full = sv[-1] > 1e-6 * sv[0]
+        if full:
+            oracle = rs.unitary_intertwiner(rs.conjugate_rep(origin, s), terminus, table=table) @ s
+            assert np.abs(letter - oracle).max() <= 1e-12
+        else:
+            assert np.abs(letter @ letter.conj().T - np.eye(rho.dim)).max() <= 1e-12
+            moved = terminus.matrices @ letter - letter @ origin.matrices
+            assert np.abs(moved).max() <= 1e-12
+            h = letter.conj().T @ f
+            assert np.abs(h - h.conj().T).max() <= 1e-12
+            assert np.linalg.eigvalsh((h + h.conj().T) / 2).min() >= -1e-12
+        seen.add(bool(full))
+    return seen
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 4.0])
+@pytest.mark.parametrize("name", rs.graph_preset_names() + RICH_GRAPHS)
+def test_stable_letters_match_the_polar_factor_oracle(request, name, p):
+    gog = request.getfixturevalue(name) if name in RICH_GRAPHS else rs.graph_preset(name)
+    ctx = rs.CorrectionContext.build(gog, p=p, seed=0)
+    for dim in (12, 96):
+        base = rs.realize(rs.uniform_lambda(ctx, dim), ctx, seed=0)
+        rho = rs.perturb(base, gog, 1e-2, mode="edges-and-conjugate-vertices",
+                         rng=np.random.default_rng(dim))
+        out, report = rs.stabilize(rho, ctx, seed=0)
+        assert report.output_defect <= 1e-9
+        assert report.delta == rs.measure_defect(rho, gog, p)
+        # at p = 2 and 4 the norm of a matrix alone in its stack can differ
+        # in the last bits from its norm among others, and the distance
+        # moved reuses the tree letters' norms from the input defect's stack
+        assert report.epsilon == pytest.approx(generator_distance(rho, out, p), rel=1e-14)
+        seen = _check_letters_against_the_twisted_average(ctx, rho, out)
+        assert seen == (set() if gog.graph.n_geometric_edges < gog.graph.n_vertices else {True})
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 4.0])
+@pytest.mark.parametrize("block", [(3, 3, 3), (24, 24, 24)])
+def test_singular_letter_average_takes_a_polar_factor(twisted_hnn, block, p):
+    # the twisted HNN skew input of the cone-imbalance benchmark, at dims 12
+    # and 96: one summand swapped off the kernel cone, in a Haar-random
+    # basis, makes the letter's twisted average singular
+    ctx = rs.CorrectionContext.build(twisted_hnn, p=p, seed=0)
+    a, b, d = block
+    exact = rs.realize(rs.MultiplicityVector("vertex", ((a, b, b, d),)), ctx, seed=0)
+    skew = rs.rep_from_multiplicities(ctx.vertex_tables[0], (a, b + 1, b - 1, d))
+    w = random_unitary(exact.dim, np.random.default_rng(sum(block)))
+    rho = rs.almost_rep(twisted_hnn, [rs.conjugate_rep(skew, w)],
+                        [w @ exact.edge_unitaries[0] @ w.conj().T], check=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)   # far-apart restrictions, by design
+        # the swapped line alone puts the defect at dim 12 and p = 4 above 1
+        out, report = rs.stabilize(rho, ctx, seed=0, guard=2.0)
+    assert report.output_defect <= 1e-9
+    assert _check_letters_against_the_twisted_average(ctx, rho, out) == {False}

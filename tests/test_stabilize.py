@@ -6,6 +6,7 @@ import pytest
 
 import repstab as rs
 from repstab.errors import GuardExceededError, IsomorphyError, NumericalError, ValidationError
+from repstab.graphs import generator_distance
 from repstab.groups import trivial_embedding
 from repstab.irreps import pullback
 from repstab.presets import group_preset
@@ -430,3 +431,68 @@ def test_pipeline_reads_the_tree_of_the_graph(monkeypatch):
     out, report = rs.stabilize(inst, ctx, seed=3)
     assert report.output_defect <= 1e-9
     assert rs.measure_defect(out, ctx.gog, 2.0) == report.output_defect
+
+
+@pytest.mark.parametrize("mode", ["edges-only", "edges-and-conjugate-vertices"])
+@pytest.mark.parametrize("p", [1.0, 2.0, 4.0])
+@pytest.mark.parametrize("name", rs.graph_preset_names())
+def test_report_reuses_the_input_relator_norms_bit_for_bit(preset_contexts, name, p, mode):
+    # delta is read off the per-relator norms of stage 1, and the distance
+    # moved takes each tree letter's from there; both must be the numbers
+    # that measure_defect and generator_distance give on their own
+    ctx = preset_contexts[(name, p)]
+    for dim in (12, 96):
+        base = rs.realize(rs.uniform_lambda(ctx, dim), ctx, seed=0)
+        for seed in range(3):
+            rho = rs.perturb(base, ctx.gog, 1e-2, mode=mode, rng=np.random.default_rng(seed))
+            out, report = rs.stabilize(rho, ctx, seed=0)
+            assert report.delta == rs.measure_defect(rho, ctx.gog, p)
+            assert report.epsilon == generator_distance(rho, out, p)
+            assert report.output_defect == rs.measure_defect(out, ctx.gog, p)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 4.0])
+def test_letter_far_warning_follows_the_twisted_distance(preset_contexts, p):
+    # the far warning of a stable letter reads its edge's conjugation-relator
+    # norms from stage 1; for a unitary letter s those are the distances
+    # |s a(h) s^H - b(h)|'_p between the twisted origin restriction a and the
+    # terminus restriction b, so it fires exactly where that distance,
+    # measured apart, reaches 1/4 (hnn has one vertex, whose multiplicities
+    # hold, so the restrictions are the input's)
+    ctx = preset_contexts[("hnn_Z4_over_Z2", p)]
+    gog = ctx.gog
+    base = rs.realize(rs.uniform_lambda(ctx, 12), ctx, seed=0)
+    rng = np.random.default_rng(int(p))
+    fired = set()
+    for mode in ("edges-only", "edges-and-conjugate-vertices"):
+        for eps in (0.1, 0.15, 0.2, 0.25, 0.3, 0.5):
+            rho = rs.perturb(base, gog, eps, mode=mode, rng=rng)
+            origin = pullback(gog.injections[1], rho.vertex_reps[0])
+            terminus = pullback(gog.injections[0], rho.vertex_reps[0])
+            far = rs.rep_distance(rs.conjugate_rep(origin, rho.edge_unitaries[0]), terminus, p)
+            with warnings.catch_warnings(record=True) as records:
+                warnings.simplefilter("always")
+                _, report = rs.stabilize(rho, ctx, seed=0, guard=1.0)
+            messages = [str(r.message) for r in records if "not below 1/4" in str(r.message)]
+            assert len(messages) == (far >= 0.25)
+            if messages:
+                assert messages[0].startswith(f"measured distance {far:.3e} ")
+            assert report.output_defect <= 1e-9
+            fired.add(bool(messages))
+    assert fired == {True, False}
+
+
+def test_stabilize_takes_a_scaled_letter_to_its_polar_factor(preset_contexts):
+    # stabilize does not check that its input letters are unitary: the
+    # non-tree letter is the polar factor of its twisted average F(s), and
+    # F(1.001 s) = 1.001 F(s) has the polar factor of F(s)
+    ctx = preset_contexts[("hnn_Z4_over_Z2", 2.0)]
+    base = rs.realize(rs.uniform_lambda(ctx, 12), ctx, seed=0)
+    rho = rs.perturb(base, ctx.gog, 1e-3, rng=np.random.default_rng(0))
+    scaled = rs.almost_rep(ctx.gog, rho.vertex_reps, [1.001 * rho.edge_unitaries[0]],
+                           check=False)
+    out, report = rs.stabilize(scaled, ctx, seed=0)
+    letter = out.edge_unitaries[0]
+    assert np.abs(letter @ letter.conj().T - np.eye(12)).max() < 1e-13
+    assert report.output_defect < 1e-13
+    assert np.abs(letter - rs.stabilize(rho, ctx, seed=0)[0].edge_unitaries[0]).max() < 1e-13
