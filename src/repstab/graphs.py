@@ -257,25 +257,33 @@ def evaluate_word(rho: AlmostRep, word: tuple) -> np.ndarray:
 
 def _relator_norms(rho: AlmostRep, gog: GraphOfGroups,
                    p: float) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The normalized p-Schatten norms of the relator images minus I, read
-    off the presentation index in one stack, and per geometric edge k the
-    view of its own: s - I first when k is a tree edge, then s^H A s B - I
-    per conjugation relator, multiplied left to right as in
-    `evaluate_word`. Raises ValidationError when `rho` does not fit the
-    graph of groups."""
+    """The normalized p-Schatten norms of the relator images minus I, and
+    per geometric edge k the view of its own: s - I first when k is a tree
+    edge, then s^H A s B - I per conjugation relator, multiplied left to
+    right as in `evaluate_word`. The images are written in place into one
+    stack sized from the presentation index, and I is subtracted once on
+    its diagonal. Raises ValidationError when `rho` does not fit the graph
+    of groups, or when a letter holds NaN or Inf."""
     _check_fits(gog, rho.vertex_reps, rho.edge_unitaries)
     tree_edges, conjugations = gog._relator_index
-    eye = np.eye(rho.dim)
-    diffs, ends = [np.empty((0, rho.dim, rho.dim))], [0]
-    for k, ((o, t), (terminus, origin_inv), u) in enumerate(
-            zip(gog.graph.endpoints, conjugations, rho.edge_unitaries)):
+    dim = rho.dim
+    ends = [0]
+    for k, (terminus, _) in enumerate(conjugations):
+        ends.append(ends[-1] + (k in tree_edges) + len(terminus))
+    images = np.empty((ends[-1], dim, dim), dtype=complex)
+    for k, ((o, t), (terminus, origin_inv), u, start) in enumerate(
+            zip(gog.graph.endpoints, conjugations, rho.edge_unitaries, ends)):
         if k in tree_edges:
-            diffs.append(u[None] - eye)
+            images[start] = u
+            start += 1
         if len(terminus):
             a, b = rho.vertex_reps[t].matrices[terminus], rho.vertex_reps[o].matrices[origin_inv]
-            diffs.append(u.conj().T @ a @ u @ b - eye)
-        ends.append(ends[-1] + (k in tree_edges) + len(terminus))
-    norms = _normalized_norms(np.concatenate(diffs), p)
+            block = images[start:start + len(terminus)]
+            np.matmul(u.conj().T, a, out=block)
+            np.matmul(np.matmul(block, u), b, out=block)
+    diagonal = np.arange(dim)
+    images[:, diagonal, diagonal] -= 1.0
+    norms = _normalized_norms(images, p)
     return norms, [norms[i:j] for i, j in zip(ends, ends[1:])]
 
 
@@ -297,14 +305,19 @@ def rep_multiplicities(rho: AlmostRep, vertex_tables) -> MultiplicityVector:
 def generator_distance(rho1: AlmostRep, rho2: AlmostRep, p: float) -> float:
     """Max distance over the generating set: nonidentity vertex elements and
     stable letters. Both vertex representations are exact, so the identity
-    element adds nothing but rounding; it is left out, as in `relators`."""
+    element adds nothing but rounding; it is left out, as in `relators`. A
+    vertex representation compared with itself (the same object on both
+    sides) is skipped: it moved by exactly zero, and its matrices were
+    checked finite when it was built. The letters are always compared."""
     def shapes(rho):
         return [r.matrices.shape for r in rho.vertex_reps] + [u.shape for u in rho.edge_unitaries]
 
     if shapes(rho1) != shapes(rho2):
         raise ValidationError("almost-representations are not comparable")
-    diffs = []
+    diffs = [np.empty((0, rho1.dim, rho1.dim))]
     for r1, r2 in zip(rho1.vertex_reps, rho2.vertex_reps):
+        if r1 is r2:
+            continue
         rest = np.arange(r1.group.order) != r1.group.identity
         diffs.append(r1.matrices[rest] - r2.matrices[rest])
     diffs += [(u1 - u2)[None] for u1, u2 in zip(rho1.edge_unitaries, rho2.edge_unitaries)]

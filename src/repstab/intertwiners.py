@@ -161,11 +161,16 @@ def _polar_letter(rho1: UnitaryRep, rho2: UnitaryRep, table: IrrepTable, s=None,
     if far is not None and rho1.group.order > 1:
         _warn_far(far(), "the intertwiner may be far from the identity", stacklevel=3)
     letter = _isotypic_polar(frame1, frame2, table, s)
-    uerr = np.abs(letter @ letter.conj().T - np.eye(dim)).max()
+    gram = letter @ letter.conj().T
+    diagonal = np.arange(dim)
+    gram[diagonal, diagonal] -= 1.0
+    uerr = np.abs(gram).max()
     if uerr > UNITARY_ATOL:
         raise NumericalError(f"assembled intertwiner is not unitary (deviation {uerr:.3e})")
     gens = rho1.group.generators
-    ierr = np.abs(rho2.matrices[gens] @ letter - letter @ rho1.matrices[gens]).max(initial=0.0)
+    moved = rho2.matrices[gens] @ letter
+    moved -= letter @ rho1.matrices[gens]
+    ierr = np.abs(moved).max(initial=0.0)
     if ierr > INTERTWINE_ATOL:
         raise NumericalError(f"assembled operator fails to intertwine (deviation {ierr:.3e})")
     return letter

@@ -4,9 +4,11 @@ Norms are computed for whole stacks of matrices at once. At p = 2 the norm
 is the Frobenius norm and at p = 4 it is the square root of the Frobenius
 norm of A^H A (since ||A||_4^4 = tr((A^H A)^2)); both are exact and need no
 decomposition. Every other p takes one singular value decomposition per
-stack. Exactly zero members of a stack read 0 and take no kernel, so a
-stack of zeros takes no decomposition and no product. The Schatten exponent
-p is a runtime parameter, any real p >= 1.
+stack. One scan of a stack finds the largest |entry| of each member: it
+rejects a stack with NaN or Inf, marks the exactly zero members, which read
+0 and take no kernel (so a stack of zeros takes no decomposition and no
+product), and scales the p = 2 and p = 4 paths. The Schatten exponent p is
+a runtime parameter, any real p >= 1.
 
 A polar factor comes from a singular value decomposition. A distance that
 only decides whether a level is reached is bounded first by a Frobenius
@@ -60,33 +62,38 @@ def singular_values(a) -> np.ndarray:
 
 
 def _norms(stack: np.ndarray, p: float) -> np.ndarray:
-    """Unnormalized p-Schatten norm of each matrix of a finite complex (n, r, c) stack.
+    """Unnormalized p-Schatten norm of each matrix of a complex (n, r, c) stack.
 
-    An exactly zero matrix reads 0.0 and takes no kernel: only the nonzero
-    matrices are decomposed or multiplied."""
+    One scan finds each member's largest |entry|: a NaN or Inf raises
+    ValidationError, an exactly zero matrix reads 0.0 and takes no kernel
+    (only the nonzero matrices are decomposed or multiplied), and the p = 2
+    and p = 4 paths scale by it."""
     if stack.size == 0:
         return np.zeros(len(stack))
-    nonzero = stack.reshape(len(stack), -1).any(axis=1)
+    top = np.abs(stack).max(axis=(1, 2))
+    if not np.isfinite(top).all():
+        raise ValidationError("matrix contains NaN or Inf")
+    nonzero = top > 0
     if nonzero.all():
-        return _nonzero_norms(stack, p)
+        return _nonzero_norms(stack, p, top)
     norms = np.zeros(len(stack))
     if nonzero.any():
-        norms[nonzero] = _nonzero_norms(stack[nonzero], p)
+        norms[nonzero] = _nonzero_norms(stack[nonzero], p, top[nonzero])
     return norms
 
 
-def _nonzero_norms(stack: np.ndarray, p: float) -> np.ndarray:
-    """`_norms` of a stack with no zero matrix."""
+def _nonzero_norms(stack: np.ndarray, p: float, top: np.ndarray) -> np.ndarray:
+    """`_norms` of a stack with no zero matrix, given each member's largest
+    |entry| `top`."""
     if p not in (2.0, 4.0):
         sv = _svd(stack)
-        top = sv[:, 0]   # positive for a nonzero matrix
+        largest = sv[:, 0]   # positive for a nonzero matrix
         # factor out the largest value so large p does not overflow
-        return top * np.sum((sv / top[:, None]) ** p, axis=1) ** (1.0 / p)
+        return largest * np.sum((sv / largest[:, None]) ** p, axis=1) ** (1.0 / p)
     # divide by the largest |entry|, positive for a nonzero matrix, so
     # squaring neither overflows nor underflows; the real and imaginary
     # parts are divided as floats, since the reciprocal of a subnormal top
     # overflows and complex division takes one
-    top = np.abs(stack).max(axis=(1, 2))
     scaled = (np.ascontiguousarray(stack).view(float) / top[:, None, None]).view(complex)
     if p == 4.0:
         adj = scaled.conj().transpose(0, 2, 1)
@@ -117,7 +124,7 @@ def _normalized_norms(mats, p: float) -> np.ndarray:
     p = _check_exponent(p)
     if n == 0:
         return np.zeros(0)
-    return _norms(_finite(mats), p) / rows ** (1.0 / p)
+    return _norms(mats, p) / rows ** (1.0 / p)
 
 
 def max_normalized_norm(mats, p: float) -> float:

@@ -224,6 +224,59 @@ def test_generator_distance_matches_reference_with_identity(preset_contexts, p):
             assert d > 0.0
 
 
+@pytest.mark.parametrize("name", rs.graph_preset_names())
+def test_generator_distance_of_a_representation_to_itself_takes_no_svd(
+        monkeypatch, preset_contexts, name):
+    # every vertex representation is the same object on both sides and is
+    # skipped; only the letters are read, and their exact zeros take no kernel
+    from repstab import graphs
+    ctx = preset_contexts[(name, 1.0)]
+    rho = rs.perturb(rs.realize(rs.uniform_lambda(ctx, 12), ctx, seed=0), ctx.gog, 1e-2,
+                     mode="edges-and-conjugate-vertices", rng=np.random.default_rng(3))
+    svds, stacks = [], []
+    real_svd, real_max = np.linalg.svd, graphs.max_normalized_norm
+
+    def counting_svd(*args, **kwargs):
+        svds.append(None)
+        return real_svd(*args, **kwargs)
+
+    def recorded_max(mats, p):
+        stacks.append(len(mats))
+        return real_max(mats, p)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(graphs, "max_normalized_norm", recorded_max)
+    assert generator_distance(rho, rho, 1.0) == 0.0
+    assert svds == []
+    assert stacks == [ctx.gog.graph.n_geometric_edges]
+
+
+def test_generator_distance_with_nothing_left_to_read_is_zero():
+    # one vertex and no edge: the skipped vertex leaves an empty stack, in
+    # `generator_distance` and in the verification of `stabilize`
+    gog = rs.graph_of_groups(rs.serre_graph(1, []), [rs.cyclic_group(3)], [], [])
+    ctx = rs.CorrectionContext.build(gog, p=1.0)
+    rho = rs.realize(rs.uniform_lambda(ctx, 6), ctx)
+    assert generator_distance(rho, rho, 1.0) == 0.0
+    out, report = rs.stabilize(rho, ctx)
+    assert out.vertex_reps[0] is rho.vertex_reps[0]
+    assert report.epsilon == 0.0 and report.output_defect == 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_generator_distance_still_reads_a_bad_letter(preset_contexts, bad):
+    # the letters are compared even where every vertex is skipped
+    for name in rs.graph_preset_names():
+        ctx = preset_contexts[(name, 2.0)]
+        rho = rs.realize(rs.uniform_lambda(ctx, 6), ctx, seed=0)
+        letter = rho.edge_unitaries[0].copy()
+        letter[1, 2] = bad
+        broken = rs.almost_rep(ctx.gog, rho.vertex_reps, [letter], check=False)
+        for pair in ((broken, rho), (rho, broken)):
+            with pytest.raises(ValidationError, match="NaN or Inf"):
+                generator_distance(*pair, 2.0)
+
+
 def test_evaluate_word_inverse_tokens(z2_loop):
     table = rs.irrep_table(z2_loop.vertex_groups[0])
     rep = rs.rep_from_multiplicities(table, [1, 1])

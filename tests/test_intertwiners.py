@@ -371,7 +371,7 @@ def test_invariance_check_skips_only_full_kept_subspaces(monkeypatch, z2_table):
 
 
 @pytest.mark.parametrize("name", [n for n in group_preset_names() if group_preset(n).order > 1])
-def test_certified_average_takes_the_newton_polar_factor(name):
+def test_frame_polar_factor_matches_the_svd_oracle(name):
     # the frame polar factor against the SVD oracle: the nearest unitary to
     # the group average, for close and farther pairs alike
     table = rs.irrep_table(group_preset(name), seed=0)

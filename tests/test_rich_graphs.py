@@ -85,6 +85,23 @@ def test_measure_defect_matches_the_relator_words(request, name):
             assert rs.measure_defect(inst, gog, p) == max_normalized_norm(words, p)
 
 
+@pytest.mark.parametrize("dim", [12, 96])
+@pytest.mark.parametrize("name", rs.graph_preset_names() + RICH_GRAPHS)
+def test_measure_defect_matches_each_relator_word_alone(request, name, dim):
+    # the relator images written in place against each word's own norm, to
+    # rounding: at p = 2 and 4 a matrix alone sums its squares in another
+    # order than in a stack
+    gog = request.getfixturevalue(name) if name in RICH_GRAPHS else rs.graph_preset(name)
+    ctx = rs.CorrectionContext.build(gog, p=2.0, seed=0)
+    base = rs.realize(rs.uniform_lambda(ctx, dim), ctx, seed=0)
+    for mode in ("edges-only", "edges-and-conjugate-vertices"):
+        inst = rs.perturb(base, gog, 1e-2, mode=mode, rng=np.random.default_rng(11))
+        words = [evaluate_word(inst, w) - np.eye(dim) for w in rs.relators(gog)]
+        for p in (1.0, 2.0, 3.0, 4.0):
+            oracle = max(rs.schatten_norm_normalized(w, p) for w in words)
+            assert rs.measure_defect(inst, gog, p) == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize("name", rs.graph_preset_names() + RICH_GRAPHS)
 def test_every_preset_and_benchmark_graph_has_an_edge_tree(request, name):
     # the exact DP serves every graph of the presets and the benchmark

@@ -180,6 +180,27 @@ def test_nan_rejected():
         singular_values(bad)
 
 
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 4.0])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf,
+                                 complex(0.0, np.nan), complex(0.0, -np.inf)])
+@pytest.mark.parametrize("order", ["zero-first", "bad-first"])
+def test_a_bad_member_next_to_a_zero_member_is_rejected(p, bad, order):
+    # one scan of the stack both marks the zero members and refuses NaN/Inf,
+    # also in a member whose only nonzero entry is the bad one
+    stack = np.zeros((4, 5, 5), dtype=complex)
+    stack[3] = np.eye(5)
+    zero, member = (0, 1) if order == "zero-first" else (1, 0)
+    stack[member, 2, 3] = bad
+    assert not stack[zero].any()
+    with pytest.raises(ValidationError, match="NaN or Inf"):
+        rs.rep_distance(stack, np.zeros_like(stack), p)
+    with pytest.raises(ValidationError, match="NaN or Inf"):
+        schatten.max_normalized_norm(stack, p)
+    stack[member] += np.eye(5)
+    with pytest.raises(ValidationError, match="NaN or Inf"):
+        schatten.max_normalized_norm(stack, p)
+
+
 @pytest.mark.parametrize("p", [1.0, 2.0, 4.0])
 def test_normalized_norm_rejects_empty_matrix(p):
     with pytest.raises(ValidationError, match="nonempty"):

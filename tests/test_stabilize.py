@@ -344,6 +344,33 @@ def test_stabilize_rejects_a_nan_guard(preset_contexts):
         rs.stabilize(inst, ctx, seed=0, guard=float("nan"))
 
 
+@pytest.fixture(scope="module")
+def contexts_at_every_p():
+    return {(name, p): rs.CorrectionContext.build(rs.graph_preset(name), p=p, seed=0)
+            for name in rs.graph_preset_names() for p in (1.0, 2.0, 3.0, 4.0)}
+
+
+# an infinite loop letter meets zeros in the conjugation products, and numpy
+# reports the inf * 0 before the scan of the images refuses them
+@pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 4.0])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", rs.graph_preset_names())
+def test_a_bad_stable_letter_is_refused(contexts_at_every_p, name, bad, p):
+    # the one scan of the relator images refuses the letter in stage 1: a
+    # tree letter on the free products, the loop letter with its
+    # conjugation relators on the HNN extension
+    ctx = contexts_at_every_p[(name, p)]
+    base = rs.realize(rs.uniform_lambda(ctx, 6), ctx, seed=0)
+    letter = base.edge_unitaries[0].copy()
+    letter[1, 2] = bad
+    inst = rs.almost_rep(ctx.gog, base.vertex_reps, [letter], check=False)
+    with pytest.raises(ValidationError, match="NaN or Inf"):
+        rs.measure_defect(inst, ctx.gog, p)
+    with pytest.raises(ValidationError, match="NaN or Inf"):
+        rs.stabilize(inst, ctx, seed=0)
+
+
 def test_stabilize_engineered_imbalance(amalgam_ctx):
     rho = _imbalanced_instance(amalgam_ctx, (6, 4), (5, 5), 10)
     with warnings.catch_warnings():
