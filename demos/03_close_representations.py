@@ -27,7 +27,7 @@ for eps in (1e-1, 1e-2, 1e-3):
 
     p = 2.0
     delta = rs.rep_distance(rho1, rho2, p)
-    res = rs.invariant_intertwiner(rho1, rho2, p)
+    res = rs.invariant_intertwiner(rho1, rho2, p, table=table)
     tprime = rs.unitary_intertwiner(rho1, rho2, p, table=table)
     dev = rs.schatten_norm_normalized(tprime - np.eye(7), p)
     conj_err = np.abs(np.matmul(rho2.matrices, tprime)

@@ -27,7 +27,7 @@ from .groups import FiniteGroup, GroupHom, group_hom
 from .irreps import (UNITARY_ATOL, UnitaryRep, _read_only, conjugate_rep,
                      multiplicities, restriction_matrix, unitary_rep)
 from .rng import as_generator, random_hermitian
-from .schatten import _normalized_norms, max_normalized_norm, singular_values
+from .schatten import _finite, _normalized_norms, max_normalized_norm, singular_values
 
 PERTURB_EDGES = "edges-only"
 PERTURB_FULL = "edges-and-conjugate-vertices"
@@ -277,6 +277,8 @@ def _relator_norms(rho: AlmostRep, gog: GraphOfGroups,
             images[start] = u
             start += 1
         if len(terminus):
+            # checked before the products, where inf * 0 would warn first
+            _finite(u)
             a, b = rho.vertex_reps[t].matrices[terminus], rho.vertex_reps[o].matrices[origin_inv]
             block = images[start:start + len(terminus)]
             np.matmul(u.conj().T, a, out=block)

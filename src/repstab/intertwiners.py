@@ -4,18 +4,19 @@ Two exact unitary representations at small normalized p-Schatten distance
 delta admit a partial-isometry intertwiner between invariant subspaces of
 codimension at most (2*delta)^p times the dimension, at distance 3*delta
 from the identity; when the representations are isomorphic the intertwiner
-extends to a unitary within 5*delta of the identity. The constructions here
-are fully explicit: a group average provides an exact intertwiner, singular
-value thresholding extracts the near-isometric part, and the unitary
-intertwiner is the polar factor of the group average, read off the
-isotypic frames that both representations carry, at any rank of the
-average. The stable letters of `stabilize` are built by the same routine:
-the polar factor of the twisted average of rho2(g) s rho1(g)^{-1} for a
-letter s, of which the unitary intertwiner is the case s = I. Nothing here
-draws a random number. Over the trivial group every unitary intertwines
-and the unitary intertwiner is the exact identity, built without an SVD.
-The unitary intertwiner warns about far inputs only when it is given a
-Schatten exponent.
+extends to a unitary within 5*delta of the identity. Both are read off
+the isotypic frames that the representations carry, where Schur's lemma
+makes the group average E of rho2(g) rho1(g)^{-1} one small block per
+irreducible (`_isotypic_blocks`), and E is never formed: thresholding the
+blocks' singular values gives the partial isometry, on subspaces invariant
+by construction, and their polar factors the unitary intertwiner, at any
+rank of E. The stable letters of `stabilize` are the polar factors of the
+twisted average of rho2(g) s rho1(g)^{-1} for a letter s, of which the
+unitary intertwiner is the case s = I. Nothing here draws a random
+number. Over the trivial group every unitary intertwines and the unitary
+intertwiner is the exact identity, built without an SVD. The unitary
+intertwiner warns about far inputs only when it is given a Schatten
+exponent.
 """
 
 from __future__ import annotations
@@ -26,10 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IsomorphyError, NumericalError, ValidationError
-from .irreps import (INVARIANCE_ATOL, UNITARY_ATOL, IrrepTable, UnitaryRep, _column_blocks,
-                     _isotypic_frame, direct_sum)
+from .irreps import (UNITARY_ATOL, IrrepTable, UnitaryRep, _column_blocks, _isotypic_frame,
+                     direct_sum)
 from .schatten import (_check_exponent, _distance_or_bound, _svd, rep_distance,
-                       schatten_norm_normalized, singular_values, threshold_partial_isometry)
+                       schatten_norm_normalized)
 
 DEFAULT_THRESHOLD = 0.5   # singular value cutoff for the kept subspaces of invariant_intertwiner
 INTERTWINE_ATOL = 1e-8    # max |rho2(x) T - T rho1(x)| of an assembled unitary intertwiner
@@ -51,20 +52,6 @@ class IntertwinerResult:
         return self.source_basis.shape[1]
 
 
-def averaged_intertwiner(rho1: UnitaryRep, rho2: UnitaryRep) -> np.ndarray:
-    """Group average of rho2(g) rho1(g)^{-1}; intertwines rho1 to rho2 exactly.
-
-    The intertwining identity rho2(x) T = T rho1(x) holds algebraically for
-    any pair of representations, regardless of how far apart they are.
-    """
-    if rho1.group is not rho2.group:
-        raise ValidationError("representations must share a group")
-    if rho1.dim != rho2.dim:
-        raise ValidationError(f"dimension mismatch: {rho1.dim} vs {rho2.dim}")
-    prods = rho2.matrices @ rho1.matrices.conj().transpose(0, 2, 1)
-    return prods.sum(axis=0) / rho1.group.order
-
-
 def _warn_far(delta: float, risk: str, stacklevel: int):
     """Far-distance warning naming the caller's `risk`; `stacklevel` counts
     from the caller, as in warnings.warn."""
@@ -73,42 +60,57 @@ def _warn_far(delta: float, risk: str, stacklevel: int):
                       stacklevel=stacklevel + 1)
 
 
-def _kept_isometry(rho1: UnitaryRep, rho2: UnitaryRep, threshold: float):
-    """Thresholded group average (T, right, left), with invariance verified.
+def _frames(rho1: UnitaryRep, rho2: UnitaryRep, table: IrrepTable):
+    """The frames in `table` of two representations of one group and dimension."""
+    if rho1.group is not rho2.group:
+        raise ValidationError("representations must share a group")
+    if rho1.dim != rho2.dim:
+        raise ValidationError(f"dimension mismatch: {rho1.dim} vs {rho2.dim}")
+    return _isotypic_frame(rho1, table), _isotypic_frame(rho2, table)
 
-    A side whose kept basis is empty or spans the whole space is invariant
-    by construction (its projector is 0 or I to rounding), so only proper
-    kept subspaces are checked.
+
+def _isotypic_blocks(frame1, frame2, table: IrrepTable, s=None):
+    """(B1_k, B2_k, d_k M_k, d_k) per irreducible k present on both sides,
+    for the average F = mean_h rho2(h) s rho1(h)^H, with s = I when None.
+
+    B1_k and B2_k are the copy-major bases of the frames, m1_k d_k and
+    m2_k d_k wide (with s given, B1_k is the block of s B1). Both sides act
+    on them by I kron pi_k, so Schur's lemma (Serre, Linear Representations
+    of Finite Groups, 2.7) gives B2_k^H F B1_k = M_k kron I, with the
+    m2_k x m1_k block M_k = tr_alpha(B2_k^H s B1_k) / d_k. d_k M_k has the
+    singular vectors of M_k.
     """
-    t0 = averaged_intertwiner(rho1, rho2)
-    t, right, left = threshold_partial_isometry(t0, threshold)
-    for rep, basis, side in ((rho1, right, "source"), (rho2, left, "target")):
-        if basis.shape[1] in (0, rep.dim):
-            continue
-        proj = basis @ basis.conj().T
-        gens = rep.matrices[rep.group.generators]
-        err = np.abs(gens @ proj - proj @ gens).max(initial=0.0)
-        if err > INVARIANCE_ATOL:
-            sv = singular_values(t0)
-            kept = basis.shape[1]
-            dropped = f"{sv[kept]:.6g}" if kept < sv.size else "none"
-            raise NumericalError(
-                f"{side} subspace not invariant (deviation {err:.3e}); smallest kept "
-                f"singular value {sv[kept - 1]:.6g}, largest dropped {dropped}")
-    return t, right, left
+    moved = frame1.basis if s is None else s @ frame1.basis
+    for b1, b2, m1, m2, d in zip(_column_blocks(moved, frame1.mults * table.dims),
+                                 _column_blocks(frame2.basis, frame2.mults * table.dims),
+                                 frame1.mults, frame2.mults, table.dims):
+        if m1 and m2:
+            yield b1, b2, (b2.conj().T @ b1).reshape(m2, d, m1, d).trace(axis1=1, axis2=3), d
 
 
-def invariant_intertwiner(rho1: UnitaryRep, rho2: UnitaryRep, p: float) -> IntertwinerResult:
+def invariant_intertwiner(rho1: UnitaryRep, rho2: UnitaryRep, p: float, *,
+                          table: IrrepTable) -> IntertwinerResult:
     """Partial isometry between invariant subspaces of two close representations.
 
-    Thresholds the averaged intertwiner at DEFAULT_THRESHOLD; the kept singular
-    subspaces are spectral subspaces of exact intertwiners and therefore
-    invariant. Invariance is verified numerically and a failure reports the
-    singular values straddling the threshold.
+    The group average E = sum_k B2_k (M_k kron I) B1_k^H (`_isotypic_blocks`)
+    has the singular values of the blocks M_k, each d_k times, so E is
+    thresholded at DEFAULT_THRESHOLD block by block: the columns of the SVD
+    M_k = U S V^H with S >= DEFAULT_THRESHOLD give T = sum_k B2_k (U V^H
+    kron I) B1_k^H between the bases B1_k (V kron I) and B2_k (U kron I),
+    which are invariant by construction. The multiplicities may differ.
     """
+    frame1, frame2 = _frames(rho1, rho2, table)
     delta = rep_distance(rho1, rho2, p)
     _warn_far(delta, "the kept subspaces may be small", stacklevel=2)
-    t, right, left = _kept_isometry(rho1, rho2, DEFAULT_THRESHOLD)
+    empty = np.empty((rho1.dim, 0), dtype=complex)
+    right, left = [empty], [empty]
+    for b1, b2, traced, d in _isotypic_blocks(frame1, frame2, table):
+        u, sv, vh = _svd(traced, compute_uv=True)
+        kept = np.count_nonzero(sv >= d * DEFAULT_THRESHOLD)
+        right.append(b1 @ np.kron(vh[:kept].conj().T, np.eye(d)))
+        left.append(b2 @ np.kron(u[:, :kept], np.eye(d)))
+    right, left = np.hstack(right), np.hstack(left)
+    t = left @ right.conj().T
     dev = schatten_norm_normalized(t - np.eye(rho1.dim), p)
     return IntertwinerResult(operator=t, source_basis=right, target_basis=left,
                              pair_distance=delta, identity_distance=dev)
@@ -117,25 +119,15 @@ def invariant_intertwiner(rho1: UnitaryRep, rho2: UnitaryRep, p: float) -> Inter
 def _isotypic_polar(frame1, frame2, table: IrrepTable, s=None) -> np.ndarray:
     """Polar factor L of F = mean_h rho2(h) s rho1(h)^H, with s = I when
     None, for two isomorphic representations with these isotypic frames,
-    at any rank of F.
-
-    In the copy-major bases B1_k, B2_k of the frames both act by
-    I kron pi_k, so Schur's lemma (Serre, Linear Representations of Finite
-    Groups, 2.7) gives B2_k^H F B1_k = M_k kron I, with the m_k x m_k block
-    M_k = tr_alpha(B2_k^H s B1_k) / d_k. From the SVD M_k = U_k S_k V_k^H,
-    L = sum_k B2_k (U_k V_k^H kron I) B1_k^H is unitary, intertwines, and
-    makes L^H F positive semidefinite; d_k M_k has the same U_k and V_k.
+    at any rank of F: from the SVD d_k M_k = U_k S_k V_k^H of each block of
+    `_isotypic_blocks`, L = sum_k B2_k (U_k V_k^H kron I) B1_k^H is unitary,
+    intertwines, and makes L^H F positive semidefinite.
     """
-    widths = frame1.mults * table.dims
-    moved = frame1.basis if s is None else s @ frame1.basis
     turned = []
-    for b1, b2, m, d in zip(_column_blocks(moved, widths),
-                            _column_blocks(frame2.basis, widths), frame1.mults, table.dims):
-        if m:
-            overlap = (b2.conj().T @ b1).reshape(m, d, m, d)
-            u, _, vh = _svd(overlap.trace(axis1=1, axis2=3), compute_uv=True)
-            # U V^H kron I as one broadcast product
-            turned.append(b2 @ ((u @ vh)[:, None, :, None] * np.eye(d)[:, None]).reshape(m * d, -1))
+    for _, b2, traced, d in _isotypic_blocks(frame1, frame2, table, s):
+        u, _, vh = _svd(traced, compute_uv=True)
+        # U V^H kron I as one broadcast product
+        turned.append(b2 @ ((u @ vh)[:, None, :, None] * np.eye(d)[:, None]).reshape(len(u) * d, -1))
     return np.hstack(turned) @ frame1.basis.conj().T
 
 
@@ -147,7 +139,7 @@ def _polar_letter(rho1: UnitaryRep, rho2: UnitaryRep, table: IrrepTable, s=None,
     trivial group L is the exact identity. Given `far`, a callable returning
     the inputs' distance, a distance of FAR_DISTANCE or more warns, over a
     nontrivial group and only once the inputs are known to be isomorphic."""
-    frame1, frame2 = (_isotypic_frame(rho, table) for rho in (rho1, rho2))
+    frame1, frame2 = _frames(rho1, rho2, table)
     m1, m2 = frame1.mults, frame2.mults
     if not np.array_equal(m1, m2):
         raise IsomorphyError(

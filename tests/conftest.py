@@ -109,6 +109,17 @@ def random_rep(table, dim, rng, conjugate=True):
     return rep
 
 
+def dense_average(rho1, rho2):
+    """Oracle: the group average of rho2(g) rho1(g)^H, formed densely."""
+    return np.einsum("gij,gkj->ik", rho2.matrices, rho1.matrices.conj()) / rho1.group.order
+
+
+def invariance_error(rep, basis):
+    """Oracle: the largest entry of rho(g) B - B B^H rho(g) B over every g."""
+    moved = rep.matrices @ basis
+    return np.abs(moved - basis @ (basis.conj().T @ moved)).max(initial=0.0)
+
+
 def elementwise_inner_products(rep, table):
     """Oracle: <chi_rep, chi_k> for every irreducible by plain loops over the
     group elements, with no class weights."""

@@ -122,7 +122,7 @@ def test_criterion_3_intertwiner_bounds():
         delta = rs.rep_distance(rho1, rho2, p)
         if not 0 < delta < 0.05:
             continue
-        res = rs.invariant_intertwiner(rho1, rho2, p)
+        res = rs.invariant_intertwiner(rho1, rho2, p, table=table)
         assert res.kept_dim >= (1 - (2 * delta) ** p) * dim
         assert res.identity_distance <= 3 * delta + 1e-12
         tprime = rs.unitary_intertwiner(rho1, rho2, p, table=table)

@@ -7,34 +7,56 @@ import scipy.linalg
 
 import repstab as rs
 from repstab.errors import IsomorphyError
-from repstab.intertwiners import averaged_intertwiner
+from repstab.intertwiners import DEFAULT_THRESHOLD
+from repstab.irreps import direct_sum
 from repstab.presets import group_preset, group_preset_names
 from repstab.rng import random_hermitian, random_unitary
 
-from conftest import random_rep
+from conftest import dense_average, invariance_error, random_rep
+
+
+def _near_identity(dim, eps, rng):
+    """exp(i*eps*H) for a random Hermitian H of unit normalized 2-norm."""
+    h = random_hermitian(dim, rng)
+    h /= rs.schatten_norm_normalized(h, 2.0)
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(1j * eps * w)) @ v.conj().T
 
 
 def _phase_conjugated_pair(table, dim, eps, rng, p):
     """rho and its conjugate by exp(i*eps*H), plus the measured distance."""
     rho1 = random_rep(table, dim, rng)
-    h = random_hermitian(dim, rng)
-    h /= rs.schatten_norm_normalized(h, 2.0)
-    w, v = np.linalg.eigh(h)
-    u = (v * np.exp(1j * eps * w)) @ v.conj().T
-    rho2 = rs.conjugate_rep(rho1, u)
+    rho2 = rs.conjugate_rep(rho1, _near_identity(dim, eps, rng))
     return rho1, rho2, rs.rep_distance(rho1, rho2, p)
+
+
+def _swapped_summand_pair(table, dim, eps, rng):
+    """rho + chi_a against rho + chi_b for two one-dimensional irreducibles
+    chi_a and chi_b, the second moved by exp(i*eps*H), both in one random
+    basis: the multiplicities differ, so the average drops singular values."""
+    a, b = np.flatnonzero(table.dims == 1)[:2]
+    base = random_rep(table, dim - 1, rng, conjugate=False)
+    w = random_unitary(dim, rng)
+    rho1 = rs.conjugate_rep(direct_sum(base, table.irreps[a]), w)
+    rho2 = rs.conjugate_rep(direct_sum(base, table.irreps[b]), w @ _near_identity(dim, eps, rng))
+    return rho1, rho2
 
 
 def test_averaged_intertwiner_identity_on_equal_irreducible(s3_table):
     std = s3_table.irreps[2]
-    t0 = averaged_intertwiner(std, std)
+    t0 = dense_average(std, std)
     np.testing.assert_allclose(t0, np.eye(2), atol=1e-12)
 
 
 def test_averaged_intertwiner_trivial_vs_sign_is_zero(z2_table):
     triv = rs.rep_from_multiplicities(z2_table, [1, 0])
     sign = rs.rep_from_multiplicities(z2_table, [0, 1])
-    np.testing.assert_allclose(averaged_intertwiner(triv, sign), [[0.0]], atol=1e-14)
+    np.testing.assert_allclose(dense_average(triv, sign), [[0.0]], atol=1e-14)
+    # no irreducible is common to both sides, so nothing is kept
+    with pytest.warns(UserWarning, match="the kept subspaces may be small$"):
+        res = rs.invariant_intertwiner(triv, sign, 2.0, table=z2_table)
+    assert res.kept_dim == 0 and res.target_basis.shape == (1, 0)
+    assert np.array_equal(res.operator, [[0.0]])
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -42,14 +64,14 @@ def test_averaged_intertwiner_exactness(s3_table, seed):
     rng = np.random.default_rng(seed)
     rho1 = random_rep(s3_table, 6, rng)
     rho2 = rs.conjugate_rep(rho1, random_unitary(6, rng))
-    t0 = averaged_intertwiner(rho1, rho2)
+    t0 = dense_average(rho1, rho2)
     err = np.abs(np.matmul(rho2.matrices, t0) - np.matmul(t0, rho1.matrices)).max()
     assert err < 1e-12
 
 
 def test_invariant_intertwiner_equal_inputs(s3_table):
     rho = random_rep(s3_table, 5, np.random.default_rng(3))
-    res = rs.invariant_intertwiner(rho, rho, 2.0)
+    res = rs.invariant_intertwiner(rho, rho, 2.0, table=s3_table)
     assert res.kept_dim == 5
     np.testing.assert_allclose(res.operator, np.eye(5), atol=1e-10)
     assert res.identity_distance < 1e-10
@@ -61,7 +83,7 @@ def test_invariant_intertwiner_small_conjugation(z3_table, seed, p):
     rng = np.random.default_rng(seed)
     rho1, rho2, delta = _phase_conjugated_pair(z3_table, 6, 1e-2, rng, p)
     assert delta < 0.05
-    res = rs.invariant_intertwiner(rho1, rho2, p)
+    res = rs.invariant_intertwiner(rho1, rho2, p, table=z3_table)
     assert res.kept_dim == 6
     assert res.identity_distance <= 3 * delta
     # exact intertwining of the thresholded operator
@@ -75,33 +97,30 @@ def test_invariant_intertwiner_keeps_common_summand(z2, z2_table):
     # the shared trivial summand survives the threshold
     mixed = rs.rep_from_multiplicities(z2_table, [1, 1])
     doubled = rs.rep_from_multiplicities(z2_table, [2, 0])
-    t0 = averaged_intertwiner(mixed, doubled)
+    t0 = dense_average(mixed, doubled)
     np.testing.assert_allclose(t0, np.diag([1.0, 0.0]), atol=1e-14)
     with pytest.warns(UserWarning, match="1/4; the kept subspaces may be small$"):
-        res = rs.invariant_intertwiner(mixed, doubled, 2.0)
+        res = rs.invariant_intertwiner(mixed, doubled, 2.0, table=z2_table)
     assert res.kept_dim == 1
     np.testing.assert_allclose(np.abs(res.source_basis), [[1.0], [0.0]], atol=1e-12)
     np.testing.assert_allclose(np.abs(res.target_basis), [[1.0], [0.0]], atol=1e-12)
 
 
 def test_threshold_knob_changes_kept_subspace(z2_table):
-    # conjugating trivial+sign by a rotation makes the averaged intertwiner
-    # (I + R(2*theta))/2 with both singular values |cos(theta)|; a cut on
-    # either side of that value keeps everything or nothing
-    from repstab import intertwiners
-    theta = np.arccos(0.6)
-    c, s = np.cos(theta), np.sin(theta)
-    rot = np.array([[c, -s], [s, c]])
+    # conjugating trivial+sign by a rotation by theta makes the average
+    # (I + R(2*theta))/2 with both singular values |cos(theta)|; on either
+    # side of the fixed cut of 1/2 everything or nothing is kept
     rho1 = rs.rep_from_multiplicities(z2_table, [1, 1])
-    rho2 = rs.conjugate_rep(rho1, rot)
-    t0 = averaged_intertwiner(rho1, rho2)
-    np.testing.assert_allclose(np.linalg.svd(t0, compute_uv=False), [0.6, 0.6], atol=1e-12)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        _, low, _ = intertwiners._kept_isometry(rho1, rho2, 0.5)
-        _, high, _ = intertwiners._kept_isometry(rho1, rho2, 0.7)
-    assert low.shape[1] == 2
-    assert high.shape[1] == 0
+    for c, kept in ((0.6, 2), (0.4, 0)):
+        s = np.sqrt(1.0 - c * c)
+        rho2 = rs.conjugate_rep(rho1, np.array([[c, -s], [s, c]]))
+        t0 = dense_average(rho1, rho2)
+        np.testing.assert_allclose(np.linalg.svd(t0, compute_uv=False), [c, c], atol=1e-12)
+        with pytest.warns(UserWarning, match="the kept subspaces may be small$"):
+            res = rs.invariant_intertwiner(rho1, rho2, 2.0, table=z2_table)
+        assert res.kept_dim == kept
+        t, _, _ = rs.threshold_partial_isometry(t0, DEFAULT_THRESHOLD)
+        np.testing.assert_allclose(res.operator, t, atol=1e-12)
 
 
 def test_unitary_intertwiner_equal_inputs(s3_table):
@@ -219,7 +238,7 @@ def test_unitary_intertwiner_computes_no_identity_distance(monkeypatch, z3_table
     assert norms == []
     assert distances == []   # the pair is too close for the far warning to measure it
     # the partial-isometry lemma still reports both distances
-    res = rs.invariant_intertwiner(rho1, rho2, 2.0)
+    res = rs.invariant_intertwiner(rho1, rho2, 2.0, table=z3_table)
     assert res.pair_distance > 0.0 and res.identity_distance > 0.0
     assert norms == ["schatten_norm_normalized"]
 
@@ -243,7 +262,7 @@ def _singular_average_cases(z2_table, s3_table):
 def test_unitary_intertwiner_on_singular_averages(z2_table, s3_table):
     for table, rho1, u, expected_sv in _singular_average_cases(z2_table, s3_table):
         rho2 = rs.conjugate_rep(rho1, u)
-        sv = np.linalg.svd(averaged_intertwiner(rho1, rho2), compute_uv=False)
+        sv = np.linalg.svd(dense_average(rho1, rho2), compute_uv=False)
         np.testing.assert_allclose(sv, expected_sv, atol=1e-14)
         runs = [rs.unitary_intertwiner(rho1, rho2, table=table) for _ in range(3)]
         for t in runs:
@@ -276,7 +295,7 @@ def test_singular_averages_are_completed_in_the_isotypic_frame(monkeypatch, z2_t
     for table, rho1, u in cases:
         rho2 = rs.conjugate_rep(rho1, u)
         t = rs.unitary_intertwiner(rho1, rho2, table=table)
-        h = t.conj().T @ averaged_intertwiner(rho1, rho2)
+        h = t.conj().T @ dense_average(rho1, rho2)
         assert np.abs(h - h.conj().T).max() < 1e-12
         assert np.linalg.eigvalsh((h + h.conj().T) / 2).min() > -1e-12
         assert np.abs(np.matmul(rho2.matrices, t) - np.matmul(t, rho1.matrices)).max() < 1e-12
@@ -293,7 +312,7 @@ def test_average_on_either_side_of_the_rank_cut_takes_its_polar_factor(z2_table,
     rot[1:, 1:] = [[c, -s], [s, c]]
     rho1 = rs.rep_from_multiplicities(z2_table, [2, 1])
     rho2 = rs.conjugate_rep(rho1, rot)
-    u, sv, vh = np.linalg.svd(averaged_intertwiner(rho1, rho2))
+    u, sv, vh = np.linalg.svd(dense_average(rho1, rho2))
     np.testing.assert_allclose(sv, [1.0, c, c], rtol=1e-6)
     t = rs.unitary_intertwiner(rho1, rho2, table=z2_table)
     assert np.abs(t - u @ vh).max() < 1e-9
@@ -306,31 +325,29 @@ def test_unitary_intertwiner_is_polar_factor_of_nonsingular_average(z2_table):
     c, s = np.cos(theta), np.sin(theta)
     rho1 = rs.rep_from_multiplicities(z2_table, [1, 1])
     rho2 = rs.conjugate_rep(rho1, np.array([[c, -s], [s, c]]))
-    t0 = averaged_intertwiner(rho1, rho2)
+    t0 = dense_average(rho1, rho2)
     np.testing.assert_allclose(np.linalg.svd(t0, compute_uv=False), [0.3, 0.3], atol=1e-12)
     t = rs.unitary_intertwiner(rho1, rho2, table=z2_table)
     np.testing.assert_allclose(t, rs.nearest_unitary(t0), atol=1e-12)
 
 
 @pytest.mark.filterwarnings("ignore:measured distance .* is not below 1/4")
-def test_invariance_failure_reports_the_cut(monkeypatch, z2_table):
+def test_kept_line_at_the_cut_is_invariant(z2_table):
     # the average has singular values 1, 0.3, 0.3, so one line is kept at the
-    # default threshold; a kept line that mixes the two trivial lines with the
-    # sign line is not invariant, and the error names the singular values on
-    # both sides of the cut
-    from repstab import intertwiners
+    # default threshold; it is read off the trivial block of the frames, so
+    # it is invariant on both sides, with no check to pass
     theta = np.arccos(0.3)
     c, s = np.cos(theta), np.sin(theta)
     rot = np.eye(3)
     rot[1:, 1:] = [[c, -s], [s, c]]
     rho1 = rs.rep_from_multiplicities(z2_table, [2, 1])
     rho2 = rs.conjugate_rep(rho1, rot)
-    line = np.array([[0.0], [1.0], [1.0]], dtype=complex) / np.sqrt(2)
-    monkeypatch.setattr(intertwiners, "threshold_partial_isometry",
-                        lambda a, threshold: (line @ line.conj().T, line, line))
-    with pytest.raises(rs.NumericalError,
-                       match="smallest kept singular value 1, largest dropped 0.3$"):
-        rs.invariant_intertwiner(rho1, rho2, 2.0)
+    np.testing.assert_allclose(np.linalg.svd(dense_average(rho1, rho2), compute_uv=False),
+                               [1.0, 0.3, 0.3], atol=1e-12)
+    res = rs.invariant_intertwiner(rho1, rho2, 2.0, table=z2_table)
+    assert res.kept_dim == 1
+    assert invariance_error(rho1, res.source_basis) <= 1e-12
+    assert invariance_error(rho2, res.target_basis) <= 1e-12
 
 
 def test_unitary_intertwiner_on_the_trivial_group_is_the_identity(monkeypatch):
@@ -338,7 +355,7 @@ def test_unitary_intertwiner_on_the_trivial_group_is_the_identity(monkeypatch):
     rng = np.random.default_rng(3)
     rho1, rho2 = random_rep(table, 24, rng), random_rep(table, 24, rng)
     # the polar factor of the average, as built for every nontrivial group
-    polar = rs.nearest_unitary(averaged_intertwiner(rho1, rho2))
+    polar = rs.nearest_unitary(dense_average(rho1, rho2))
     assert np.abs(polar - np.eye(24)).max() < 1e-14
 
     def failing_svd(*args, **kwargs):
@@ -350,14 +367,12 @@ def test_unitary_intertwiner_on_the_trivial_group_is_the_identity(monkeypatch):
 
 
 @pytest.mark.filterwarnings("ignore:measured distance .* is not below 1/4")
-def test_invariance_check_skips_only_full_kept_subspaces(monkeypatch, z2_table):
-    # with a zero tolerance any rounding fails the check: it is skipped where
-    # the kept basis spans the whole space, and still runs on a proper one
-    from repstab import intertwiners
-    monkeypatch.setattr(intertwiners, "INVARIANCE_ATOL", 0.0)
+def test_kept_bases_are_invariant_by_construction(z2_table):
+    # a kept subspace spanning the whole space, then a proper one in a
+    # random basis: both are invariant to rounding on both sides
     rng = np.random.default_rng(5)
     rho1, rho2, _ = _phase_conjugated_pair(z2_table, 6, 1e-2, rng, 2.0)
-    assert rs.invariant_intertwiner(rho1, rho2, 2.0).kept_dim == 6
+    pairs = [(rho1, rho2, 6)]
 
     # trivial+trivial+sign with the last two lines swapped, in a random basis:
     # the average has singular values 1, 0, 0, so one line is kept
@@ -365,24 +380,76 @@ def test_invariance_check_skips_only_full_kept_subspaces(monkeypatch, z2_table):
     swap[1:, 1:] = [[0.0, 1.0], [1.0, 0.0]]
     v = random_unitary(3, rng)
     rho1 = rs.conjugate_rep(rs.rep_from_multiplicities(z2_table, [2, 1]), v)
-    rho2 = rs.conjugate_rep(rho1, v @ swap @ v.conj().T)
-    with pytest.raises(rs.NumericalError, match="subspace not invariant"):
-        rs.invariant_intertwiner(rho1, rho2, 2.0)
+    pairs.append((rho1, rs.conjugate_rep(rho1, v @ swap @ v.conj().T), 1))
+    for rho1, rho2, kept in pairs:
+        res = rs.invariant_intertwiner(rho1, rho2, 2.0, table=z2_table)
+        assert res.kept_dim == kept
+        assert invariance_error(rho1, res.source_basis) <= 1e-12
+        assert invariance_error(rho2, res.target_basis) <= 1e-12
 
 
+def _matches_the_thresholded_oracle(rho1, rho2, table):
+    """Check invariant_intertwiner against the thresholded SVD of the dense
+    average; False, with nothing checked, when a singular value of the
+    average lies within 1e-6 of the cut."""
+    average = dense_average(rho1, rho2)
+    if np.abs(np.linalg.svd(average, compute_uv=False) - DEFAULT_THRESHOLD).min() < 1e-6:
+        return False
+    t, right, _ = rs.threshold_partial_isometry(average, DEFAULT_THRESHOLD)
+    res = rs.invariant_intertwiner(rho1, rho2, 2.0, table=table)
+    assert res.kept_dim == right.shape[1]
+    assert np.abs(res.operator - t).max() <= 1e-12
+    assert invariance_error(rho1, res.source_basis) <= 1e-12
+    assert invariance_error(rho2, res.target_basis) <= 1e-12
+    return True
+
+
+@pytest.mark.filterwarnings("ignore:measured distance .* is not below 1/4")
 @pytest.mark.parametrize("name", [n for n in group_preset_names() if group_preset(n).order > 1])
 def test_frame_polar_factor_matches_the_svd_oracle(name):
     # the frame polar factor against the SVD oracle: the nearest unitary to
-    # the group average, for close and farther pairs alike
+    # the group average, for close and farther pairs alike; the partial
+    # isometry against the thresholded SVD of the same average, on those
+    # pairs and on one pair per dimension whose multiplicities differ
     table = rs.irrep_table(group_preset(name), seed=0)
     rng = np.random.default_rng(14)
+    checked = 0
     for dim in (6, 24, 96):
         for eps in (1e-6, 1e-3, 1e-1):
             rho1, rho2, _ = _phase_conjugated_pair(table, dim, eps, rng, 2.0)
             t = rs.unitary_intertwiner(rho1, rho2, 2.0, table=table)
-            polar = rs.nearest_unitary(averaged_intertwiner(rho1, rho2))
+            polar = rs.nearest_unitary(dense_average(rho1, rho2))
             assert np.abs(t - polar).max() <= 1e-13
             assert np.abs(np.matmul(rho2.matrices, t) - np.matmul(t, rho1.matrices)).max() < 1e-12
+            checked += _matches_the_thresholded_oracle(rho1, rho2, table)
+    swapped = np.random.default_rng(15)
+    for dim in (6, 24, 96):
+        rho1, rho2 = _swapped_summand_pair(table, dim, 1e-2, swapped)
+        assert not np.array_equal(rs.multiplicities(rho1, table), rs.multiplicities(rho2, table))
+        checked += _matches_the_thresholded_oracle(rho1, rho2, table)
+    assert checked >= 10
+
+
+@pytest.mark.parametrize("build", ["invariant", "unitary"])
+def test_intertwiners_refuse_a_group_or_dimension_mismatch(build):
+    # Z4 and V4 have equal order, so only the group itself tells them apart
+    z4, v4 = group_preset("Z4"), group_preset("V4")
+    tables = [rs.irrep_table(g, seed=0) for g in (z4, v4)]
+    rho_z4, rho_v4 = (rs.rep_from_multiplicities(t, [1, 1, 1, 1]) for t in tables)
+    wider = rs.rep_from_multiplicities(tables[0], [2, 1, 1, 1])
+
+    def intertwine(rho1, rho2, table):
+        if build == "invariant":
+            return rs.invariant_intertwiner(rho1, rho2, 2.0, table=table)
+        return rs.unitary_intertwiner(rho1, rho2, 2.0, table=table)
+
+    for table in tables:
+        for rho1, rho2 in ((rho_z4, rho_v4), (rho_v4, rho_z4)):
+            with pytest.raises(rs.ValidationError, match="must share a group"):
+                intertwine(rho1, rho2, table)
+    for rho1, rho2 in ((rho_z4, wider), (wider, rho_z4)):
+        with pytest.raises(rs.ValidationError, match="dimension mismatch"):
+            intertwine(rho1, rho2, tables[0])
 
 
 def test_frame_polar_factor_is_refused_when_not_unitary(monkeypatch, s3_table):

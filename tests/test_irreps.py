@@ -5,7 +5,6 @@ import repstab as rs
 import repstab.irreps as irreps_mod
 from repstab.errors import MultiplicityError, NumericalError, ValidationError
 from repstab.groups import trivial_embedding
-from repstab.intertwiners import averaged_intertwiner
 from repstab.irreps import (CLUSTER_RETRIES, UnitaryRep, commutant_average, compress,
                             direct_sum, isotypic_components)
 from repstab.presets import group_preset, group_preset_names
@@ -315,8 +314,8 @@ def _complex_stack(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-# Oracles: the einsum formulas that compress, commutant_average and
-# averaged_intertwiner replaced, on random complex (non-unitary) stacks.
+# Oracles: the einsum formulas that compress and commutant_average
+# replaced, on random complex (non-unitary) stacks.
 
 @pytest.mark.parametrize("kind", ["rectangular", "identity"])
 def test_compress_matches_einsum(kind):
@@ -335,12 +334,3 @@ def test_commutant_average_matches_einsum():
     h = _complex_stack(rng, 9, 9)
     ref = np.einsum("gij,jk,glk->il", mats, h, mats.conj()) / 6
     assert np.abs(commutant_average(mats, h) - ref).max() <= 1e-12
-
-
-def test_averaged_intertwiner_matches_einsum(s3):
-    rng = np.random.default_rng(9)
-    m1, m2 = _complex_stack(rng, 6, 8, 8), _complex_stack(rng, 6, 8, 8)
-    rho1 = rs.unitary_rep(s3, m1, check=False)
-    rho2 = rs.unitary_rep(s3, m2, check=False)
-    ref = np.einsum("gij,gkj->ik", m2, m1.conj()) / 6
-    assert np.abs(averaged_intertwiner(rho1, rho2) - ref).max() <= 1e-12
