@@ -99,7 +99,9 @@ def _nonzero_norms(stack: np.ndarray, p: float, top: np.ndarray) -> np.ndarray:
         adj = scaled.conj().transpose(0, 2, 1)
         scaled = adj @ scaled if stack.shape[2] <= stack.shape[1] else scaled @ adj
     parts = scaled.reshape(len(scaled), -1).view(float)   # real and imaginary parts
-    frob = np.sqrt(np.einsum("ij,ij->i", parts, parts))
+    # one dot product per member, whose summation order does not depend on
+    # how many members the stack has
+    frob = np.sqrt(np.matmul(parts[:, None, :], parts[:, :, None])[:, 0, 0])
     return top * (frob if p == 2.0 else np.sqrt(frob))
 
 

@@ -4,14 +4,15 @@ The pipeline: measure the defect, read off the per-vertex multiplicity
 vector, project it onto the kernel cone of the boundary map, pad with
 trivial summands back to the input dimension, then rebuild exact vertex
 representations by induction over a spanning tree (the root swaps only the
-summands whose multiplicities change, each child is corrected against the
-edge restriction of its already-corrected parent; across a trivial edge group
-that restriction constrains nothing and the child only swaps summands) and
-solve the stable-letter unitaries on the remaining edges. The output is an
-exact representation whose generator distance to the input is of the order
-of the input defect. Of the two tree walks only `stabilize` reads the
-Schatten exponent of its context; `realize` builds the same representation
-at every exponent.
+summands whose multiplicities change, and each child swaps its summands too
+and is then corrected against the edge restriction of its already-corrected
+parent; across a trivial edge group that restriction constrains nothing)
+and solve the stable-letter unitaries on the remaining edges. The output is
+an exact representation whose generator distance to the input is of the
+order of the input defect. `realize` is the same tree walk and the same
+letters, started from the canonical representations of a kernel-cone
+vector with no input letters and no Schatten exponent, so it builds the
+same representation at every exponent.
 """
 
 from __future__ import annotations
@@ -36,10 +37,9 @@ from .irreps import (IrrepTable, UnitaryRep, _column_blocks, _isotypic_frame, co
                      restriction_matrix, unitary_rep)
 from .intertwiners import INTERTWINE_ATOL, _polar_letter, unitary_intertwiner
 from .rng import derived_generator
-from .schatten import _check_exponent, _distance_or_bound
+from .schatten import _check_exponent
 
 DEFAULT_GUARD = 0.2
-HINT_SLACK = 1e-12  # how far a measured edge distance may exceed delta_hint unwarned
 
 
 @contextmanager
@@ -121,18 +121,20 @@ def replace_summands(rho: UnitaryRep, target, table: IrrepTable) -> UnitaryRep:
 
     Keeps the rho-invariant subspace carrying the coordinatewise minimum of
     the two multiplicity vectors (the first copies of each irreducible in
-    the isotypic frame of rho) and fills the dropped copies with canonical
-    blocks realizing the remainder of the target. The result carries the
-    frame it is built in.
+    the isotypic frame of rho, which a frameless rho is decomposed and
+    checked for) and fills the dropped copies with canonical blocks
+    realizing the remainder of the target. The result carries the frame it
+    is built in.
     """
     target = np.asarray(target, dtype=int)
-    lam = multiplicities(rho, table)
     if int(target @ table.dims) != rho.dim:
         raise ValidationError("target multiplicities do not match the dimension")
+    frame = _isotypic_frame(rho, table)
+    lam = frame.mults
     if np.array_equal(lam, target):
         return rho
     common = np.minimum(lam, target)
-    bases = _column_blocks(_isotypic_frame(rho, table).basis, lam * table.dims)
+    bases = _column_blocks(frame.basis, lam * table.dims)
     kept = [b[:, :c] for b, c in zip(bases, common * table.dims)]
     dropped = np.hstack([b[:, c:] for b, c in zip(bases, common * table.dims)])
     fill = _column_blocks(dropped, (target - common) * table.dims)
@@ -142,29 +144,33 @@ def replace_summands(rho: UnitaryRep, target, table: IrrepTable) -> UnitaryRep:
     return out
 
 
-def _warn_gap(rho: UnitaryRep, target, table: IrrepTable, allowance: float, p: float):
-    """Warn when the summands swapped to reach `target` exceed allowance^p * dim."""
-    gap = int(np.abs(multiplicities(rho, table) - target) @ table.dims)
-    if gap > 0 and gap > (allowance ** p) * rho.dim:
-        warnings.warn(
-            f"multiplicity gap {gap} exceeds delta^p * dim = {(allowance ** p) * rho.dim:.3g}; "
-            "correction runs but the distance bound is not guaranteed", stacklevel=3)
+def _fit_vertex(hom: GroupHom, tau: UnitaryRep, rho: UnitaryRep, target,
+                table_sub: IrrepTable, table: IrrepTable, p: float | None) -> UnitaryRep:
+    """`rho` with the target multiplicities (`replace_summands`), conjugated
+    by the unitary intertwiner from its pullback along `hom` to `tau`, and
+    checked to pull back to `tau` on the generators of the edge group. A
+    trivial edge group constrains nothing, so no intertwiner is built there.
+    `p` goes to the intertwiner, which then warns when the two restrictions
+    are far apart."""
+    rho = replace_summands(rho, target, table)
+    if tau.group.order > 1:
+        rho = conjugate_rep(rho, unitary_intertwiner(pullback(hom, rho), tau, p, table=table_sub))
+    gens = tau.group.generators
+    err = np.abs(rho.matrices[hom.map[gens]] - tau.matrices[gens]).max(initial=0.0)
+    if err > INTERTWINE_ATOL:
+        raise NumericalError(f"corrected vertex fails the edge constraint (deviation {err:.3e})")
+    return rho
 
 
 def correct_vertex(hom: GroupHom, tau: UnitaryRep, rho: UnitaryRep, target,
-                   table_sub: IrrepTable, table: IrrepTable, p: float,
-                   delta_hint: float | None = None) -> UnitaryRep:
+                   table_sub: IrrepTable, table: IrrepTable, p: float) -> UnitaryRep:
     """Correct one vertex representation against an edge constraint.
 
     Returns a representation with the target multiplicities whose pullback
-    along `hom` equals `tau` exactly: the summands of `rho` outside the
-    common part are replaced, then the whole space is conjugated by a
-    unitary intertwiner matching the pullback to `tau`. Over a trivial edge
-    group the constraint is empty: nothing is measured and the conjugation
-    is skipped, so the hint warning cannot fire there and the allowance of
-    the multiplicity-gap warning is `delta_hint`. Elsewhere the distance is
-    bounded first, by `schatten._distance_or_bound`. The distance moved is of
-    the order of max(d(pullback(rho), tau), replaced fraction^(1/p)).
+    along `hom` equals `tau` exactly: once the target is checked to restrict
+    to the multiplicities of `tau`, the step of each child of the tree walk
+    (`_fit_vertex`). The distance moved is of the order of
+    max(d(pullback(rho), tau), replaced fraction^(1/p)).
     """
     target = np.asarray(target, dtype=int)
     tau_mults = multiplicities(tau, table_sub)
@@ -174,48 +180,36 @@ def correct_vertex(hom: GroupHom, tau: UnitaryRep, rho: UnitaryRep, target,
             "target multiplicities restrict to "
             f"{restricted.tolist()}, but the constraint representation has {tau_mults.tolist()}",
             left=restricted, right=tau_mults)
-
-    trivial_edge = tau.group.order == 1
-    measured = 0.0 if trivial_edge else _distance_or_bound(pullback(hom, rho), tau, p,
-                                                           delta_hint or 0.0)
-    _warn_gap(rho, target, table, max(measured, delta_hint or 0.0), p)
-    if delta_hint is not None and measured > delta_hint + HINT_SLACK:
-        warnings.warn(f"measured edge distance {measured:.3e} exceeds the hint {delta_hint:.3e}",
-                      stacklevel=2)
-
-    rho_out = replace_summands(rho, target, table)
-    if not trivial_edge:
-        t = unitary_intertwiner(tau, pullback(hom, rho_out), p, table=table_sub)
-        rho_out = conjugate_rep(rho_out, t.conj().T)
-    err = np.abs(pullback(hom, rho_out).matrices - tau.matrices).max()
-    if err > INTERTWINE_ATOL:
-        raise NumericalError(f"corrected vertex fails the edge constraint (deviation {err:.3e})")
-    return rho_out
+    return _fit_vertex(hom, tau, rho, target, table_sub, table, p)
 
 
-def _walk_tree(ctx: CorrectionContext, root_rep: UnitaryRep, fit_child) -> tuple[UnitaryRep, ...]:
-    """Vertex representations by induction over the spanning tree.
-
-    The root gets `root_rep`; each child, in tree order, gets
-    `fit_child(child, into_child, tau, edge_table)`, which must pull back
-    along `into_child` to `tau`, the restriction of the already-fitted
-    parent to the group of the tree edge between them.
-    """
+def _walk_tree(ctx: CorrectionContext, vertex_reps, blocks,
+               p: float | None) -> tuple[UnitaryRep, ...]:
+    """Vertex representations with the multiplicities `blocks`, by induction
+    over the spanning tree from `vertex_reps`: the root swaps summands, and
+    each child, in tree order, is fitted (`_fit_vertex`) to the restriction
+    of its already-corrected parent to the group of the tree edge between
+    them. The blocks lie in the kernel cone, so every restriction matches."""
     graph = ctx.gog.graph
-    reps = {graph.tree.root: root_rep}
+    root = graph.tree.root
+    reps = {root: replace_summands(vertex_reps[root], blocks[root], ctx.vertex_tables[root])}
     for step in graph.tree.steps:
-        into_parent = ctx.gog.injections[step.edge_to_parent]
-        into_child = ctx.gog.injections[graph.opposite(step.edge_to_parent)]
-        reps[step.child] = fit_child(step.child, into_child,
-                                     pullback(into_parent, reps[step.parent]),
-                                     ctx.edge_tables[step.edge_to_parent // 2])
+        edge = step.edge_to_parent
+        tau = pullback(ctx.gog.injections[edge], reps[step.parent])
+        reps[step.child] = _fit_vertex(ctx.gog.injections[graph.opposite(edge)], tau,
+                                       vertex_reps[step.child], blocks[step.child],
+                                       ctx.edge_tables[edge // 2], ctx.vertex_tables[step.child], p)
     return tuple(reps[v] for v in range(graph.n_vertices))
 
 
-def _stable_letters(ctx: CorrectionContext, reps, fit_edge) -> list[np.ndarray]:
+def _stable_letters(ctx: CorrectionContext, reps, letters, edge_norms) -> list[np.ndarray]:
     """Stable-letter unitaries: the identity on tree edges, and on every other
-    geometric edge k, `fit_edge(k, origin, terminus)` from the restrictions
-    of the origin and terminus representations to the edge group."""
+    geometric edge k the polar factor of F(s) = mean_h b(h) s a(h)^H
+    (`_polar_letter`), a and b the restrictions of the origin and terminus
+    representations to the edge group and s the letter `letters[k]`, or I
+    without letters. Given the conjugation-relator norms of each edge,
+    `edge_norms[k]`, the letter warns when their largest reaches
+    FAR_DISTANCE."""
     graph = ctx.gog.graph
     eye = np.eye(reps[0].dim, dtype=complex)
     edges = []
@@ -223,39 +217,31 @@ def _stable_letters(ctx: CorrectionContext, reps, fit_edge) -> list[np.ndarray]:
         if k in graph.tree.geometric_edges:
             edges.append(eye)
             continue
-        origin = pullback(ctx.gog.injections[2 * k + 1], reps[o])
-        terminus = pullback(ctx.gog.injections[2 * k], reps[t])
-        edges.append(fit_edge(k, origin, terminus))
+        edges.append(_polar_letter(
+            pullback(ctx.gog.injections[2 * k + 1], reps[o]),
+            pullback(ctx.gog.injections[2 * k], reps[t]), ctx.edge_tables[k],
+            None if letters is None else letters[k],
+            far=None if edge_norms is None else (lambda: edge_norms[k].max(initial=0.0))))
     return edges
 
 
 def realize(lam: MultiplicityVector, ctx: CorrectionContext, seed=0) -> AlmostRep:
     """Exact representation with the given kernel-cone multiplicity vector.
 
-    Induction over the spanning tree: fix a canonical representation at the
-    root, then conjugate a fresh canonical representation at each child so
-    that the two edge-group restrictions across the tree edge agree exactly.
-    Tree stable letters are the identity; the remaining stable letters are
-    unitary intertwiners between the two restrictions across their edge.
-    No random number is drawn: `seed` has no effect on the output.
+    The tree walk and letters of `stabilize`, from the canonical
+    representations of `lam` and with no letters: each child is conjugated
+    so that the two edge-group restrictions across its tree edge agree
+    exactly, and each non-tree letter is the unitary intertwiner between
+    the two restrictions across its edge. No Schatten exponent is read, so
+    nothing warns and the output is the same at every p. No random number
+    is drawn: `seed` has no effect on the output.
     """
     if ctx.boundary.kernel_norm(lam) <= 0:
         raise ValidationError("kernel cone vector must have positive norm")
-
-    def fit_child(child, into_child, tau, edge_table):
-        fresh = rep_from_multiplicities(ctx.vertex_tables[child], lam.blocks[child])
-        if tau.group.order == 1:  # a trivial edge group constrains nothing
-            return fresh
-        s = unitary_intertwiner(pullback(into_child, fresh), tau, table=edge_table)
-        return conjugate_rep(fresh, s)
-
-    def fit_edge(k, origin, terminus):
-        return unitary_intertwiner(origin, terminus, table=ctx.edge_tables[k])
-
-    root = ctx.gog.graph.tree.root
-    reps = _walk_tree(ctx, rep_from_multiplicities(ctx.vertex_tables[root], lam.blocks[root]),
-                      fit_child)
-    return almost_rep(ctx.gog, reps, _stable_letters(ctx, reps, fit_edge), check=False)
+    canonical = [rep_from_multiplicities(table, block)
+                 for table, block in zip(ctx.vertex_tables, lam.blocks)]
+    reps = _walk_tree(ctx, canonical, lam.blocks, None)
+    return almost_rep(ctx.gog, reps, _stable_letters(ctx, reps, None, None), check=False)
 
 
 def stabilize(rho: AlmostRep, ctx: CorrectionContext, seed=0,
@@ -266,6 +252,11 @@ def stabilize(rho: AlmostRep, ctx: CorrectionContext, seed=0,
     are vacuous for large defects; raise the guard to experiment anyway).
     A NaN guard, which no defect reaches, is rejected. No random number is
     drawn: `seed` has no effect on the output.
+
+    A vertex warns when its multiplicity gap, the dimension-weighted l1
+    distance between its input and output blocks, exceeds
+    (delta * n^(1/p))^p * dim for n vertices: the correction still runs,
+    but `hypothesis_ok` is then False.
 
     Each non-tree letter s becomes the polar factor of its twisted average
     F(s) = mean_h b(h) s a(h)^H over the edge group, a and b the corrected
@@ -297,33 +288,21 @@ def stabilize(rho: AlmostRep, ctx: CorrectionContext, seed=0,
         lam_out = pad_with_trivial(lam_kernel, dim, ctx.boundary)
         cone_gap = ctx.boundary.vertex_norm(lam - lam_out)
     hypothesis_ok = float(cone_gap) <= (delta ** ctx.p) * dim
-
     # per-vertex allowance: the vector-norm hypothesis concentrates on a
     # vertex with a factor of the vertex count
-    hint = delta * ctx.gog.graph.n_vertices ** (1.0 / ctx.p)
-
-    def fit_child(child, into_child, tau, edge_table):
-        return correct_vertex(into_child, tau, rho.vertex_reps[child], lam_out.blocks[child],
-                              edge_table, ctx.vertex_tables[child], ctx.p, delta_hint=hint)
-
-    def fit_edge(k, origin, terminus):
-        # for a unitary s, |s a(h) s^H - b(h)|'_p is the norm of the
-        # conjugation relator s^H b(h) s a(h)^-1 - I, measured in stage 1
-        return _polar_letter(origin, terminus, ctx.edge_tables[k], rho.edge_unitaries[k],
-                             far=lambda: edge_norms[k].max(initial=0.0))
+    allowance = (delta * ctx.gog.graph.n_vertices ** (1.0 / ctx.p)) ** ctx.p * dim
+    for before, after, table in zip(lam.blocks, lam_out.blocks, ctx.vertex_tables):
+        gap = int(np.abs(np.subtract(before, after)) @ table.dims)
+        if gap > allowance:
+            warnings.warn(f"multiplicity gap {gap} exceeds delta^p * dim = {allowance:.3g}; "
+                          "correction runs but the distance bound is not guaranteed",
+                          stacklevel=2)
 
     with _stage("vertex_corrections", timings):
-        # an input vertex without a frame is decomposed here, which checks
-        # that it is an exact representation
-        for rep, table in zip(rho.vertex_reps, ctx.vertex_tables):
-            _isotypic_frame(rep, table)
-        root = ctx.gog.graph.tree.root
-        at_root = (rho.vertex_reps[root], lam_out.blocks[root], ctx.vertex_tables[root])
-        _warn_gap(*at_root, hint, ctx.p)
-        new_reps = _walk_tree(ctx, replace_summands(*at_root), fit_child)
+        new_reps = _walk_tree(ctx, rho.vertex_reps, lam_out.blocks, ctx.p)
 
     with _stage("edge_corrections", timings):
-        edges = _stable_letters(ctx, new_reps, fit_edge)
+        edges = _stable_letters(ctx, new_reps, rho.edge_unitaries, edge_norms)
 
     out = almost_rep(ctx.gog, new_reps, edges, check=False)
     with _stage("verification", timings):

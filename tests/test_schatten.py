@@ -272,6 +272,20 @@ def test_stacked_norm_on_unitary_differences(p):
         _assert_matches_reference(stack, p)
 
 
+@pytest.mark.parametrize("p", [2.0, 4.0])
+@pytest.mark.parametrize("shape", [(7, 7), (16, 16), (9, 4), (96, 96)])
+def test_norm_of_a_member_does_not_depend_on_its_stack(p, shape):
+    # each member is reduced on its own, so its norm is the same bits alone
+    # and at every position of a stack of any size
+    rng = np.random.default_rng(shape[0] + shape[1])
+    stack = _complex_stack(rng, 9, *shape)
+    alone = np.array([schatten._norms(m[None], p)[0] for m in stack])
+    for size in (2, 3, 5, 8, 9):
+        for start in range(len(stack) - size + 1):
+            assert np.array_equal(schatten._norms(stack[start:start + size], p),
+                                  alone[start:start + size])
+
+
 @settings(max_examples=150, deadline=None)
 @given(rows=st.integers(1, 9), cols=st.integers(1, 9), n=st.integers(1, 4),
        log_scale=st.floats(-150, 150), p=st.sampled_from(ORACLE_PS),
