@@ -27,8 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IsomorphyError, NumericalError, ValidationError
-from .irreps import (UNITARY_ATOL, IrrepTable, UnitaryRep, _column_blocks, _isotypic_frame,
-                     direct_sum)
+from .irreps import UNITARY_ATOL, IrrepTable, UnitaryRep, _isotypic_frame, direct_sum
 from .schatten import (_check_exponent, _distance_or_bound, _svd, rep_distance,
                        schatten_norm_normalized)
 
@@ -78,14 +77,18 @@ def _isotypic_blocks(frame1, frame2, table: IrrepTable, s=None):
     on them by I kron pi_k, so Schur's lemma (Serre, Linear Representations
     of Finite Groups, 2.7) gives B2_k^H F B1_k = M_k kron I, with the
     m2_k x m1_k block M_k = tr_alpha(B2_k^H s B1_k) / d_k. d_k M_k has the
-    singular vectors of M_k.
+    singular vectors of M_k; for d_k = 1 it is B2_k^H s B1_k itself.
     """
     moved = frame1.basis if s is None else s @ frame1.basis
-    for b1, b2, m1, m2, d in zip(_column_blocks(moved, frame1.mults * table.dims),
-                                 _column_blocks(frame2.basis, frame2.mults * table.dims),
-                                 frame1.mults, frame2.mults, table.dims):
+    off1 = off2 = 0
+    for m1, m2, d in zip(frame1.mults.tolist(), frame2.mults.tolist(), table.dims.tolist()):
+        b1, b2 = moved[:, off1:off1 + m1 * d], frame2.basis[:, off2:off2 + m2 * d]
+        off1, off2 = off1 + m1 * d, off2 + m2 * d
         if m1 and m2:
-            yield b1, b2, (b2.conj().T @ b1).reshape(m2, d, m1, d).trace(axis1=1, axis2=3), d
+            block = b2.conj().T @ b1
+            if d > 1:
+                block = block.reshape(m2, d, m1, d).trace(axis1=1, axis2=3)
+            yield b1, b2, block, d
 
 
 def invariant_intertwiner(rho1: UnitaryRep, rho2: UnitaryRep, p: float, *,
@@ -121,14 +124,21 @@ def _isotypic_polar(frame1, frame2, table: IrrepTable, s=None) -> np.ndarray:
     None, for two isomorphic representations with these isotypic frames,
     at any rank of F: from the SVD d_k M_k = U_k S_k V_k^H of each block of
     `_isotypic_blocks`, L = sum_k B2_k (U_k V_k^H kron I) B1_k^H is unitary,
-    intertwines, and makes L^H F positive semidefinite.
+    intertwines, and makes L^H F positive semidefinite. The blocks
+    B2_k (U_k V_k^H kron I) are written side by side into one complex array
+    (a frame may be real), which takes one product with B1^H.
     """
-    turned = []
+    turned = np.empty(frame2.basis.shape, dtype=complex)
+    off = 0
     for _, b2, traced, d in _isotypic_blocks(frame1, frame2, table, s):
         u, _, vh = _svd(traced, compute_uv=True)
-        # U V^H kron I as one broadcast product
-        turned.append(b2 @ ((u @ vh)[:, None, :, None] * np.eye(d)[:, None]).reshape(len(u) * d, -1))
-    return np.hstack(turned) @ frame1.basis.conj().T
+        polar, width = u @ vh, b2.shape[1]
+        if d > 1:
+            # U V^H kron I as one broadcast product
+            polar = (polar[:, None, :, None] * np.eye(d)[:, None]).reshape(width, width)
+        np.matmul(b2, polar, out=turned[:, off:off + width])
+        off += width
+    return turned @ frame1.basis.conj().T
 
 
 def _polar_letter(rho1: UnitaryRep, rho2: UnitaryRep, table: IrrepTable, s=None,

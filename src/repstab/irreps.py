@@ -9,7 +9,17 @@ lexicographic character over the class order). The canonical order fixes the
 coordinates of every multiplicity vector produced by the package. With the
 table, `isotypic_components` splits any representation into copies of its
 irreducibles, in their coordinates, from matrix coefficients: no randomness.
-Representations built here carry that split, their isotypic frame.
+Representations built here carry that split, their isotypic frame. A
+frame W with multiplicities m_k defines the representation
+g -> W (sum_k I_{m_k} kron pi_k(g)) W^H. `rep_from_multiplicities` writes
+these blocks for W = I, and `conjugate_rep` of a representation whose frame
+defines it (as does `stabilize.replace_summands`) synthesizes its matrices
+from the new frame: the d_k^2 products of the columns of copy slots a and b
+of each irreducible k, summed against the coefficients pi_k(g)[a, b] in one
+product with the table (`_synthesize`). A frame found by decomposition, or
+split along a pullback, matches its matrices only to INVARIANCE_ATOL, so
+conjugating such a representation, or one without a frame, multiplies its
+matrices.
 """
 
 from __future__ import annotations
@@ -40,12 +50,14 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class _Frame:
     """The bases of `isotypic_components` side by side; with `hom` set, the
-    frame of the parent of a pullback along `hom`."""
+    frame of the parent of a pullback along `hom`. With `exact` set, the
+    frame defines its representation's matrices (`_synthesize`)."""
 
     table: IrrepTable
     mults: np.ndarray
     basis: np.ndarray
     hom: GroupHom | None = None
+    exact: bool = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,10 +144,63 @@ def direct_sum(*reps: UnitaryRep) -> UnitaryRep:
     return unitary_rep(group, mats, check=False)
 
 
+def _synthesize(table: IrrepTable, mults: np.ndarray, basis: np.ndarray) -> UnitaryRep:
+    """The representation g -> W D(g) W^H, D(g) = sum_k I_{m_k} kron pi_k(g),
+    of the frame W = `basis` with multiplicities `mults`, carrying it:
+    sum_{k,a,b} pi_k(g)[a, b] W_{k,a} W_{k,b}^H, with W_{k,a} the columns of
+    copy slot a of irreducible k, as the d_k^2 outer products of each k and
+    one product with the |G| x sum d_k^2 coefficients of the table.
+    ValidationError unless rho(e) = W W^H is I to UNITARY_ATOL."""
+    group, dim = table.group, basis.shape[0]
+    count = int((table.dims[mults > 0] ** 2).sum())
+    outer = np.empty((count, dim, dim), dtype=complex)
+    coeffs = np.empty((group.order, count), dtype=complex)
+    i = off = 0
+    for p, m in zip(table.irreps, mults.tolist()):
+        d, block = p.dim, basis[:, off:off + m * p.dim]
+        off += m * d
+        if not m:
+            continue
+        if d == 1:
+            np.matmul(block, block.conj().T, out=outer[i])
+        else:
+            slots = block.reshape(dim, m, d).transpose(2, 0, 1)
+            np.matmul(slots[:, None], slots.conj().transpose(0, 2, 1),
+                      out=outer[i:i + d * d].reshape(d, d, dim, dim))
+        coeffs[:, i:i + d * d] = p.matrices.reshape(group.order, d * d)
+        i += d * d
+    rep = unitary_rep(group, (coeffs @ outer.reshape(count, -1)).reshape(-1, dim, dim),
+                      check=False)
+    _check_identity(rep.matrices[group.identity], "frame")
+    return _framed(rep, _Frame(table, _read_only(mults.copy()), _read_only(basis), exact=True))
+
+
+def _check_identity(gram: np.ndarray, what: str):
+    """ValidationError unless `gram`, a product A A^H, is I to UNITARY_ATOL."""
+    err = np.abs(gram - np.eye(len(gram))).max()
+    if err > UNITARY_ATOL:
+        raise ValidationError(f"{what} not unitary: max deviation {err:.3e}")
+
+
 def conjugate_rep(rep: UnitaryRep, u: np.ndarray) -> UnitaryRep:
-    """g -> u rho(g) u* for a fixed unitary u; a frame B becomes u B."""
-    mats = np.matmul(np.matmul(u, rep.matrices), u.conj().T)
+    """g -> u rho(g) u^H for a fixed unitary u; a frame B becomes W = u B.
+
+    When the frame defines `rep` (built by `rep_from_multiplicities`,
+    `replace_summands` or a conjugation of such a representation), the
+    matrices are synthesized from W (`_synthesize`); otherwise they are the
+    2|G| dense products. ValidationError unless u is a finite dim x dim
+    matrix, unitary to UNITARY_ATOL (read off rho'(e) = W W^H, or u u^H).
+    """
+    u = np.asarray(u)
+    if u.shape != (rep.dim, rep.dim):
+        raise ValidationError(f"expected a ({rep.dim}, {rep.dim}) unitary, got shape {u.shape}")
+    if not np.all(np.isfinite(u)):
+        raise ValidationError("unitary contains NaN or Inf")
     frame = rep._frame
+    if frame is not None and frame.exact:
+        return _synthesize(frame.table, frame.mults, u @ frame.basis)
+    _check_identity(u @ u.conj().T, "matrix")
+    mats = np.matmul(np.matmul(u, rep.matrices), u.conj().T)
     if frame is not None:
         frame = replace(frame, basis=_read_only(u @ frame.basis))
     return _framed(unitary_rep(rep.group, mats, check=False), frame)
@@ -149,7 +214,7 @@ def pullback(hom: GroupHom, rep: UnitaryRep) -> UnitaryRep:
     frame = rep._frame
     if frame is not None:
         # a pullback of a pullback is left without a frame
-        frame = replace(frame, hom=hom) if frame.hom is None else None
+        frame = replace(frame, hom=hom, exact=False) if frame.hom is None else None
     return _framed(unitary_rep(hom.source, rep.matrices[hom.map], check=False), frame)
 
 
@@ -371,11 +436,13 @@ def rep_from_multiplicities(table: IrrepTable, mults) -> UnitaryRep:
     if dim == 0:
         raise ValidationError("total dimension must be positive")
     mats = np.zeros((table.group.order, dim, dim), dtype=complex)
-    for p, lines in zip(table.irreps, _column_blocks(np.arange(dim)[None], mults * table.dims)):
-        copies = lines.reshape(-1, p.dim)
+    off = 0
+    for p, m in zip(table.irreps, mults.tolist()):
+        copies = np.arange(off, off + m * p.dim).reshape(m, p.dim)
         mats[:, copies[:, :, None], copies[:, None, :]] = p.matrices[:, None]
+        off += m * p.dim
     return _framed(unitary_rep(table.group, mats, check=False),
-                   _Frame(table, _read_only(mults.copy()), _read_only(np.eye(dim))))
+                   _Frame(table, _read_only(mults.copy()), _read_only(np.eye(dim)), exact=True))
 
 
 def _restriction(hom: GroupHom, table_source: IrrepTable, table_target: IrrepTable):
@@ -424,9 +491,19 @@ def _isotypic_frame(rep: UnitaryRep, table: IrrepTable) -> _Frame:
     frame = rep._frame
     if frame is not None and frame.hom is not None:
         r, splits = _restriction(frame.hom, table, frame.table)
-        blocks = _column_blocks(frame.basis, frame.mults * frame.table.dims)
-        basis = np.hstack([(b.reshape(-1, d) @ s[l]).reshape(rep.dim, -1) for l in range(len(table))
-                           for b, d, s in zip(blocks, frame.table.dims, splits) if b.size and s[l].size])
+        basis = np.empty(frame.basis.shape, dtype=complex)
+        col = 0
+        for l in range(len(table)):
+            off = 0
+            for m, d, s in zip(frame.mults.tolist(), frame.table.dims.tolist(), splits):
+                block = frame.basis[:, off:off + m * d]
+                off += m * d
+                if m and s[l].size:
+                    # a 1-dimensional pi_k pulls back to one l, with S_k[l] = 1
+                    turned = (block if d == 1
+                              else (block.reshape(-1, d) @ s[l]).reshape(rep.dim, -1))
+                    basis[:, col:col + turned.shape[1]] = turned
+                    col += turned.shape[1]
         frame = _Frame(table, _read_only(r @ frame.mults), _read_only(basis))
     if frame is None or frame.table._contents != table._contents:
         mults = multiplicities(rep, table)

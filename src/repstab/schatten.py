@@ -22,7 +22,7 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 
 RANK_RTOL = 1e-12   # smallest singular value, relative to max(largest, 1), of a full-rank factor
-BOUND_RTOL = 1e-12  # slack that keeps rounding in a distance bound from hiding the level
+BOUND_RTOL = 1e-12  # slack that keeps rounding from deciding a comparison with a bound or level
 
 
 def _finite(m: np.ndarray) -> np.ndarray:

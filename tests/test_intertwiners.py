@@ -8,6 +8,8 @@ import scipy.linalg
 import repstab as rs
 from repstab.errors import IsomorphyError
 from repstab.intertwiners import DEFAULT_THRESHOLD
+import repstab.irreps as irreps_mod
+from repstab.intertwiners import _isotypic_polar
 from repstab.irreps import direct_sum
 from repstab.presets import group_preset, group_preset_names
 from repstab.rng import random_hermitian, random_unitary
@@ -540,3 +542,25 @@ def test_far_warning_at_a_rounded_quarter(z2_table):
         rho2 = rs.conjugate_rep(rho1, np.array([[c, -s], [s, c]]))
         delta = rs.rep_distance(rho1, rho2, 1.0)
         assert len(_far_warnings(rho1, rho2, 1.0, z2_table)) == (delta >= 0.25)
+
+
+@pytest.mark.parametrize("name", ["S3", "A4", "S4"])
+def test_isotypic_polar_takes_a_real_frame_on_either_side(name):
+    # rep_from_multiplicities carries the real identity frame, a conjugation
+    # a complex one; the polar factor of the average, assembled in a complex
+    # array, is the dense oracle's either way round, and I between two
+    # identity frames
+    table = rs.irrep_table(group_preset(name), seed=0)
+    mults = np.ones(len(table), dtype=int)
+    mults[0] = 2
+    canonical = rs.rep_from_multiplicities(table, mults)
+    rng = np.random.default_rng(len(table))
+    h = random_hermitian(canonical.dim, rng)
+    near = rs.conjugate_rep(canonical, scipy.linalg.expm(0.1j * h / np.abs(h).max()))
+    real = irreps_mod._isotypic_frame(canonical, table)
+    assert not np.iscomplexobj(real.basis)
+    for rho1, rho2 in ((canonical, near), (near, canonical), (canonical, canonical)):
+        frame1, frame2 = (irreps_mod._isotypic_frame(r, table) for r in (rho1, rho2))
+        letter = _isotypic_polar(frame1, frame2, table)
+        u, _, vh = np.linalg.svd(dense_average(rho1, rho2))
+        assert np.abs(letter - u @ vh).max() <= 1e-12

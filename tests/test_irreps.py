@@ -334,3 +334,104 @@ def test_commutant_average_matches_einsum():
     h = _complex_stack(rng, 9, 9)
     ref = np.einsum("gij,jk,glk->il", mats, h, mats.conj()) / 6
     assert np.abs(commutant_average(mats, h) - ref).max() <= 1e-12
+
+
+def _sparse_mults(table, dim, absent):
+    """Multiplicities of total dimension `dim` with the irreducibles of odd
+    (absent = 1) or even (absent = 0) index left out, unless there is only
+    one; the first irreducible present, of dimension 1 in every table, takes
+    what the others leave."""
+    present = [k for k in range(len(table)) if k % 2 != absent] or [0]
+    mults = np.zeros(len(table), dtype=int)
+    for k in present[1:]:
+        mults[k] = dim // len(present) // table.dims[k]
+    mults[present[0]] = dim - mults @ table.dims
+    return mults
+
+
+@pytest.mark.parametrize("absent", [0, 1])
+@pytest.mark.parametrize("dim", [1, 12, 96])
+@pytest.mark.parametrize("name", group_preset_names())
+def test_conjugate_rep_synthesizes_what_the_dense_product_gives(name, dim, absent):
+    # a frame that defines its representation is conjugated by synthesis
+    # from W = u F; the matrices are u rho(g) u^H to rounding, and the
+    # result carries W
+    table = rs.irrep_table(group_preset(name))
+    mults = _sparse_mults(table, dim, absent)
+    assert mults @ table.dims == dim and (dim == 1 or 0 in mults or len(table) == 1)
+    rng = np.random.default_rng(dim)
+    rep = rs.rep_from_multiplicities(table, mults)
+    for _ in range(2):   # from the identity frame, then from a complex one
+        u = random_unitary(dim, rng)
+        out = rs.conjugate_rep(rep, u)
+        assert np.abs(out.matrices - u @ rep.matrices @ u.conj().T).max() <= 1e-13
+        assert out._frame.exact and np.array_equal(out._frame.basis, u @ rep._frame.basis)
+        rep = out
+
+
+def test_a_conjugated_frame_is_read_back_without_a_decomposition(s3_table, monkeypatch):
+    rng = np.random.default_rng(5)
+    rep = rs.rep_from_multiplicities(s3_table, [2, 0, 3])
+    u, v = random_unitary(rep.dim, rng), random_unitary(rep.dim, rng)
+    out = rs.conjugate_rep(rs.conjugate_rep(rep, u), v)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a carried frame was decomposed")
+
+    monkeypatch.setattr(irreps_mod, "isotypic_components", refuse)
+    monkeypatch.setattr(irreps_mod, "multiplicities", refuse)
+    frame = irreps_mod._isotypic_frame(out, rs.irrep_table(rs.symmetric_group(3)))
+    assert frame is out._frame and frame.mults.tolist() == [2, 0, 3]
+    assert np.array_equal(frame.basis, v @ (u @ np.eye(rep.dim)))
+
+
+def _dense_inputs(s3_table, z2_table):
+    """(name, rep) for representations whose frame does not define them: no
+    frame, a frame found by decomposition, a pullback whose frame is split
+    along its homomorphism, and one whose split is still pending."""
+    rng = np.random.default_rng(11)
+    exact = rs.conjugate_rep(rs.rep_from_multiplicities(s3_table, [1, 2, 2]),
+                             random_unitary(7, rng))
+    frameless = rs.unitary_rep(exact.group, exact.matrices)
+    decomposed = rs.unitary_rep(exact.group, exact.matrices)
+    irreps_mod._isotypic_frame(decomposed, s3_table)
+    hom = rs.group_hom(z2_table.group, s3_table.group, [0, 1], require_injective=True)
+    split = irreps_mod.pullback(hom, exact)
+    irreps_mod._isotypic_frame(split, z2_table)
+    return [("frameless", frameless), ("decomposed", decomposed), ("split", split),
+            ("pending", irreps_mod.pullback(hom, exact))]
+
+
+@pytest.mark.parametrize("which", range(4))
+def test_conjugate_rep_multiplies_a_frame_that_does_not_define_its_matrices(
+        which, s3_table, z2_table):
+    # the two-sided product of the dense path, bit for bit
+    name, rep = _dense_inputs(s3_table, z2_table)[which]
+    u = random_unitary(rep.dim, np.random.default_rng(which))
+    out = rs.conjugate_rep(rep, u)
+    assert np.array_equal(out.matrices, np.matmul(np.matmul(u, rep.matrices), u.conj().T)), name
+    assert (out._frame is None) == (name == "frameless")
+    if out._frame is not None:
+        assert not out._frame.exact
+        assert np.array_equal(out._frame.basis, u @ rep._frame.basis)
+
+
+_HAAR6 = random_unitary(6, np.random.default_rng(2))
+_NAN6, _INF6 = np.eye(6, dtype=complex), np.eye(6, dtype=complex)
+_NAN6[2, 3], _INF6[2, 3] = np.nan, np.inf
+
+
+@pytest.mark.parametrize("u, message", [
+    (np.eye(5), r"expected a \(6, 6\) unitary"), (np.eye(7), r"expected a \(6, 6\) unitary"),
+    (np.eye(6)[:, :5], r"expected a \(6, 6\) unitary"),
+    (np.eye(6)[None], r"expected a \(6, 6\) unitary"), (np.ones(6), r"expected a \(6, 6\) unitary"),
+    (2 * np.eye(6), "not unitary"), (2 * _HAAR6, "not unitary"),
+    ((1 + 1e-9) * _HAAR6, "not unitary"), (0 * _HAAR6, "not unitary"),
+    (_NAN6, "NaN or Inf"), (_INF6, "NaN or Inf")])
+def test_conjugate_rep_refuses_a_matrix_that_is_not_a_unitary_of_its_size(s3_table, u, message):
+    # on the synthesis path unitarity is read off rho'(e) = W W^H, on the
+    # dense path off u u^H; conjugating by 2I would give rho(e) = 4I
+    framed = rs.rep_from_multiplicities(s3_table, [1, 1, 2])
+    for rep in (framed, rs.unitary_rep(framed.group, framed.matrices)):
+        with pytest.raises(ValidationError, match=message):
+            rs.conjugate_rep(rep, u)

@@ -16,7 +16,7 @@ import repstab as rs
 from repstab import cones
 from repstab.graphs import evaluate_word, generator_distance
 from repstab.irreps import pullback
-from repstab.schatten import max_normalized_norm, singular_values
+from repstab.schatten import BOUND_RTOL, max_normalized_norm, singular_values
 from repstab.rng import random_hermitian, random_unitary
 
 from conftest import brute_force_projection, enumerate_cone, enumerate_kernel_cone
@@ -443,13 +443,17 @@ def test_singular_letter_average_takes_a_polar_factor(twisted_hnn, block, p):
 def test_gap_warning_fires_where_a_vertex_gap_exceeds_its_allowance(twisted_hnn):
     # seeded random inputs: an exact representation with some copies of one
     # character traded for another, in a Haar-random basis. At p = 1 each
-    # traded line gives the relator one singular value 2, so the allowance
-    # (delta * n^(1/p))^p * dim sits within rounding of the gap: the warning
-    # fires on some of these inputs and not on others (5 of the 80 with
-    # OpenBLAS on x86-64), and it must fire exactly where a vertex's gap
-    # exceeds the allowance, which breaks the paper's hypothesis
+    # traded line gives the relator one singular value 2, so on many of
+    # these inputs (37 of the 80) the allowance (delta * n^(1/p))^p * dim
+    # equals the gap in exact arithmetic and only rounding in delta puts it
+    # above or below. The warning must fire exactly where a vertex's gap
+    # exceeds the allowance by more than the relative slack BOUND_RTOL, which
+    # breaks the paper's hypothesis; a gap at its allowance neither warns nor
+    # fails `hypothesis_ok` (compared without the slack, 5 of the 37 warned
+    # with OpenBLAS on x86-64)
     ctx = rs.CorrectionContext.build(twisted_hnn, p=1.0)
     table = ctx.vertex_tables[0]
+    at_allowance = 0
     for seed in range(80):
         rng = np.random.default_rng(seed)
         lam = rs.MultiplicityVector("vertex", ((0, 0, 0, 0),))
@@ -472,6 +476,10 @@ def test_gap_warning_fires_where_a_vertex_gap_exceeds_its_allowance(twisted_hnn)
         allowance = (report.delta * twisted_hnn.graph.n_vertices ** (1 / ctx.p)) ** ctx.p * rho.dim
         gaps = [int(np.abs(np.subtract(a, b)) @ t.dims) for a, b, t in
                 zip(report.lambda_in.blocks, report.lambda_out.blocks, ctx.vertex_tables)]
-        assert warned == any(gap > allowance for gap in gaps), seed
+        assert warned == any(gap > allowance * (1 + BOUND_RTOL) for gap in gaps), seed
         if warned:
             assert not report.hypothesis_ok
+        if any(gap and abs(gap - allowance) <= BOUND_RTOL * gap for gap in gaps):
+            at_allowance += 1
+            assert not warned and report.hypothesis_ok, seed
+    assert at_allowance > 0

@@ -8,6 +8,7 @@ import repstab as rs
 from repstab.errors import GuardExceededError, IsomorphyError, NumericalError, ValidationError
 from repstab.graphs import generator_distance
 from repstab.groups import trivial_embedding
+import repstab.irreps as irreps_mod
 from repstab.irreps import pullback
 from repstab.presets import group_preset
 from repstab.rng import random_hermitian, random_unitary
@@ -127,6 +128,38 @@ def test_replace_summands_postconditions(s3_table):
         target[int(np.flatnonzero(table.dims == d)[0])] -= 1
         target[table.trivial_index] += d
         _check_swap(rho, target, table)
+
+
+@pytest.mark.parametrize("framed", [True, False])
+@pytest.mark.parametrize("name, mults, target", [
+    ("S3", [2, 1, 3], [3, 2, 2]), ("S4", [1, 1, 1, 2, 1], [4, 1, 1, 1, 1]),
+    ("D4", [1, 2, 1, 1, 2], [3, 2, 1, 1, 1]), ("A4", [0, 2, 1, 3], [3, 2, 1, 2])])
+def test_replace_summands_synthesizes_the_conjugated_canonical_representation(
+        name, mults, target, framed):
+    # the output is Q D(g) Q^H, D the canonical representation of the target
+    # and Q the input frame's kept copies of each irreducible followed by its
+    # share of the dropped copies, dealt out in table order
+    table = rs.irrep_table(group_preset(name), seed=0)
+    exact = rs.rep_from_multiplicities(table, mults)
+    rho = rs.conjugate_rep(exact, random_unitary(exact.dim, np.random.default_rng(3)))
+    if not framed:
+        rho = rs.unitary_rep(rho.group, rho.matrices)
+    basis = irreps_mod._isotypic_frame(rho, table).basis
+    mults, target = np.array(mults), np.array(target)
+    starts = np.cumsum(mults * table.dims) - mults * table.dims
+    common = np.minimum(mults, target)
+    kept = [basis[:, a:a + c * d] for a, c, d in zip(starts, common, table.dims)]
+    dropped = np.hstack([basis[:, a + c * d:a + m * d] for a, c, m, d in
+                         zip(starts, common, mults, table.dims)])
+    q, used = [], 0
+    for block, c, t, d in zip(kept, common, target, table.dims):
+        q += [block, dropped[:, used:used + (t - c) * d]]
+        used += (t - c) * d
+    q = np.hstack(q)
+    out = replace_summands(rho, target, table)
+    assert np.array_equal(out._frame.basis, q) and out._frame.exact
+    oracle = q @ rs.rep_from_multiplicities(table, target).matrices @ q.conj().T
+    assert np.abs(out.matrices - oracle).max() <= 1e-13
 
 
 def test_replace_summands_rejects_an_inexact_representation(s3_table):
