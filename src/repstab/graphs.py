@@ -273,12 +273,14 @@ def _relator_norms(rho: AlmostRep, gog: GraphOfGroups,
     images = np.empty((ends[-1], dim, dim), dtype=complex)
     for k, ((o, t), (terminus, origin_inv), u, start) in enumerate(
             zip(gog.graph.endpoints, conjugations, rho.edge_unitaries, ends)):
+        if len(terminus) or k not in tree_edges:
+            # before the products, where inf * 0 would warn first, and for a
+            # letter that no relator reads; the scan of the stack checks s - I
+            _finite(u)
         if k in tree_edges:
             images[start] = u
             start += 1
         if len(terminus):
-            # checked before the products, where inf * 0 would warn first
-            _finite(u)
             a, b = rho.vertex_reps[t].matrices[terminus], rho.vertex_reps[o].matrices[origin_inv]
             block = images[start:start + len(terminus)]
             np.matmul(u.conj().T, a, out=block)

@@ -27,12 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IsomorphyError, NumericalError, ValidationError
-from .irreps import UNITARY_ATOL, IrrepTable, UnitaryRep, _isotypic_frame, direct_sum
-from .schatten import (_check_exponent, _distance_or_bound, _svd, rep_distance,
+from .irreps import (INTERTWINE_ATOL, UNITARY_ATOL, IrrepTable, UnitaryRep, _isotypic_frame,
+                     direct_sum)
+from .schatten import (BOUND_RTOL, _check_exponent, _distance_or_bound, _svd, rep_distance,
                        schatten_norm_normalized)
 
 DEFAULT_THRESHOLD = 0.5   # singular value cutoff for the kept subspaces of invariant_intertwiner
-INTERTWINE_ATOL = 1e-8    # max |rho2(x) T - T rho1(x)| of an assembled unitary intertwiner
 FAR_DISTANCE = 0.25       # input distance from which the intertwiners warn
 
 
@@ -52,9 +52,10 @@ class IntertwinerResult:
 
 
 def _warn_far(delta: float, risk: str, stacklevel: int):
-    """Far-distance warning naming the caller's `risk`; `stacklevel` counts
-    from the caller, as in warnings.warn."""
-    if delta >= FAR_DISTANCE:
+    """Far-distance warning naming the caller's `risk`, from FAR_DISTANCE
+    less the relative slack BOUND_RTOL; `stacklevel` counts from the
+    caller, as in warnings.warn."""
+    if delta >= FAR_DISTANCE * (1.0 - BOUND_RTOL):
         warnings.warn(f"measured distance {delta:.3e} is not below 1/4; {risk}",
                       stacklevel=stacklevel + 1)
 

@@ -17,7 +17,7 @@ defines it (as does `stabilize.replace_summands`) synthesizes its matrices
 from the new frame: the d_k^2 products of the columns of copy slots a and b
 of each irreducible k, summed against the coefficients pi_k(g)[a, b] in one
 product with the table (`_synthesize`). A frame found by decomposition, or
-split along a pullback, matches its matrices only to INVARIANCE_ATOL, so
+split along a pullback, matches its matrices only to INTERTWINE_ATOL, so
 conjugating such a representation, or one without a frame, multiplies its
 matrices.
 """
@@ -36,7 +36,7 @@ from .rng import as_generator, derived_generator, random_hermitian
 UNITARY_ATOL = 1e-10      # construction-time exactness for reps
 MULT_ATOL = 1e-6          # integrality tolerance for multiplicities
 IRREDUCIBLE_ATOL = 1e-8   # |<chi, chi'> - delta| for irreducibility and table orthonormality
-INVARIANCE_ATOL = 1e-8    # max |M B - B B^H M B| of a subspace B counted as invariant
+INTERTWINE_ATOL = 1e-8    # max |A(x) B - B C(x)| on the generators x of an intertwining check
 CLUSTER_GAP_RTOL = 1e-7   # relative eigenvalue gap for commutant clustering
 CLUSTER_RETRIES = 3       # fresh commutant draws after a failed clustering
 CHARACTER_DECIMALS = 6    # rounding used to deduplicate and order characters
@@ -322,7 +322,7 @@ def irreducible_components(rep: UnitaryRep, rng=None) -> list[Component]:
         for idxs in _cluster_eigenvalues(w):
             basis = q[:, idxs]
             inv_err = np.abs(gens @ basis - basis @ compress(gens, basis)).max(initial=0.0)
-            if inv_err > INVARIANCE_ATOL:
+            if inv_err > INTERTWINE_ATOL:
                 ok, last_err = False, f"cluster not invariant (deviation {inv_err:.3e})"
                 break
             chi = np.trace(compress(mats[reps_idx], basis), axis1=1, axis2=2)
@@ -348,7 +348,7 @@ def isotypic_components(rep: UnitaryRep, table: IrrepTable, mults) -> list[np.nd
     of Finite Groups, 2.7, Prop. 8), so rep acts on copy j by `table.irreps[k]`.
     One `eigh` of sum_k (k + 1) p_0 labels each range by rounded eigenvalues; the
     counts must equal `mults`, the caller's `multiplicities(rep, table)`, and
-    each basis be invariant to INVARIANCE_ATOL under the group's generators.
+    each basis be invariant to INTERTWINE_ATOL under the group's generators.
     """
     mats, n, gens = rep.matrices, rep.dim, rep.group.generators
     coeffs = [np.tensordot(p.matrices[:, :, 0].conj() * (p.dim / len(mats)), mats, axes=(0, 0))
@@ -362,7 +362,7 @@ def isotypic_components(rep: UnitaryRep, table: IrrepTable, mults) -> list[np.nd
         basis = (c @ xk).transpose(1, 2, 0).reshape(n, -1)
         acted = (basis.reshape(-1, p.dim) @ p.matrices[gens]).reshape(len(gens), *basis.shape)
         err = np.abs(mats[gens] @ basis - acted).max(initial=0.0)
-        if err > INVARIANCE_ATOL:
+        if err > INTERTWINE_ATOL:
             raise NumericalError(f"copies of irrep {k} not invariant ({err:.1e})")
         bases.append(basis)
     return bases

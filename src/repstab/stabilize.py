@@ -4,15 +4,15 @@ The pipeline: measure the defect, read off the per-vertex multiplicity
 vector, project it onto the kernel cone of the boundary map, pad with
 trivial summands back to the input dimension, then rebuild exact vertex
 representations by induction over a spanning tree (the root swaps only the
-summands whose multiplicities change, and each child swaps its summands too
-and is then corrected against the edge restriction of its already-corrected
-parent; across a trivial edge group that restriction constrains nothing)
-and solve the stable-letter unitaries on the remaining edges. The output is
-an exact representation whose generator distance to the input is of the
-order of the input defect. `realize` is the same tree walk and the same
-letters, started from the canonical representations of a kernel-cone
-vector with no input letters and no Schatten exponent, so it builds the
-same representation at every exponent.
+summands whose multiplicities change, and each child, by `correct_vertex`,
+swaps its summands too and is corrected against the edge restriction of its
+already-corrected parent; across a trivial edge group that restriction
+constrains nothing) and solve the stable-letter unitaries on the remaining
+edges. The output is an exact representation whose generator distance to
+the input is of the order of the input defect. `realize` is the same tree
+walk and the same letters, started from the canonical representations of a
+kernel-cone vector with no input letters and no Schatten exponent, so it
+builds the same representation at every exponent.
 """
 
 from __future__ import annotations
@@ -32,10 +32,10 @@ from .errors import (GuardExceededError, IsomorphyError, NumericalError,
 from .graphs import (AlmostRep, GraphOfGroups, _relator_norms, almost_rep, boundary_map,
                      generator_distance, measure_defect, rep_multiplicities)
 from .groups import GroupHom
-from .irreps import (IrrepTable, UnitaryRep, _column_blocks, _isotypic_frame, _synthesize,
-                     conjugate_rep, irrep_table, multiplicities, pullback,
-                     rep_from_multiplicities, restriction_matrix, unitary_rep)
-from .intertwiners import INTERTWINE_ATOL, _polar_letter, unitary_intertwiner
+from .irreps import (INTERTWINE_ATOL, IrrepTable, UnitaryRep, _column_blocks, _isotypic_frame,
+                     _synthesize, conjugate_rep, irrep_table, pullback, rep_from_multiplicities,
+                     restriction_matrix, unitary_rep)
+from .intertwiners import _polar_letter, unitary_intertwiner
 from .rng import derived_generator
 from .schatten import BOUND_RTOL, _check_exponent
 
@@ -144,14 +144,30 @@ def replace_summands(rho: UnitaryRep, target, table: IrrepTable) -> UnitaryRep:
     return out
 
 
-def _fit_vertex(hom: GroupHom, tau: UnitaryRep, rho: UnitaryRep, target,
-                table_sub: IrrepTable, table: IrrepTable, p: float | None) -> UnitaryRep:
-    """`rho` with the target multiplicities (`replace_summands`), conjugated
-    by the unitary intertwiner from its pullback along `hom` to `tau`, and
-    checked to pull back to `tau` on the generators of the edge group. A
-    trivial edge group constrains nothing, so no intertwiner is built there.
-    `p` goes to the intertwiner, which then warns when the two restrictions
-    are far apart."""
+def correct_vertex(hom: GroupHom, tau: UnitaryRep, rho: UnitaryRep, target,
+                   table_sub: IrrepTable, table: IrrepTable, p: float | None) -> UnitaryRep:
+    """Correct one vertex representation against an edge constraint: the
+    step of each child of the tree walk.
+
+    Checks that the target restricts to the multiplicities of `tau`, read
+    off its isotypic frame, then returns `rho` with the target multiplicities
+    (`replace_summands`), conjugated by the unitary intertwiner from its
+    pullback along `hom` to `tau` (none across a trivial edge group, which
+    constrains nothing), and checked to pull back to `tau` on the edge
+    group's generators to INTERTWINE_ATOL. Given `p`, the intertwiner warns
+    when the two restrictions are far apart; `realize` passes None. The
+    distance moved is of the order of max(d(pullback(rho), tau), replaced
+    fraction^(1/p)).
+    """
+    if tau.group is not table_sub.group:
+        raise ValidationError("representation and table belong to different groups")
+    tau_mults = _isotypic_frame(tau, table_sub).mults
+    restricted = restriction_matrix(hom, table_sub, table) @ target
+    if not np.array_equal(restricted, tau_mults):
+        raise IsomorphyError(
+            "target multiplicities restrict to "
+            f"{restricted.tolist()}, but the constraint representation has {tau_mults.tolist()}",
+            left=restricted, right=tau_mults)
     rho = replace_summands(rho, target, table)
     if tau.group.order > 1:
         rho = conjugate_rep(rho, unitary_intertwiner(pullback(hom, rho), tau, p, table=table_sub))
@@ -162,43 +178,22 @@ def _fit_vertex(hom: GroupHom, tau: UnitaryRep, rho: UnitaryRep, target,
     return rho
 
 
-def correct_vertex(hom: GroupHom, tau: UnitaryRep, rho: UnitaryRep, target,
-                   table_sub: IrrepTable, table: IrrepTable, p: float) -> UnitaryRep:
-    """Correct one vertex representation against an edge constraint.
-
-    Returns a representation with the target multiplicities whose pullback
-    along `hom` equals `tau` exactly: once the target is checked to restrict
-    to the multiplicities of `tau`, the step of each child of the tree walk
-    (`_fit_vertex`). The distance moved is of the order of
-    max(d(pullback(rho), tau), replaced fraction^(1/p)).
-    """
-    target = np.asarray(target, dtype=int)
-    tau_mults = multiplicities(tau, table_sub)
-    restricted = restriction_matrix(hom, table_sub, table) @ target
-    if not np.array_equal(restricted, tau_mults):
-        raise IsomorphyError(
-            "target multiplicities restrict to "
-            f"{restricted.tolist()}, but the constraint representation has {tau_mults.tolist()}",
-            left=restricted, right=tau_mults)
-    return _fit_vertex(hom, tau, rho, target, table_sub, table, p)
-
-
 def _walk_tree(ctx: CorrectionContext, vertex_reps, blocks,
                p: float | None) -> tuple[UnitaryRep, ...]:
     """Vertex representations with the multiplicities `blocks`, by induction
     over the spanning tree from `vertex_reps`: the root swaps summands, and
-    each child, in tree order, is fitted (`_fit_vertex`) to the restriction
-    of its already-corrected parent to the group of the tree edge between
-    them. The blocks lie in the kernel cone, so every restriction matches."""
+    each child, in tree order, is corrected (`correct_vertex`) against the
+    restriction of its already-corrected parent to its tree edge's group.
+    The blocks lie in the kernel cone, so every restriction matches."""
     graph = ctx.gog.graph
     root = graph.tree.root
     reps = {root: replace_summands(vertex_reps[root], blocks[root], ctx.vertex_tables[root])}
     for step in graph.tree.steps:
         edge = step.edge_to_parent
         tau = pullback(ctx.gog.injections[edge], reps[step.parent])
-        reps[step.child] = _fit_vertex(ctx.gog.injections[graph.opposite(edge)], tau,
-                                       vertex_reps[step.child], blocks[step.child],
-                                       ctx.edge_tables[edge // 2], ctx.vertex_tables[step.child], p)
+        reps[step.child] = correct_vertex(
+            ctx.gog.injections[graph.opposite(edge)], tau, vertex_reps[step.child],
+            blocks[step.child], ctx.edge_tables[edge // 2], ctx.vertex_tables[step.child], p)
     return tuple(reps[v] for v in range(graph.n_vertices))
 
 

@@ -164,7 +164,7 @@ def test_stage_tags_on_numerical_failure(z2_amalgam, monkeypatch):
     def boom(*args, **kwargs):
         raise NumericalError("instrumented failure")
 
-    monkeypatch.setattr(st, "_fit_vertex", boom)
+    monkeypatch.setattr(st, "correct_vertex", boom)
     with pytest.raises(NumericalError, match=r"\[vertex_corrections\]"):
         rs.stabilize(base, ctx, seed=0)
 

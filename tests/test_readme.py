@@ -33,7 +33,7 @@ def _command_lines():
 
 def test_readme_cutoff_list_has_distinct_entries():
     names = [(module, name) for module, name, _ in _cutoff_entries()]
-    assert len(names) == 15
+    assert len(names) == 14
     assert len(set(names)) == len(names)
 
 

@@ -6,6 +6,7 @@ intertwine genuinely different matrix representations; multiple loops and
 longer chains compound the induction.
 """
 
+import sys
 import warnings
 
 import numpy as np
@@ -196,6 +197,32 @@ def test_chain_induction_accumulates_gracefully(z4_chain):
     assert np.median(ratios) < 15.0
 
 
+def test_tree_walk_corrects_each_child_by_correct_vertex(z4_chain, monkeypatch):
+    # the walk looks correct_vertex up on the module, as the tracer rebinds
+    # it, and takes it once per tree step, in tree order, in both pipelines
+    st = sys.modules["repstab.stabilize"]
+    ctx = rs.CorrectionContext.build(z4_chain, p=2.0, seed=0)
+    graph = ctx.gog.graph
+    expected = [ctx.gog.injections[graph.opposite(step.edge_to_parent)]
+                for step in graph.tree.steps]
+    assert len(expected) == 2
+    calls, correct_vertex = [], st.correct_vertex
+
+    def counted(hom, *args, **kwargs):
+        calls.append(hom)
+        return correct_vertex(hom, *args, **kwargs)
+
+    monkeypatch.setattr(st, "correct_vertex", counted)
+    base = rs.realize(rs.uniform_lambda(ctx, 8), ctx, seed=0)
+    assert calls == expected
+    calls.clear()
+    inst = rs.perturb(base, z4_chain, 1e-3, mode="edges-and-conjugate-vertices",
+                      rng=np.random.default_rng(0))
+    out, report = rs.stabilize(inst, ctx)
+    assert calls == expected
+    assert report.output_defect <= 1e-9
+
+
 def test_projection_oracle_on_twisted_hnn():
     v4 = rs.klein_four_group()
     z2 = rs.cyclic_group(2)
@@ -309,7 +336,7 @@ def _assert_carried_frame(rep, table):
     """The frame `rep` carries in `table` is read without a decomposition, is
     orthonormal and copy-major, and rep(g) B_k = B_k (I kron pi_k(g)) for
     every g."""
-    from repstab.irreps import INVARIANCE_ATOL, _column_blocks, _isotypic_frame
+    from repstab.irreps import INTERTWINE_ATOL, _column_blocks, _isotypic_frame
     assert rep._frame is not None
     mults = rs.multiplicities(rep, table)
     frame = _isotypic_frame(rep, table)
@@ -319,7 +346,7 @@ def _assert_carried_frame(rep, table):
     for b, p, m in zip(_column_blocks(basis, mults * table.dims), table.irreps, mults):
         copies = b.reshape(rep.dim, m, p.dim)
         acted = np.einsum("nja,gab->gnjb", copies, p.matrices).reshape(len(p.matrices), *b.shape)
-        assert np.abs(rep.matrices @ b - acted).max(initial=0.0) <= INVARIANCE_ATOL
+        assert np.abs(rep.matrices @ b - acted).max(initial=0.0) <= INTERTWINE_ATOL
 
 
 @pytest.mark.parametrize("name", rs.graph_preset_names() + RICH_GRAPHS)

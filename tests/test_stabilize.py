@@ -279,12 +279,37 @@ def test_correct_vertex_rejects_mismatched_constraint(z2, z2_table, s3, s3_table
         rs.correct_vertex(hom, tau, rho, np.array([2, 2, 1]), z2_table, s3_table, 2.0)
 
 
+def test_correct_vertex_rejects_a_target_restricting_otherwise(z2, z2_table, s3, s3_table):
+    # same dimension 7 on both sides, across the nontrivial Z2: the target
+    # restricts to (4, 3), the constraint has (5, 2), read off its frame
+    hom = rs.group_hom(z2, s3, [0, 1], require_injective=True)
+    tau = pullback(hom, rs.rep_from_multiplicities(s3_table, [4, 1, 1]))
+    target = np.array([2, 1, 2])
+    rho = rs.rep_from_multiplicities(s3_table, target)
+    with pytest.raises(IsomorphyError, match=r"restrict to \[4, 3\].* has \[5, 2\]") as info:
+        rs.correct_vertex(hom, tau, rho, target, z2_table, s3_table, 2.0)
+    assert info.value.left.tolist() == (rs.restriction_matrix(hom, z2_table, s3_table)
+                                        @ target).tolist() == [4, 3]
+    assert info.value.right.tolist() == rs.multiplicities(tau, z2_table).tolist() == [5, 2]
+
+
+def test_correct_vertex_rejects_a_constraint_of_another_group(s3, s3_table):
+    # two trivial groups with tables of equal contents: the constraint's own
+    # frame is not read in the other group's table
+    z1, other = rs.cyclic_group(1), rs.cyclic_group(1)
+    tau = rs.rep_from_multiplicities(rs.irrep_table(other), [9])
+    rho = rs.rep_from_multiplicities(s3_table, [3, 2, 2])
+    with pytest.raises(ValidationError, match="different groups"):
+        rs.correct_vertex(trivial_embedding(s3, z1), tau, rho, np.array([3, 2, 2]),
+                          rs.irrep_table(z1), s3_table, 2.0)
+
+
 @pytest.mark.filterwarnings("ignore:measured distance .* is not below 1/4")
 @pytest.mark.parametrize("p", [1.0, 2.0])
 @pytest.mark.parametrize("blocks", [((5, 5), (5, 5)), ((6, 4), (5, 5)), ((4, 6), (6, 4))])
 def test_stabilize_child_is_correct_vertex_bit_for_bit(z2_amalgam, blocks, p):
-    # the tree walk fits each child by the step that correct_vertex takes
-    # after its restriction check, so the two agree to the last bit
+    # the tree walk corrects each child by correct_vertex itself, so a call
+    # on the walk's own inputs agrees with its output to the last bit
     ctx = rs.CorrectionContext.build(z2_amalgam, p=p)
     rng = np.random.default_rng(blocks[0][0] + blocks[1][0])
     inst = rs.perturb(_imbalanced_instance(ctx, *blocks, 10), ctx.gog, 1e-3, rng=rng)
@@ -416,6 +441,23 @@ def test_a_bad_stable_letter_is_refused(contexts_at_every_p, name, bad, p):
         rs.measure_defect(inst, ctx.gog, p)
     with pytest.raises(ValidationError, match="NaN or Inf"):
         rs.stabilize(inst, ctx, seed=0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_bad_letter_that_no_relator_reads_is_refused(bad):
+    # a loop over the trivial group has no relator, so its letter enters no
+    # product in stage 1; it is still refused there, with no RuntimeWarning
+    gog = rs.graph_of_groups(rs.serre_graph(1, [(0, 0)]), [rs.cyclic_group(3)],
+                             [rs.cyclic_group(1)], [[0], [0]])
+    ctx = rs.CorrectionContext.build(gog, p=2.0)
+    base = rs.realize(rs.uniform_lambda(ctx, 6), ctx)
+    letter = base.edge_unitaries[0].copy()
+    letter[1, 2] = bad
+    inst = rs.almost_rep(gog, base.vertex_reps, [letter], check=False)
+    with pytest.raises(ValidationError, match="NaN or Inf"):
+        rs.measure_defect(inst, gog, 2.0)
+    with pytest.raises(ValidationError, match="NaN or Inf"):
+        rs.stabilize(inst, ctx)
 
 
 def test_stabilize_engineered_imbalance(amalgam_ctx):
