@@ -11,9 +11,10 @@ Norms are exact rationals (denominators are the vertex and edge counts).
 The map is built from the graph's edges, which also give its edge tree:
 the loops, and the links between distinct vertices when they form a
 spanning tree. The projection onto the kernel cone is exact. On a map with
-an edge tree it is a dynamic program over that tree; otherwise (a cycle of
-links, or a map given only as a matrix) it is an integer program solved by
-HiGHS.
+an edge tree it is a dynamic program over that tree, whose candidate tables
+do not depend on the input and are built once per map and dimension cap;
+otherwise (a cycle of links, or a map given only as a matrix) it is an
+integer program solved by HiGHS.
 """
 
 from __future__ import annotations
@@ -114,7 +115,8 @@ class BoundaryMap:
     vector of a genuine representation gives zero on every oriented edge.
     A map built from a graph's edges (`_from_edges`) also carries its
     `edge_tree` when its links form a spanning tree; a map built from a
-    matrix has none.
+    matrix has none. The tables of the dynamic program over that tree are
+    kept per dimension cap, read-only (`_tree_tables`).
     """
 
     vertex_dims: tuple[tuple[int, ...], ...]       # irrep dims per vertex block
@@ -122,6 +124,7 @@ class BoundaryMap:
     matrix: np.ndarray                             # edge coordinates x vertex coordinates
     trivial_indices: tuple[int, ...]               # trivial-irrep coordinate per vertex
     edge_tree: EdgeTree | None = field(default=None, init=False)
+    _tables: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         self.matrix.setflags(write=False)
@@ -243,7 +246,10 @@ def project_to_kernel_cone(lam: MultiplicityVector, bmap: BoundaryMap) -> Multip
     (`_project_on_tree`); otherwise, or when a vertex has more than
     `DP_MAX_CANDIDATES` candidates, it is a mixed-integer program solved by
     HiGHS (`_project_by_milp`). The returned point is re-verified in exact
-    integer arithmetic. The zero vector is always feasible.
+    integer arithmetic. The zero vector is always feasible. Both solvers
+    take the distance of a candidate, at most twice the weighted total
+    w @ lam, in int64: ValidationError for a lam off the kernel whose
+    total is larger than half the int64 maximum.
     """
     bmap._require(lam, VERTEX_SIDE)
     if not lam.is_nonnegative():
@@ -251,10 +257,15 @@ def project_to_kernel_cone(lam: MultiplicityVector, bmap: BoundaryMap) -> Multip
     if bmap.apply(lam).is_zero():
         return lam
 
+    total = sum(w * x for w, x in zip(bmap.vertex_weights.tolist(), lam.flatten()))
+    if 2 * total > np.iinfo(np.int64).max:
+        raise ValidationError(
+            f"projection input has weighted total {total}, above the int64 range of the "
+            f"projection ({np.iinfo(np.int64).max // 2})")
     lam_flat = np.array(lam.flatten(), dtype=np.int64)
-    mu = _project_on_tree(lam_flat, bmap)
+    mu = _project_on_tree(lam_flat, bmap, total // bmap.n_vertices)
     if mu is None:
-        mu = _project_by_milp(lam_flat, bmap)
+        mu = _project_by_milp(lam_flat, bmap, total)
 
     out = MultiplicityVector.from_flat(VERTEX_SIDE, mu.tolist(), bmap.vertex_block_lengths)
     if not out.is_nonnegative():
@@ -295,55 +306,83 @@ def _group_rows(keys: np.ndarray) -> tuple[np.ndarray, int]:
     return group, int(starts.sum())
 
 
-def _project_on_tree(lam_flat: np.ndarray, bmap: BoundaryMap) -> np.ndarray | None:
-    """Exact projection by dynamic programming over the links of `bmap.edge_tree`.
+def _tree_tables(bmap: BoundaryMap, d_cap: int):
+    """The tables of `_project_on_tree` at dimension cap `d_cap`, which do not
+    depend on lam: each vertex's candidates, its mu_v >= 0 of weight at most
+    d_cap that satisfy its loops, and per root the folds of the tree rooted
+    there, children first, as (parent, child, group of each candidate of the
+    parent, of the child, group count), the candidates of a link's two ends
+    grouped by their common restriction.
 
-    Every kernel vector has one dimension D at all vertices, so the norm cap
-    is D <= cap // n_vertices. A vertex's candidates are its mu_v >= 0 of
-    weight at most that, which satisfy its loops; their cost is the weighted
-    l1 distance to lam_v. The tie-break roots the DP at each vertex in turn
-    and fixes the first optimal candidate, the lexicographically smallest.
-    None when the map has no edge tree (only `BoundaryMap._from_edges`
-    builds one, from the graph's edges), or when some vertex could have
-    more than DP_MAX_CANDIDATES candidates.
+    Kept on `bmap` per cap, read-only. The caps held hold at most
+    DP_MAX_CANDIDATES candidates per vertex in total: a new cap drops the
+    oldest ones until it fits.
     """
-    tree = bmap.edge_tree
-    w = bmap.vertex_weights
-    n = bmap.n_vertices
-    d_cap = int(w @ lam_flat) // n
-    if tree is None or any(comb(d_cap + ln, ln) > DP_MAX_CANDIDATES
-                           for ln in bmap.vertex_block_lengths):
-        return None
+    held = bmap._tables
+    if d_cap in held:
+        return held[d_cap]
+    tree, w = bmap.edge_tree, bmap.vertex_weights
     bounds = np.cumsum([0, *bmap.vertex_block_lengths])
-    cands, costs = [], []
-    for v in range(n):
-        wv, lv = w[bounds[v]:bounds[v + 1]], lam_flat[bounds[v]:bounds[v + 1]]
-        c = _candidates(wv, d_cap)
-        for loop in tree.loops[v]:
+    cands = []
+    for v, loops in enumerate(tree.loops):
+        c = _candidates(w[bounds[v]:bounds[v + 1]], d_cap)
+        for loop in loops:
             c = c[~(c @ loop.T).any(axis=1)]
+        c.setflags(write=False)
         cands.append(c)
-        costs.append((np.abs(c - lv) @ wv).astype(float))
 
-    # neighbours[x]: (y, group of each candidate of x, of y, group count),
-    # candidates of the two ends grouped by their common link key
-    neighbours = [[] for _ in range(n)]
+    neighbours = [[] for _ in cands]
     for u, v, ru, rv in tree.links:
         group, ng = _group_rows(np.vstack([cands[u] @ ru.T, cands[v] @ rv.T]))
+        group.setflags(write=False)
         gu, gv = group[:len(cands[u])], group[len(cands[u]):]
         neighbours[u].append((v, gu, gv, ng))
         neighbours[v].append((u, gv, gu, ng))
-
-    choice = []
-    for root in range(n):
+    folds = []
+    for root in range(len(cands)):
         order, via = [root], {root: None}
         for x in order:
             for y, gx, gy, ng in neighbours[x]:
                 if y not in via:
-                    via[y] = (x, gx, gy, ng)
+                    via[y] = (x, y, gx, gy, ng)
                     order.append(y)
+        folds.append(tuple(via[y] for y in reversed(order[1:])))
+
+    def rows(tables) -> np.ndarray:
+        return np.array([len(c) for c in tables[0]])
+
+    tables = tuple(cands), tuple(folds)
+    while held and (rows(tables) + sum(map(rows, held.values()))).max() > DP_MAX_CANDIDATES:
+        del held[next(iter(held))]
+    held[d_cap] = tables
+    return tables
+
+
+def _project_on_tree(lam_flat: np.ndarray, bmap: BoundaryMap, d_cap: int) -> np.ndarray | None:
+    """Exact projection by dynamic programming over the links of `bmap.edge_tree`.
+
+    Every kernel vector has one dimension D at all vertices, so the norm cap
+    is D <= d_cap, the weighted total of lam over n_vertices. A vertex's
+    candidates (`_tree_tables`) cost their weighted l1 distance to lam_v.
+    The tie-break roots the DP at each vertex in turn and fixes the first
+    optimal candidate, the lexicographically smallest. None when the map
+    has no edge tree (only `BoundaryMap._from_edges` builds one, from the
+    graph's edges), or when some vertex could have more than
+    DP_MAX_CANDIDATES candidates.
+    """
+    if bmap.edge_tree is None or any(comb(d_cap + ln, ln) > DP_MAX_CANDIDATES
+                                     for ln in bmap.vertex_block_lengths):
+        return None
+    cands, folds = _tree_tables(bmap, d_cap)
+    w = bmap.vertex_weights
+    bounds = np.cumsum([0, *bmap.vertex_block_lengths])
+    costs = [(np.abs(c - lam_flat[lo:hi]) @ w[lo:hi]).astype(float)
+             for c, lo, hi in zip(cands, bounds, bounds[1:])]
+
+    choice = []
+    for root, fold in enumerate(folds):
         value = list(costs)
-        for y in reversed(order[1:]):
-            x, gx, gy, ng = via[y]
+        for x, y, gx, gy, ng in fold:
             best = np.full(ng, np.inf)
             np.minimum.at(best, gy, value[y])
             value[x] = value[x] + best[gx]
@@ -355,8 +394,9 @@ def _project_on_tree(lam_flat: np.ndarray, bmap: BoundaryMap) -> np.ndarray | No
     return np.concatenate(choice)
 
 
-def _project_by_milp(lam_flat: np.ndarray, bmap: BoundaryMap) -> np.ndarray:
-    """The projection as one mixed-integer program (HiGHS branch and bound).
+def _project_by_milp(lam_flat: np.ndarray, bmap: BoundaryMap, cap: int) -> np.ndarray:
+    """The projection as one mixed-integer program (HiGHS branch and bound),
+    `cap` the weighted total of lam.
 
     Solved once for the distance, then for the lexicographic tie-break one
     chunk of coordinates per solve, each chunk fixed once solved. Every
@@ -366,7 +406,6 @@ def _project_by_milp(lam_flat: np.ndarray, bmap: BoundaryMap) -> np.ndarray:
     """
     w = bmap.vertex_weights
     n = lam_flat.size
-    cap = int(w @ lam_flat)
     rows = bmap.matrix.shape[0]
 
     def distance(x) -> int:

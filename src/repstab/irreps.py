@@ -208,14 +208,15 @@ def conjugate_rep(rep: UnitaryRep, u: np.ndarray) -> UnitaryRep:
 
 def pullback(hom: GroupHom, rep: UnitaryRep) -> UnitaryRep:
     """Representation of the source group: h -> rho(hom(h)), carrying the
-    frame of `rep` to be split along `hom` when first read."""
+    frame of `rep` to be split along `hom` when first read. Its matrices are
+    a read-only copy of matrices of `rep`, so they are not checked again."""
     if rep.group is not hom.target:
         raise ValidationError("representation group does not match hom target")
     frame = rep._frame
     if frame is not None:
         # a pullback of a pullback is left without a frame
         frame = replace(frame, hom=hom, exact=False) if frame.hom is None else None
-    return _framed(unitary_rep(hom.source, rep.matrices[hom.map], check=False), frame)
+    return _framed(UnitaryRep(hom.source, _read_only(rep.matrices[hom.map])), frame)
 
 
 def compress(mats: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -480,6 +481,16 @@ def _column_blocks(a: np.ndarray, widths) -> list[np.ndarray]:
     """The consecutive column blocks of `a` with the given widths."""
     edges = [0, *np.cumsum(widths).tolist()]
     return [a[:, i:j] for i, j in zip(edges, edges[1:])]
+
+
+def _frame_multiplicities(rep: UnitaryRep, table: IrrepTable) -> np.ndarray:
+    """The multiplicities of the frame of `rep` in `table`: R m for a
+    pullback's pending frame of multiplicities m, R the restriction matrix,
+    without splitting its basis; otherwise those of `_isotypic_frame`."""
+    frame = rep._frame
+    if frame is not None and frame.hom is not None:
+        return _restriction(frame.hom, table, frame.table)[0] @ frame.mults
+    return _isotypic_frame(rep, table).mults
 
 
 def _isotypic_frame(rep: UnitaryRep, table: IrrepTable) -> _Frame:

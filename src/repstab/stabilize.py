@@ -32,9 +32,10 @@ from .errors import (GuardExceededError, IsomorphyError, NumericalError,
 from .graphs import (AlmostRep, GraphOfGroups, _relator_norms, almost_rep, boundary_map,
                      generator_distance, measure_defect, rep_multiplicities)
 from .groups import GroupHom
-from .irreps import (INTERTWINE_ATOL, IrrepTable, UnitaryRep, _column_blocks, _isotypic_frame,
-                     _synthesize, conjugate_rep, irrep_table, pullback, rep_from_multiplicities,
-                     restriction_matrix, unitary_rep)
+from .irreps import (INTERTWINE_ATOL, IrrepTable, UnitaryRep, _column_blocks,
+                     _frame_multiplicities, _isotypic_frame, _synthesize, conjugate_rep,
+                     irrep_table, pullback, rep_from_multiplicities, restriction_matrix,
+                     unitary_rep)
 from .intertwiners import _polar_letter, unitary_intertwiner
 from .rng import derived_generator
 from .schatten import BOUND_RTOL, _check_exponent
@@ -150,7 +151,8 @@ def correct_vertex(hom: GroupHom, tau: UnitaryRep, rho: UnitaryRep, target,
     step of each child of the tree walk.
 
     Checks that the target restricts to the multiplicities of `tau`, read
-    off its isotypic frame, then returns `rho` with the target multiplicities
+    off its isotypic frame (or, for a pullback, off its parent's frame
+    before the split is built), then returns `rho` with the target multiplicities
     (`replace_summands`), conjugated by the unitary intertwiner from its
     pullback along `hom` to `tau` (none across a trivial edge group, which
     constrains nothing), and checked to pull back to `tau` on the edge
@@ -161,7 +163,7 @@ def correct_vertex(hom: GroupHom, tau: UnitaryRep, rho: UnitaryRep, target,
     """
     if tau.group is not table_sub.group:
         raise ValidationError("representation and table belong to different groups")
-    tau_mults = _isotypic_frame(tau, table_sub).mults
+    tau_mults = _frame_multiplicities(tau, table_sub)
     restricted = restriction_matrix(hom, table_sub, table) @ target
     if not np.array_equal(restricted, tau_mults):
         raise IsomorphyError(

@@ -289,21 +289,26 @@ def test_dp_tie_break_matches_brute_force_on_every_input():
     _assert_projects_as_brute_force(b, 4)
 
 
+def _lex_optimum(b, kmat, flat):
+    """The lexicographically smallest of the kernel points `kmat` no larger
+    than `flat` at the least weighted distance from it."""
+    w = b.vertex_weights
+    feasible = kmat[kmat @ w <= flat @ w]
+    dists = np.abs(feasible - flat) @ w
+    return min(tuple(int(x) for x in row) for row in feasible[dists == dists.min()])
+
+
 def _assert_projects_as_brute_force(b, total):
     """Every input of weighted total at most `total` projects to the
     lexicographically smallest brute-force optimum; over 1000 of them lie
     off the kernel."""
-    w = b.vertex_weights
     lmat = np.array([lam.flatten() for lam in enumerate_cone(b.vertex_dims, total)])
     kmat = lmat[~(lmat @ b.matrix.T).any(axis=1)]
     off_kernel = 0
     for flat in lmat:
         lam = rs.MultiplicityVector.from_flat("vertex", flat.tolist(), b.vertex_block_lengths)
         out = rs.project_to_kernel_cone(lam, b)
-        feasible = kmat[kmat @ w <= flat @ w]
-        dists = np.abs(feasible - flat) @ w
-        lex = min(tuple(int(x) for x in row) for row in feasible[dists == dists.min()])
-        assert out.flatten() == lex, (flat, out.blocks)
+        assert out.flatten() == _lex_optimum(b, kmat, flat), (flat, out.blocks)
         off_kernel += bool((b.matrix @ flat).any())
     assert off_kernel > 1000
 
@@ -402,14 +407,19 @@ def test_hand_built_map_has_no_tree_and_reaches_highs(milp_calls):
     assert out == argmin
 
 
-def test_dp_with_a_loop_and_a_link_matches_brute_force(milp_calls):
+def _v4_link_and_loop():
     # two V4 vertices joined over Z2, and a Z2 loop at vertex 0 included as
-    # two different subgroups: the DP filters candidates by a nonzero loop
-    # and joins the vertices by a link
+    # two different subgroups
     v4, z2 = rs.klein_four_group(), rs.cyclic_group(2)
     gog = rs.graph_of_groups(rs.serre_graph(2, [(0, 1), (0, 0)]), [v4, v4], [z2, z2],
                              [[0, 1], [0, 1], [0, 1], [0, 2]], name="v4_link_and_loop")
-    b = rs.CorrectionContext.build(gog, p=2.0, seed=0).boundary
+    return rs.CorrectionContext.build(gog, p=2.0, seed=0).boundary
+
+
+def test_dp_with_a_loop_and_a_link_matches_brute_force(milp_calls):
+    # the DP filters candidates by a nonzero loop and joins the vertices by
+    # a link
+    b = _v4_link_and_loop()
     tree = b.edge_tree
     assert [len(loops) for loops in tree.loops] == [1, 0] and tree.loops[0][0].any()
     assert [link[:2] for link in tree.links] == [(0, 1)]
@@ -435,6 +445,105 @@ def test_highs_tie_break_is_the_lexicographic_minimum(milp_calls, monkeypatch):
     assert by_highs == by_dp
     assert by_highs.blocks == ((0, 1, 2, 5), (3, 1, 2, 2), (3, 0, 3, 2))
     assert b.vertex_norm(lam - by_highs) == Fraction(7, 3)
+
+
+def _off_kernel(b, *blocks):
+    lam = rs.MultiplicityVector("vertex", blocks)
+    assert not b.apply(lam).is_zero()
+    return lam
+
+
+def test_tree_tables_are_built_once_per_cap(monkeypatch):
+    # z4_chain: inputs of unequal vertex dimensions lie off the kernel, and
+    # the cap is their weighted total over 3
+    calls = []
+    real = cones._candidates
+
+    def counting(w, d_cap):
+        calls.append(d_cap)
+        return real(w, d_cap)
+
+    monkeypatch.setattr(cones, "_candidates", counting)
+    b, other = (_chain_of_z4(3, [(0, 1), (1, 2)]).boundary for _ in range(2))
+    for blocks in (((3, 0, 0, 0), (1, 0, 0, 0), (2, 0, 0, 0)),   # cap 2
+                   ((0, 2, 1, 0), (2, 0, 0, 0), (1, 0, 0, 0)),   # cap 2
+                   ((2, 0, 0, 0), (1, 0, 0, 0), (1, 0, 0, 0)),   # cap 1
+                   ((1, 0, 0, 1), (0, 3, 0, 0), (0, 0, 2, 0)),   # cap 2
+                   ((4, 0, 0, 0), (3, 0, 0, 0), (2, 0, 0, 0))):  # cap 3
+        rs.project_to_kernel_cone(_off_kernel(b, *blocks), b)
+    assert calls == [2] * 3 + [1] * 3 + [3] * 3
+    assert list(b._tables) == [2, 1, 3]
+    # another map builds its own tables, and leaves those of `b` alone
+    rs.project_to_kernel_cone(_off_kernel(other, (2, 0, 0, 0), (1, 0, 0, 0), (1, 0, 0, 0)),
+                              other)
+    rs.project_to_kernel_cone(_off_kernel(b, (0, 0, 2, 0), (1, 0, 0, 0), (1, 0, 0, 0)), b)
+    assert calls == [2] * 3 + [1] * 3 + [3] * 3 + [1] * 3
+    assert list(b._tables) == [2, 1, 3] and list(other._tables) == [1]
+
+
+def test_tree_tables_are_read_only():
+    b = _v4_link_and_loop()
+    rs.project_to_kernel_cone(_off_kernel(b, (2, 1, 0, 0), (0, 0, 1, 0)), b)
+    (cands, folds), = b._tables.values()
+    arrays = [*cands, *(a for fold in folds for _, _, gx, gy, _ in fold for a in (gx, gy))]
+    assert len(arrays) == 2 + 2 * 2
+    assert not any(a.flags.writeable for a in arrays)
+
+
+def test_interleaved_caps_and_maps_project_as_brute_force():
+    # two maps, at every cap an input of total at most 6 reaches, in two
+    # shuffled passes: each input comes again after others on both maps,
+    # and must still reach the brute-force optimum (the tie-break fixes
+    # costs per call, never the kept tables)
+    rng = np.random.default_rng(0)
+    cases = []
+    for b in (_chain_of_z4(3, [(0, 1), (1, 2)]).boundary, _v4_link_and_loop()):
+        lmat = np.array([lam.flatten() for lam in enumerate_cone(b.vertex_dims, 6)])
+        kmat = lmat[~(lmat @ b.matrix.T).any(axis=1)]
+        for flat in lmat[rng.choice(len(lmat), 120, replace=False)]:
+            cases.append((b, flat, _lex_optimum(b, kmat, flat)))
+    caps = {(b.n_vertices, int(flat @ b.vertex_weights) // b.n_vertices) for b, flat, _ in cases}
+    assert {(3, 1), (3, 2), (2, 1), (2, 2), (2, 3)} <= caps   # (vertices, cap)
+    for order in (rng.permutation(len(cases)), rng.permutation(len(cases))):
+        for i in order:
+            b, flat, lex = cases[i]
+            lam = rs.MultiplicityVector.from_flat("vertex", flat.tolist(), b.vertex_block_lengths)
+            assert rs.project_to_kernel_cone(lam, b).flatten() == lex, (flat, lex)
+
+
+def test_tree_tables_hold_at_most_the_candidate_budget(monkeypatch):
+    # z4_chain has 5, 15 and 35 candidates per vertex at caps 1, 2 and 3; a
+    # budget of 40 holds caps 1 and 3 together, but not 2 and 3
+    b = _chain_of_z4(3, [(0, 1), (1, 2)]).boundary
+    inputs = {1: ((2, 0, 0, 0), (1, 0, 0, 0), (1, 0, 0, 0)),
+              2: ((3, 0, 0, 0), (1, 0, 0, 0), (2, 0, 0, 0)),
+              3: ((4, 0, 0, 0), (3, 0, 0, 0), (2, 0, 0, 0))}
+    unbounded = {cap: rs.project_to_kernel_cone(_off_kernel(b, *blocks), b)
+                 for cap, blocks in inputs.items()}
+    assert list(b._tables) == [1, 2, 3]
+    monkeypatch.setattr(cones, "DP_MAX_CANDIDATES", 40)
+    b = _chain_of_z4(3, [(0, 1), (1, 2)]).boundary
+    for cap, held in ((3, [3]), (2, [2]), (1, [2, 1]), (3, [1, 3]), (2, [2])):
+        assert rs.project_to_kernel_cone(_off_kernel(b, *inputs[cap]), b) == unbounded[cap]
+        assert list(b._tables) == held
+        rows = sum(np.array([len(c) for c in cands]) for cands, _ in b._tables.values())
+        assert rows.max() <= 40
+
+
+@pytest.mark.parametrize("blocks", [
+    ((2 ** 70, 0), (0, 0, 0)),                   # no int64 holds a coordinate
+    ((2 ** 62, 2 ** 62), (0, 0, 0)),             # the total wraps to -2^63
+    ((2 ** 63 - 1, 2 ** 63 - 1), (12, 0, 0))])   # the total wraps to 10
+def test_projection_refuses_a_total_beyond_int64(blocks):
+    # Z2_free_Z3 over the trivial group: the kernel is the vectors of equal
+    # vertex dimensions; the last input wrapped to cap 5 and returned
+    # (0, 5 | 5, 0, 0) at distance 2^63, though (12, 0 | 12, 0, 0) is at 2^63 - 7
+    b = rs.CorrectionContext.build(rs.graph_preset("Z2_free_Z3"), p=2.0, seed=0).boundary
+    with pytest.raises(ValidationError, match="int64"):
+        rs.project_to_kernel_cone(_off_kernel(b, *blocks), b)
+    # a kernel point is returned as it is, at any size
+    big = rs.MultiplicityVector("vertex", ((2 ** 70, 0), (2 ** 70, 0, 0)))
+    assert rs.project_to_kernel_cone(big, b) is big
 
 
 @settings(max_examples=60, deadline=None)

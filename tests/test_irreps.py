@@ -402,6 +402,22 @@ def _dense_inputs(s3_table, z2_table):
             ("pending", irreps_mod.pullback(hom, exact))]
 
 
+def test_pullback_copies_the_matrices_read_only_without_a_rescan(s3_table, z2_table,
+                                                                 monkeypatch):
+    rep = rs.rep_from_multiplicities(s3_table, [1, 2, 2])
+    hom = rs.group_hom(z2_table.group, s3_table.group, [0, 1], require_injective=True)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("matrices checked again")
+
+    monkeypatch.setattr(irreps_mod, "unitary_rep", refuse)
+    out = irreps_mod.pullback(hom, rep)
+    assert out.group is z2_table.group
+    assert np.array_equal(out.matrices, rep.matrices[hom.map])
+    assert not np.shares_memory(out.matrices, rep.matrices)
+    assert not out.matrices.flags.writeable
+
+
 @pytest.mark.parametrize("which", range(4))
 def test_conjugate_rep_multiplies_a_frame_that_does_not_define_its_matrices(
         which, s3_table, z2_table):

@@ -293,6 +293,30 @@ def test_correct_vertex_rejects_a_target_restricting_otherwise(z2, z2_table, s3,
     assert info.value.right.tolist() == rs.multiplicities(tau, z2_table).tolist() == [5, 2]
 
 
+def test_correct_vertex_splits_a_pending_frame_only_for_its_intertwiner(z2, z2_table, s3,
+                                                                         s3_table):
+    # a pullback's frame is split along its homomorphism when first read:
+    # across a trivial edge group its multiplicities are R m, read off the
+    # parent's frame, and nothing reads its split basis; across Z2 the
+    # intertwiner does
+    z1 = rs.cyclic_group(1)
+    parent = rs.conjugate_rep(rs.rep_from_multiplicities(s3_table, [3, 2, 2]),
+                              random_unitary(9, np.random.default_rng(5)))
+    hom = trivial_embedding(s3, z1)
+    tau = pullback(hom, parent)
+    out = rs.correct_vertex(hom, tau, parent, np.array([2, 1, 3]), rs.irrep_table(z1),
+                            s3_table, 2.0)
+    assert tau._frame.hom is hom
+    assert rs.multiplicities(out, s3_table).tolist() == [2, 1, 3]
+    with pytest.raises(IsomorphyError, match=r"restrict to \[7\].* has \[9\]"):
+        rs.correct_vertex(hom, tau, parent, np.array([1, 2, 2]), rs.irrep_table(z1),
+                          s3_table, 2.0)
+    hom = rs.group_hom(z2, s3, [0, 1], require_injective=True)
+    tau = pullback(hom, parent)
+    rs.correct_vertex(hom, tau, parent, np.array([3, 2, 2]), z2_table, s3_table, 2.0)
+    assert tau._frame.hom is None and tau._frame.mults.tolist() == [5, 4]
+
+
 def test_correct_vertex_rejects_a_constraint_of_another_group(s3, s3_table):
     # two trivial groups with tables of equal contents: the constraint's own
     # frame is not read in the other group's table
