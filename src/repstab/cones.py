@@ -246,7 +246,8 @@ def project_to_kernel_cone(lam: MultiplicityVector, bmap: BoundaryMap) -> Multip
     (`_project_on_tree`); otherwise, or when a vertex has more than
     `DP_MAX_CANDIDATES` candidates, it is a mixed-integer program solved by
     HiGHS (`_project_by_milp`). The returned point is re-verified in exact
-    integer arithmetic. The zero vector is always feasible. Both solvers
+    integer arithmetic: nonnegative, within the norm cap, and in the kernel,
+    the last in int64. The zero vector is always feasible. Both solvers
     take the distance of a candidate, at most twice the weighted total
     w @ lam, in int64: ValidationError for a lam off the kernel whose
     total is larger than half the int64 maximum.
@@ -267,14 +268,16 @@ def project_to_kernel_cone(lam: MultiplicityVector, bmap: BoundaryMap) -> Multip
     if mu is None:
         mu = _project_by_milp(lam_flat, bmap, total)
 
-    out = MultiplicityVector.from_flat(VERTEX_SIDE, mu.tolist(), bmap.vertex_block_lengths)
-    if not out.is_nonnegative():
+    # the norm in Python integers, then the boundary in int64, which is exact:
+    # a boundary entry is at most the weight of its column, so every partial
+    # sum of a row times mu >= 0 is at most w @ mu <= total
+    if mu.min() < 0:
         raise NumericalError("projection produced a negative coordinate")
-    if not bmap.apply(out).is_zero():
-        raise NumericalError("projection left the kernel; solver output failed exact verification")
-    if bmap.vertex_norm(out) > bmap.vertex_norm(lam):
+    if sum(w * x for w, x in zip(bmap.vertex_weights.tolist(), mu.tolist())) > total:
         raise NumericalError("projection violated the norm cap")
-    return out
+    if (bmap.matrix @ mu).any():
+        raise NumericalError("projection left the kernel; solver output failed exact verification")
+    return MultiplicityVector.from_flat(VERTEX_SIDE, mu.tolist(), bmap.vertex_block_lengths)
 
 
 def _candidates(w: np.ndarray, d_cap: int) -> np.ndarray:

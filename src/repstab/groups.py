@@ -157,13 +157,6 @@ def group_hom(source: FiniteGroup, target: FiniteGroup, mapping,
     return GroupHom(source=source, target=target, map=m, injective=injective)
 
 
-def trivial_embedding(group: FiniteGroup, trivial: FiniteGroup) -> GroupHom:
-    """Inclusion of a one-element group sending its element to the identity."""
-    if trivial.order != 1:
-        raise ValidationError("source must be the one-element group")
-    return group_hom(trivial, group, [group.identity], require_injective=True)
-
-
 def group_to_json(group: FiniteGroup) -> dict:
     out = {"order": group.order, "mult": group.mult.tolist()}
     if group.name:

@@ -145,11 +145,12 @@ def _isotypic_polar(frame1, frame2, table: IrrepTable, s=None) -> np.ndarray:
 def _polar_letter(rho1: UnitaryRep, rho2: UnitaryRep, table: IrrepTable, s=None,
                   far=None) -> np.ndarray:
     """The polar factor L of F = mean_h rho2(h) s rho1(h)^H (`_isotypic_polar`),
-    verified unitary to UNITARY_ATOL and to satisfy rho2(x) L = L rho1(x) on
-    the group's generators to INTERTWINE_ATOL. With s = I (None) over the
-    trivial group L is the exact identity. Given `far`, a callable returning
-    the inputs' distance, a distance of FAR_DISTANCE or more warns, over a
-    nontrivial group and only once the inputs are known to be isomorphic."""
+    verified unitary to UNITARY_ATOL and to satisfy rho2(x) L = L rho1(x),
+    on the images of the generators x alone, to INTERTWINE_ATOL. With s = I
+    (None) over the trivial group L is the exact identity. Given `far`, a
+    callable returning the inputs' distance, a distance of FAR_DISTANCE or
+    more warns, over a nontrivial group and only once the inputs are known
+    to be isomorphic."""
     frame1, frame2 = _frames(rho1, rho2, table)
     m1, m2 = frame1.mults, frame2.mults
     if not np.array_equal(m1, m2):
@@ -170,9 +171,8 @@ def _polar_letter(rho1: UnitaryRep, rho2: UnitaryRep, table: IrrepTable, s=None,
     uerr = np.abs(gram).max()
     if uerr > UNITARY_ATOL:
         raise NumericalError(f"assembled intertwiner is not unitary (deviation {uerr:.3e})")
-    gens = rho1.group.generators
-    moved = rho2.matrices[gens] @ letter
-    moved -= letter @ rho1.matrices[gens]
+    moved = rho2._generator_images @ letter
+    moved -= letter @ rho1._generator_images
     ierr = np.abs(moved).max(initial=0.0)
     if ierr > INTERTWINE_ATOL:
         raise NumericalError(f"assembled operator fails to intertwine (deviation {ierr:.3e})")

@@ -9,17 +9,12 @@ lexicographic character over the class order). The canonical order fixes the
 coordinates of every multiplicity vector produced by the package. With the
 table, `isotypic_components` splits any representation into copies of its
 irreducibles, in their coordinates, from matrix coefficients: no randomness.
-Representations built here carry that split, their isotypic frame. A
-frame W with multiplicities m_k defines the representation
-g -> W (sum_k I_{m_k} kron pi_k(g)) W^H. `rep_from_multiplicities` writes
-these blocks for W = I, and `conjugate_rep` of a representation whose frame
-defines it (as does `stabilize.replace_summands`) synthesizes its matrices
-from the new frame: the d_k^2 products of the columns of copy slots a and b
-of each irreducible k, summed against the coefficients pi_k(g)[a, b] in one
-product with the table (`_synthesize`). A frame found by decomposition, or
-split along a pullback, matches its matrices only to INTERTWINE_ATOL, so
-conjugating such a representation, or one without a frame, multiplies its
-matrices.
+A representation built here is that split, its isotypic frame: a table,
+multiplicities m_k and a unitary W defining g -> W D(g) W^H, with
+D(g) = sum_k I_{m_k} kron pi_k(g); its matrices are synthesized only when
+read (`_synthesize`), or at a few elements for a check (`_images`). A frame
+found by decomposition, or split from one along a pullback, matches its
+matrices only to INTERTWINE_ATOL, so conjugating it multiplies them.
 """
 
 from __future__ import annotations
@@ -49,38 +44,48 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _Frame:
-    """The bases of `isotypic_components` side by side; with `hom` set, the
-    frame of the parent of a pullback along `hom`. With `exact` set, the
-    frame defines its representation's matrices (`_synthesize`)."""
+    """The bases of `isotypic_components` side by side; arrays read-only."""
 
     table: IrrepTable
     mults: np.ndarray
     basis: np.ndarray
-    hom: GroupHom | None = None
-    exact: bool = False
+
+    def __post_init__(self):
+        self.mults.setflags(write=False)
+        self.basis.setflags(write=False)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class UnitaryRep:
-    """Exact unitary representation: one matrix per group element.
-
-    `character` and the isotypic frame are computed on first use and kept,
-    read-only; the constructions of this module carry the frame over.
-    """
+    """Exact unitary representation: its |G| matrices, or, when `_dense` is
+    None, the frame that defines them, whose character is read off the
+    multiplicities. `matrices` and `character` are kept, read-only."""
 
     group: FiniteGroup
-    matrices: np.ndarray  # (|G|, dim, dim) complex
-    _frame: _Frame | None = field(default=None, init=False, repr=False)
+    _dense: np.ndarray | None
+    _frame: _Frame | None = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
-        return self.matrices.shape[1]
+        return self._frame.basis.shape[0] if self._dense is None else self._dense.shape[1]
+
+    @cached_property
+    def matrices(self) -> np.ndarray:  # (|G|, dim, dim) complex
+        return _synthesize(self._frame) if self._dense is None else self._dense
 
     @cached_property
     def character(self) -> np.ndarray:
         """Trace at one representative per conjugacy class."""
+        if self._dense is None:
+            frame = self._frame
+            return _read_only(frame.mults @ np.array([p.character for p in frame.table.irreps]))
         reps = list(self.group.class_representatives)
-        return _read_only(np.trace(self.matrices[reps], axis1=1, axis2=2))
+        return _read_only(np.trace(self._dense[reps], axis1=1, axis2=2))
+
+    @cached_property
+    def _generator_images(self) -> np.ndarray:
+        """rho(s) for the generators s of the group (`_images`)."""
+        return _read_only(_images(self, self.group.generators))
 
     def __repr__(self) -> str:
         return f"UnitaryRep({self.group!r}, dim={self.dim})"
@@ -108,13 +113,7 @@ def unitary_rep(group: FiniteGroup, matrices, check: bool = True) -> UnitaryRep:
         if herr > UNITARY_ATOL:
             raise ValidationError(f"not a homomorphism: max deviation {herr:.3e}")
     mats.setflags(write=False)
-    return UnitaryRep(group=group, matrices=mats)
-
-
-def _framed(rep: UnitaryRep, frame: _Frame | None) -> UnitaryRep:
-    """`rep`, carrying `frame` from now on."""
-    object.__setattr__(rep, "_frame", frame)
-    return rep
+    return UnitaryRep(group, mats)
 
 
 def regular_representation(group: FiniteGroup) -> UnitaryRep:
@@ -144,13 +143,12 @@ def direct_sum(*reps: UnitaryRep) -> UnitaryRep:
     return unitary_rep(group, mats, check=False)
 
 
-def _synthesize(table: IrrepTable, mults: np.ndarray, basis: np.ndarray) -> UnitaryRep:
-    """The representation g -> W D(g) W^H, D(g) = sum_k I_{m_k} kron pi_k(g),
-    of the frame W = `basis` with multiplicities `mults`, carrying it:
-    sum_{k,a,b} pi_k(g)[a, b] W_{k,a} W_{k,b}^H, with W_{k,a} the columns of
-    copy slot a of irreducible k, as the d_k^2 outer products of each k and
-    one product with the |G| x sum d_k^2 coefficients of the table.
-    ValidationError unless rho(e) = W W^H is I to UNITARY_ATOL."""
+def _synthesize(frame: _Frame) -> np.ndarray:
+    """The matrices W D(g) W^H of the frame W = `frame.basis` at every g,
+    read-only: sum_{k,a,b} pi_k(g)[a, b] W_{k,a} W_{k,b}^H, with W_{k,a} the
+    columns of copy slot a of irreducible k, as the d_k^2 outer products of
+    each k and one product with the |G| x sum d_k^2 coefficients."""
+    table, mults, basis = frame.table, frame.mults, frame.basis
     group, dim = table.group, basis.shape[0]
     count = int((table.dims[mults > 0] ** 2).sum())
     outer = np.empty((count, dim, dim), dtype=complex)
@@ -169,54 +167,88 @@ def _synthesize(table: IrrepTable, mults: np.ndarray, basis: np.ndarray) -> Unit
                       out=outer[i:i + d * d].reshape(d, d, dim, dim))
         coeffs[:, i:i + d * d] = p.matrices.reshape(group.order, d * d)
         i += d * d
-    rep = unitary_rep(group, (coeffs @ outer.reshape(count, -1)).reshape(-1, dim, dim),
-                      check=False)
-    _check_identity(rep.matrices[group.identity], "frame")
-    return _framed(rep, _Frame(table, _read_only(mults.copy()), _read_only(basis), exact=True))
+    return _read_only((coeffs @ outer.reshape(count, -1)).reshape(-1, dim, dim))
+
+
+def _images(rep: UnitaryRep, elements) -> np.ndarray:
+    """rep(g) for the group elements `elements`: rows of the matrices that
+    define `rep`, or (W D(g)) W^H of its frame, W D(g) formed per irreducible
+    from the copy slots of W: cheaper than `_synthesize` for a few elements."""
+    if rep._dense is not None:
+        return rep._dense[elements]
+    table, mults, basis = rep._frame.table, rep._frame.mults, rep._frame.basis
+    dim, n = basis.shape[0], len(elements)
+    acted = np.empty((n, dim, dim), dtype=complex)
+    off = 0
+    for p, m in zip(table.irreps, mults.tolist()):
+        d, width, block = p.dim, m * p.dim, basis[:, off:off + m * p.dim]
+        if d == 1:
+            np.multiply(block, p.matrices[elements], out=acted[:, :, off:off + width])
+        elif m:
+            coeffs = p.matrices[elements].transpose(1, 0, 2).reshape(d, n * d)
+            acted[:, :, off:off + width] = (block.reshape(-1, d) @ coeffs) \
+                .reshape(dim, m, n, d).transpose(2, 0, 1, 3).reshape(n, dim, width)
+        off += width
+    return (acted.reshape(-1, dim) @ basis.conj().T).reshape(n, dim, dim)
 
 
 def _check_identity(gram: np.ndarray, what: str):
     """ValidationError unless `gram`, a product A A^H, is I to UNITARY_ATOL."""
     err = np.abs(gram - np.eye(len(gram))).max()
-    if err > UNITARY_ATOL:
+    if not err <= UNITARY_ATOL:
         raise ValidationError(f"{what} not unitary: max deviation {err:.3e}")
 
 
 def conjugate_rep(rep: UnitaryRep, u: np.ndarray) -> UnitaryRep:
     """g -> u rho(g) u^H for a fixed unitary u; a frame B becomes W = u B.
 
-    When the frame defines `rep` (built by `rep_from_multiplicities`,
-    `replace_summands` or a conjugation of such a representation), the
-    matrices are synthesized from W (`_synthesize`); otherwise they are the
-    2|G| dense products. ValidationError unless u is a finite dim x dim
-    matrix, unitary to UNITARY_ATOL (read off rho'(e) = W W^H, or u u^H).
+    When a frame defines `rep` the result is the frame W, checked by W W^H = I;
+    otherwise the 2|G| dense products, checked by u u^H = I. ValidationError
+    unless u is a finite dim x dim matrix, unitary to UNITARY_ATOL.
     """
     u = np.asarray(u)
     if u.shape != (rep.dim, rep.dim):
         raise ValidationError(f"expected a ({rep.dim}, {rep.dim}) unitary, got shape {u.shape}")
     if not np.all(np.isfinite(u)):
         raise ValidationError("unitary contains NaN or Inf")
-    frame = rep._frame
-    if frame is not None and frame.exact:
-        return _synthesize(frame.table, frame.mults, u @ frame.basis)
+    moved = None if rep._frame is None else replace(rep._frame, basis=u @ rep._frame.basis)
+    if rep._dense is None:
+        _check_identity(moved.basis @ moved.basis.conj().T, "frame")
+        return UnitaryRep(rep.group, None, moved)
     _check_identity(u @ u.conj().T, "matrix")
-    mats = np.matmul(np.matmul(u, rep.matrices), u.conj().T)
-    if frame is not None:
-        frame = replace(frame, basis=_read_only(u @ frame.basis))
-    return _framed(unitary_rep(rep.group, mats, check=False), frame)
+    return UnitaryRep(rep.group, _read_only(np.matmul(np.matmul(u, rep._dense), u.conj().T)), moved)
 
 
-def pullback(hom: GroupHom, rep: UnitaryRep) -> UnitaryRep:
-    """Representation of the source group: h -> rho(hom(h)), carrying the
-    frame of `rep` to be split along `hom` when first read. Its matrices are
-    a read-only copy of matrices of `rep`, so they are not checked again."""
-    if rep.group is not hom.target:
-        raise ValidationError("representation group does not match hom target")
+def pullback(hom: GroupHom, rep: UnitaryRep, table: IrrepTable) -> UnitaryRep:
+    """Representation h -> rho(hom(h)) of the source group, whose irreducibles
+    are `table`. A frame of `rep` is split along `hom`: copy j of pi_k turns by
+    the split S_k of `_restriction`, and the copies of each l come in the
+    order (k, j, i); into a trivial group the split is the identity frame.
+    That frame defines the pullback when a frame defines `rep`; else the
+    pullback copies matrices of `rep`, read-only."""
+    if rep.group is not hom.target or table.group is not hom.source:
+        raise ValidationError("representation or table does not match the homomorphism")
     frame = rep._frame
-    if frame is not None:
-        # a pullback of a pullback is left without a frame
-        frame = replace(frame, hom=hom, exact=False) if frame.hom is None else None
-    return _framed(UnitaryRep(hom.source, _read_only(rep.matrices[hom.map])), frame)
+    if frame is not None and hom.source.order == 1:
+        frame = _Frame(table, np.array([rep.dim]), np.eye(rep.dim))
+    elif frame is not None:
+        r, splits = _restriction(hom, table, frame.table)
+        basis = np.empty(frame.basis.shape, dtype=complex)
+        col = 0
+        for l in range(len(table)):
+            off = 0
+            for m, d, s in zip(frame.mults.tolist(), frame.table.dims.tolist(), splits):
+                block = frame.basis[:, off:off + m * d]
+                off += m * d
+                if m and s[l].size:
+                    # a 1-dimensional pi_k pulls back to one l, with S_k[l] = 1
+                    turned = (block if d == 1
+                              else (block.reshape(-1, d) @ s[l]).reshape(rep.dim, -1))
+                    basis[:, col:col + turned.shape[1]] = turned
+                    col += turned.shape[1]
+        frame = _Frame(table, r @ frame.mults, basis)
+    return UnitaryRep(hom.source, None if rep._dense is None else _read_only(rep._dense[hom.map]),
+                      frame)
 
 
 def compress(mats: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -429,34 +461,27 @@ def multiplicities(rep: UnitaryRep, table: IrrepTable) -> np.ndarray:
 
 def rep_from_multiplicities(table: IrrepTable, mults) -> UnitaryRep:
     """Block-diagonal representation with the given multiplicity vector, the
-    copies of each irreducible in table order; its frame is the identity."""
-    mults = np.asarray(mults, dtype=int)
+    copies of each irreducible in table order: the identity frame."""
+    mults = np.array(mults, dtype=int)
     if mults.shape != (len(table),) or mults.min() < 0:
         raise ValidationError("multiplicity vector must be nonnegative, one entry per irrep")
     dim = int(mults @ table.dims)
     if dim == 0:
         raise ValidationError("total dimension must be positive")
-    mats = np.zeros((table.group.order, dim, dim), dtype=complex)
-    off = 0
-    for p, m in zip(table.irreps, mults.tolist()):
-        copies = np.arange(off, off + m * p.dim).reshape(m, p.dim)
-        mats[:, copies[:, :, None], copies[:, None, :]] = p.matrices[:, None]
-        off += m * p.dim
-    return _framed(unitary_rep(table.group, mats, check=False),
-                   _Frame(table, _read_only(mults.copy()), _read_only(np.eye(dim)), exact=True))
+    return UnitaryRep(table.group, None, _Frame(table, mults, np.eye(dim)))
 
 
 def _restriction(hom: GroupHom, table_source: IrrepTable, table_target: IrrepTable):
     """Restriction matrix R along `hom`, and per target irreducible pi_k the
-    bases S_k[l] of `isotypic_components` of its pullback, kept on
-    `table_source` per homomorphism and target table contents."""
+    bases S_k[l] of `isotypic_components` of the pullback of its matrices (not
+    of a frame it was given), kept per homomorphism and target table contents."""
     if table_source.group is not hom.source or table_target.group is not hom.target:
         raise ValidationError("tables do not match the homomorphism")
     key = (hom, table_target._contents)
     if key not in table_source._restrictions:
         cols, splits = [], []
         for p in table_target.irreps:
-            pulled = pullback(hom, p)
+            pulled = UnitaryRep(hom.source, _read_only(p.matrices[hom.map]))
             cols.append(multiplicities(pulled, table_source))
             # a 1-dimensional pullback is, to rounding, the irreducible it counts
             splits.append(isotypic_components(pulled, table_source, cols[-1]) if p.dim > 1
@@ -483,46 +508,21 @@ def _column_blocks(a: np.ndarray, widths) -> list[np.ndarray]:
     return [a[:, i:j] for i, j in zip(edges, edges[1:])]
 
 
-def _frame_multiplicities(rep: UnitaryRep, table: IrrepTable) -> np.ndarray:
-    """The multiplicities of the frame of `rep` in `table`: R m for a
-    pullback's pending frame of multiplicities m, R the restriction matrix,
-    without splitting its basis; otherwise those of `_isotypic_frame`."""
-    frame = rep._frame
-    if frame is not None and frame.hom is not None:
-        return _restriction(frame.hom, table, frame.table)[0] @ frame.mults
-    return _isotypic_frame(rep, table).mults
-
-
 def _isotypic_frame(rep: UnitaryRep, table: IrrepTable) -> _Frame:
-    """The frame of `rep` in `table`, which `rep` keeps. A carried frame is
-    read in a table with the same contents; a pullback's frame turns copy j
-    of pi_k by the split S_k of `_restriction` and takes the copies of each
-    l in the order (k, j, i). Without a frame, `rep` is decomposed and then
-    checked to be unitary and a homomorphism, as a carried frame certifies."""
+    """The frame of `rep` in `table`. A frame that `rep` carries is read in a
+    table with the same contents. Otherwise `rep` is decomposed and then
+    checked to be unitary and a homomorphism, as a carried frame certifies;
+    a representation defined by its matrices keeps the frame found."""
     frame = rep._frame
-    if frame is not None and frame.hom is not None:
-        r, splits = _restriction(frame.hom, table, frame.table)
-        basis = np.empty(frame.basis.shape, dtype=complex)
-        col = 0
-        for l in range(len(table)):
-            off = 0
-            for m, d, s in zip(frame.mults.tolist(), frame.table.dims.tolist(), splits):
-                block = frame.basis[:, off:off + m * d]
-                off += m * d
-                if m and s[l].size:
-                    # a 1-dimensional pi_k pulls back to one l, with S_k[l] = 1
-                    turned = (block if d == 1
-                              else (block.reshape(-1, d) @ s[l]).reshape(rep.dim, -1))
-                    basis[:, col:col + turned.shape[1]] = turned
-                    col += turned.shape[1]
-        frame = _Frame(table, _read_only(r @ frame.mults), _read_only(basis))
-    if frame is None or frame.table._contents != table._contents:
-        mults = multiplicities(rep, table)
-        basis = np.hstack(isotypic_components(rep, table, mults))
-        try:
-            unitary_rep(rep.group, rep.matrices)
-        except ValidationError as exc:
-            raise NumericalError(str(exc)) from None
-        frame = _Frame(table, _read_only(mults), _read_only(basis))
-    _framed(rep, frame)
+    if frame is not None and frame.table._contents == table._contents:
+        return frame
+    mults = multiplicities(rep, table)
+    basis = np.hstack(isotypic_components(rep, table, mults))
+    try:
+        unitary_rep(rep.group, rep.matrices)
+    except ValidationError as exc:
+        raise NumericalError(str(exc)) from None
+    frame = _Frame(table, mults, basis)
+    if rep._dense is not None:
+        rep._frame = frame
     return frame

@@ -32,10 +32,9 @@ from .errors import (GuardExceededError, IsomorphyError, NumericalError,
 from .graphs import (AlmostRep, GraphOfGroups, _relator_norms, almost_rep, boundary_map,
                      generator_distance, measure_defect, rep_multiplicities)
 from .groups import GroupHom
-from .irreps import (INTERTWINE_ATOL, IrrepTable, UnitaryRep, _column_blocks,
-                     _frame_multiplicities, _isotypic_frame, _synthesize, conjugate_rep,
-                     irrep_table, pullback, rep_from_multiplicities, restriction_matrix,
-                     unitary_rep)
+from .irreps import (INTERTWINE_ATOL, IrrepTable, UnitaryRep, _check_identity, _column_blocks,
+                     _Frame, _images, _isotypic_frame, conjugate_rep, irrep_table, pullback,
+                     rep_from_multiplicities, restriction_matrix)
 from .intertwiners import _polar_letter, unitary_intertwiner
 from .rng import derived_generator
 from .schatten import BOUND_RTOL, _check_exponent
@@ -124,9 +123,9 @@ def replace_summands(rho: UnitaryRep, target, table: IrrepTable) -> UnitaryRep:
     the two multiplicity vectors (the first copies of each irreducible in
     the isotypic frame of rho, which a frameless rho is decomposed and
     checked for) and fills the dropped copies with canonical blocks
-    realizing the remainder of the target. The result is synthesized from
-    the frame it is built in, the kept and filled copies of each irreducible
-    side by side (`irreps._synthesize`), and carries it.
+    realizing the remainder of the target. The result is the frame it is
+    built in, the kept and filled copies of each irreducible side by side:
+    ValidationError unless that frame is unitary to UNITARY_ATOL.
     """
     target = np.asarray(target, dtype=int)
     if int(target @ table.dims) != rho.dim:
@@ -140,9 +139,9 @@ def replace_summands(rho: UnitaryRep, target, table: IrrepTable) -> UnitaryRep:
     kept = [b[:, :c] for b, c in zip(bases, common * table.dims)]
     dropped = np.hstack([b[:, c:] for b, c in zip(bases, common * table.dims)])
     fill = _column_blocks(dropped, (target - common) * table.dims)
-    out = _synthesize(table, target, np.hstack([b for pair in zip(kept, fill) for b in pair]))
-    unitary_rep(rho.group, out.matrices)   # ValidationError unless exact
-    return out
+    basis = np.hstack([b for pair in zip(kept, fill) for b in pair])
+    _check_identity(basis @ basis.conj().T, "frame")
+    return UnitaryRep(rho.group, None, _Frame(table, target.copy(), basis))
 
 
 def correct_vertex(hom: GroupHom, tau: UnitaryRep, rho: UnitaryRep, target,
@@ -151,19 +150,18 @@ def correct_vertex(hom: GroupHom, tau: UnitaryRep, rho: UnitaryRep, target,
     step of each child of the tree walk.
 
     Checks that the target restricts to the multiplicities of `tau`, read
-    off its isotypic frame (or, for a pullback, off its parent's frame
-    before the split is built), then returns `rho` with the target multiplicities
-    (`replace_summands`), conjugated by the unitary intertwiner from its
-    pullback along `hom` to `tau` (none across a trivial edge group, which
-    constrains nothing), and checked to pull back to `tau` on the edge
-    group's generators to INTERTWINE_ATOL. Given `p`, the intertwiner warns
-    when the two restrictions are far apart; `realize` passes None. The
-    distance moved is of the order of max(d(pullback(rho), tau), replaced
-    fraction^(1/p)).
+    off its isotypic frame, then returns `rho` with the target
+    multiplicities (`replace_summands`), conjugated by the unitary
+    intertwiner from its pullback along `hom` to `tau` (none across a
+    trivial edge group, which constrains nothing), and checked to pull back
+    to `tau` on the images of the edge group's generators alone, to
+    INTERTWINE_ATOL. Given `p`, the intertwiner warns when the two
+    restrictions are far apart; `realize` passes None. The distance moved
+    is of the order of max(d(pullback(rho), tau), replaced fraction^(1/p)).
     """
     if tau.group is not table_sub.group:
         raise ValidationError("representation and table belong to different groups")
-    tau_mults = _frame_multiplicities(tau, table_sub)
+    tau_mults = _isotypic_frame(tau, table_sub).mults
     restricted = restriction_matrix(hom, table_sub, table) @ target
     if not np.array_equal(restricted, tau_mults):
         raise IsomorphyError(
@@ -171,10 +169,11 @@ def correct_vertex(hom: GroupHom, tau: UnitaryRep, rho: UnitaryRep, target,
             f"{restricted.tolist()}, but the constraint representation has {tau_mults.tolist()}",
             left=restricted, right=tau_mults)
     rho = replace_summands(rho, target, table)
-    if tau.group.order > 1:
-        rho = conjugate_rep(rho, unitary_intertwiner(pullback(hom, rho), tau, p, table=table_sub))
-    gens = tau.group.generators
-    err = np.abs(rho.matrices[hom.map[gens]] - tau.matrices[gens]).max(initial=0.0)
+    if tau.group.order == 1:
+        return rho   # a trivial edge group has no generator to constrain
+    rho = conjugate_rep(rho, unitary_intertwiner(pullback(hom, rho, table_sub), tau, p,
+                                                 table=table_sub))
+    err = np.abs(_images(rho, hom.map[tau.group.generators]) - tau._generator_images).max()
     if err > INTERTWINE_ATOL:
         raise NumericalError(f"corrected vertex fails the edge constraint (deviation {err:.3e})")
     return rho
@@ -192,7 +191,7 @@ def _walk_tree(ctx: CorrectionContext, vertex_reps, blocks,
     reps = {root: replace_summands(vertex_reps[root], blocks[root], ctx.vertex_tables[root])}
     for step in graph.tree.steps:
         edge = step.edge_to_parent
-        tau = pullback(ctx.gog.injections[edge], reps[step.parent])
+        tau = pullback(ctx.gog.injections[edge], reps[step.parent], ctx.edge_tables[edge // 2])
         reps[step.child] = correct_vertex(
             ctx.gog.injections[graph.opposite(edge)], tau, vertex_reps[step.child],
             blocks[step.child], ctx.edge_tables[edge // 2], ctx.vertex_tables[step.child], p)
@@ -215,8 +214,8 @@ def _stable_letters(ctx: CorrectionContext, reps, letters, edge_norms) -> list[n
             edges.append(eye)
             continue
         edges.append(_polar_letter(
-            pullback(ctx.gog.injections[2 * k + 1], reps[o]),
-            pullback(ctx.gog.injections[2 * k], reps[t]), ctx.edge_tables[k],
+            pullback(ctx.gog.injections[2 * k + 1], reps[o], ctx.edge_tables[k]),
+            pullback(ctx.gog.injections[2 * k], reps[t], ctx.edge_tables[k]), ctx.edge_tables[k],
             None if letters is None else letters[k],
             far=None if edge_norms is None else (lambda: edge_norms[k].max(initial=0.0))))
     return edges
@@ -324,17 +323,3 @@ def stabilize(rho: AlmostRep, ctx: CorrectionContext, seed=0,
                                  lambda_in=lam, lambda_out=lam_out,
                                  hypothesis_ok=hypothesis_ok, timings_ms=timings)
     return out, report
-
-
-def boundary_defect_bound(rho: AlmostRep, ctx: CorrectionContext) -> tuple[float, float]:
-    """Edge norm of the boundary of the multiplicity vector, and its bound.
-
-    The bound is (2*delta)^p * dim with delta the measured defect: across
-    any edge the two restrictions share invariant subspaces of codimension
-    at most (2*delta)^p * dim, so the boundary blocks are at most that large.
-    """
-    lam = rep_multiplicities(rho, ctx.vertex_tables)
-    lhs = float(ctx.boundary.edge_norm(ctx.boundary.apply(lam)))
-    delta = measure_defect(rho, ctx.gog, ctx.p)
-    rhs = (2.0 * delta) ** ctx.p * rho.dim
-    return lhs, rhs

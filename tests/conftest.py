@@ -109,6 +109,27 @@ def random_rep(table, dim, rng, conjugate=True):
     return rep
 
 
+def trivial_embedding(group, trivial):
+    """Inclusion of a one-element group sending its element to the identity."""
+    if trivial.order != 1:
+        raise rs.ValidationError("source must be the one-element group")
+    return rs.group_hom(trivial, group, [group.identity], require_injective=True)
+
+
+def boundary_defect_bound(rho, ctx):
+    """Edge norm of the boundary of the multiplicity vector, and its bound.
+
+    The bound is (2*delta)^p * dim with delta the measured defect: across
+    any edge the two restrictions share invariant subspaces of codimension
+    at most (2*delta)^p * dim, so the boundary blocks are at most that large.
+    """
+    lam = rs.rep_multiplicities(rho, ctx.vertex_tables)
+    lhs = float(ctx.boundary.edge_norm(ctx.boundary.apply(lam)))
+    delta = rs.measure_defect(rho, ctx.gog, ctx.p)
+    rhs = (2.0 * delta) ** ctx.p * rho.dim
+    return lhs, rhs
+
+
 def dense_average(rho1, rho2):
     """Oracle: the group average of rho2(g) rho1(g)^H, formed densely."""
     return np.einsum("gij,gkj->ik", rho2.matrices, rho1.matrices.conj()) / rho1.group.order

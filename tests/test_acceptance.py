@@ -12,13 +12,12 @@ import numpy as np
 import pytest
 
 import repstab as rs
-from repstab.groups import trivial_embedding
 from repstab.irreps import direct_sum
 from repstab.presets import group_preset, group_preset_names
 from repstab.rng import derived_generator, random_hermitian
-from repstab.stabilize import boundary_defect_bound
 
-from conftest import enumerate_cone, enumerate_kernel_cone, random_rep
+from conftest import (boundary_defect_bound, enumerate_cone, enumerate_kernel_cone, random_rep,
+                      trivial_embedding)
 
 PRESETS = ("Z2_free_Z3", "infinite_dihedral", "hnn_Z4_over_Z2")
 EPS_GRID = (1e-1, 1e-2, 1e-3, 1e-4)

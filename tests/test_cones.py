@@ -546,6 +546,22 @@ def test_projection_refuses_a_total_beyond_int64(blocks):
     assert rs.project_to_kernel_cone(big, b) is big
 
 
+@pytest.mark.parametrize("mu, message", [
+    ([-1, 0, -1, 0], "negative coordinate"),
+    ([11, 0, 11, 0], "norm cap"),
+    ([2 ** 62, 0, 2 ** 62, 0], "norm cap"),   # w @ mu wraps to -2^63 in int64
+    ([5, 4, 4, 4], "left the kernel")])
+def test_projection_refuses_a_solver_point_outside_the_cone(amalgam_ctx, monkeypatch, mu,
+                                                            message):
+    # the solver's point is checked on its int64 array: nonnegative, within
+    # the weighted total of lam (20 here), and with zero boundary
+    monkeypatch.setattr(cones, "_project_on_tree",
+                        lambda *args: np.array(mu, dtype=np.int64))
+    lam = rs.MultiplicityVector("vertex", ((6, 4), (5, 5)))
+    with pytest.raises(rs.NumericalError, match=message):
+        rs.project_to_kernel_cone(lam, amalgam_ctx.boundary)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(0, 2000), min_size=4, max_size=4),
        st.lists(st.integers(0, 2000), min_size=4, max_size=4))

@@ -4,13 +4,12 @@ import pytest
 import repstab as rs
 import repstab.irreps as irreps_mod
 from repstab.errors import MultiplicityError, NumericalError, ValidationError
-from repstab.groups import trivial_embedding
 from repstab.irreps import (CLUSTER_RETRIES, UnitaryRep, commutant_average, compress,
                             direct_sum, isotypic_components)
 from repstab.presets import group_preset, group_preset_names
 from repstab.rng import random_unitary
 
-from conftest import elementwise_inner_products, random_rep
+from conftest import elementwise_inner_products, random_rep, trivial_embedding
 
 
 def test_regular_representation_trivial():
@@ -104,7 +103,7 @@ def test_multiplicities_sign_sign_trivial(z2, z2_table):
 
 def test_multiplicities_rejects_non_representation(z2, z2_table):
     mats = np.stack([np.eye(2), np.exp(0.3j) * np.eye(2)])
-    fake = UnitaryRep(group=z2, matrices=mats)  # bypasses construction checks
+    fake = UnitaryRep(z2, mats)  # bypasses construction checks
     with pytest.raises(MultiplicityError):
         rs.multiplicities(fake, z2_table)
 
@@ -353,9 +352,8 @@ def _sparse_mults(table, dim, absent):
 @pytest.mark.parametrize("dim", [1, 12, 96])
 @pytest.mark.parametrize("name", group_preset_names())
 def test_conjugate_rep_synthesizes_what_the_dense_product_gives(name, dim, absent):
-    # a frame that defines its representation is conjugated by synthesis
-    # from W = u F; the matrices are u rho(g) u^H to rounding, and the
-    # result carries W
+    # the conjugation of a representation its frame defines is the frame
+    # W = u F; the matrices synthesized from it are u rho(g) u^H to rounding
     table = rs.irrep_table(group_preset(name))
     mults = _sparse_mults(table, dim, absent)
     assert mults @ table.dims == dim and (dim == 1 or 0 in mults or len(table) == 1)
@@ -364,9 +362,59 @@ def test_conjugate_rep_synthesizes_what_the_dense_product_gives(name, dim, absen
     for _ in range(2):   # from the identity frame, then from a complex one
         u = random_unitary(dim, rng)
         out = rs.conjugate_rep(rep, u)
+        assert out._dense is None and np.array_equal(out._frame.basis, u @ rep._frame.basis)
         assert np.abs(out.matrices - u @ rep.matrices @ u.conj().T).max() <= 1e-13
-        assert out._frame.exact and np.array_equal(out._frame.basis, u @ rep._frame.basis)
         rep = out
+
+
+def _subgroup_homs(group):
+    """Homomorphisms into `group`: from the cyclic group of each generator,
+    from the one-element group, and the identity."""
+    homs = [trivial_embedding(group, rs.cyclic_group(1)),
+            rs.group_hom(group, group, np.arange(group.order))]
+    for s in group.generators.tolist():
+        powers = [group.identity]
+        while (nxt := int(group.mult[powers[-1], s])) != group.identity:
+            powers.append(nxt)
+        homs.append(rs.group_hom(rs.cyclic_group(len(powers)), group, powers,
+                                 require_injective=True))
+    return homs
+
+
+@pytest.mark.parametrize("dim", [12, 96])
+@pytest.mark.parametrize("name", group_preset_names())
+def test_a_framed_pullback_synthesizes_what_the_dense_pullback_gives(name, dim):
+    # a pullback of a representation its frame defines is the frame split
+    # into the source table, with multiplicities R m; synthesized, it gives
+    # rho(hom(h)) to rounding, and so does its conjugation
+    table = rs.irrep_table(group_preset(name))
+    rng = np.random.default_rng(dim)
+    mults = _sparse_mults(table, dim, 1)
+    canonical = rs.rep_from_multiplicities(table, mults)
+    for rep in (canonical, rs.conjugate_rep(canonical, random_unitary(dim, rng))):
+        for hom in _subgroup_homs(table.group):
+            source = rs.irrep_table(hom.source)
+            out = irreps_mod.pullback(hom, rep, source)
+            assert out._dense is None and out.group is hom.source
+            assert out._frame.mults.tolist() == (
+                rs.restriction_matrix(hom, source, table) @ mults).tolist()
+            assert np.abs(out.matrices - rep.matrices[hom.map]).max() <= 1e-13
+            u = random_unitary(dim, rng)
+            moved = rs.conjugate_rep(out, u)
+            assert np.abs(moved.matrices - u @ rep.matrices[hom.map] @ u.conj().T).max() <= 1e-13
+
+
+def test_an_irreducible_read_in_its_table_still_restricts(s3_table):
+    # reading a table's irreducible in its own table gives it the frame
+    # found there; restricting that table along a new homomorphism reads
+    # the irreducible's matrices, not the frame, and so does not recurse
+    for p in s3_table.irreps:
+        irreps_mod._isotypic_frame(p, s3_table)
+        assert p._frame is not None
+    z2 = rs.cyclic_group(2)
+    hom = rs.group_hom(z2, s3_table.group, [0, 1], require_injective=True)
+    assert rs.restriction_matrix(hom, rs.irrep_table(z2), s3_table).tolist() == [[1, 0, 1],
+                                                                                  [0, 1, 1]]
 
 
 def test_a_conjugated_frame_is_read_back_without_a_decomposition(s3_table, monkeypatch):
@@ -386,9 +434,9 @@ def test_a_conjugated_frame_is_read_back_without_a_decomposition(s3_table, monke
 
 
 def _dense_inputs(s3_table, z2_table):
-    """(name, rep) for representations whose frame does not define them: no
-    frame, a frame found by decomposition, a pullback whose frame is split
-    along its homomorphism, and one whose split is still pending."""
+    """(name, rep) for representations defined by their matrices: no frame,
+    a frame found by decomposition, a pullback that splits such a frame
+    along its homomorphism, and a pullback of a frameless one."""
     rng = np.random.default_rng(11)
     exact = rs.conjugate_rep(rs.rep_from_multiplicities(s3_table, [1, 2, 2]),
                              random_unitary(7, rng))
@@ -396,22 +444,22 @@ def _dense_inputs(s3_table, z2_table):
     decomposed = rs.unitary_rep(exact.group, exact.matrices)
     irreps_mod._isotypic_frame(decomposed, s3_table)
     hom = rs.group_hom(z2_table.group, s3_table.group, [0, 1], require_injective=True)
-    split = irreps_mod.pullback(hom, exact)
-    irreps_mod._isotypic_frame(split, z2_table)
-    return [("frameless", frameless), ("decomposed", decomposed), ("split", split),
-            ("pending", irreps_mod.pullback(hom, exact))]
+    return [("frameless", frameless), ("decomposed", decomposed),
+            ("split", irreps_mod.pullback(hom, decomposed, z2_table)),
+            ("frameless pullback", irreps_mod.pullback(hom, frameless, z2_table))]
 
 
 def test_pullback_copies_the_matrices_read_only_without_a_rescan(s3_table, z2_table,
                                                                  monkeypatch):
-    rep = rs.rep_from_multiplicities(s3_table, [1, 2, 2])
+    # a representation defined by its matrices pulls back to a copy of them
+    rep = rs.unitary_rep(s3_table.group, rs.rep_from_multiplicities(s3_table, [1, 2, 2]).matrices)
     hom = rs.group_hom(z2_table.group, s3_table.group, [0, 1], require_injective=True)
 
     def refuse(*args, **kwargs):
         raise AssertionError("matrices checked again")
 
     monkeypatch.setattr(irreps_mod, "unitary_rep", refuse)
-    out = irreps_mod.pullback(hom, rep)
+    out = irreps_mod.pullback(hom, rep, z2_table)
     assert out.group is z2_table.group
     assert np.array_equal(out.matrices, rep.matrices[hom.map])
     assert not np.shares_memory(out.matrices, rep.matrices)
@@ -426,9 +474,9 @@ def test_conjugate_rep_multiplies_a_frame_that_does_not_define_its_matrices(
     u = random_unitary(rep.dim, np.random.default_rng(which))
     out = rs.conjugate_rep(rep, u)
     assert np.array_equal(out.matrices, np.matmul(np.matmul(u, rep.matrices), u.conj().T)), name
-    assert (out._frame is None) == (name == "frameless")
+    assert out._dense is not None
+    assert (out._frame is None) == name.startswith("frameless")
     if out._frame is not None:
-        assert not out._frame.exact
         assert np.array_equal(out._frame.basis, u @ rep._frame.basis)
 
 
@@ -451,3 +499,15 @@ def test_conjugate_rep_refuses_a_matrix_that_is_not_a_unitary_of_its_size(s3_tab
     for rep in (framed, rs.unitary_rep(framed.group, framed.matrices)):
         with pytest.raises(ValidationError, match=message):
             rs.conjugate_rep(rep, u)
+
+
+def test_conjugate_rep_refuses_a_finite_matrix_whose_gram_is_nan(s3_table):
+    # u u^H, and W W^H = u u^H from the identity frame, overflow to
+    # inf - inf = NaN off the diagonal; no matrix is scanned after the
+    # check on the frame path, so the check itself must refuse a NaN
+    framed = rs.rep_from_multiplicities(s3_table, [1, 1, 2])
+    u = 1e200 * np.kron(np.eye(3), [[1, 1], [1, -1]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rep in (framed, rs.unitary_rep(framed.group, framed.matrices)):
+            with pytest.raises(ValidationError, match="not unitary"):
+                rs.conjugate_rep(rep, u)

@@ -377,8 +377,9 @@ def test_library_built_representations_carry_their_isotypic_frames(request, monk
             (replace_summands(realized.vertex_reps[0], target, table), table)]
     for rho in (realized, out):
         reps += list(zip(rho.vertex_reps, ctx.vertex_tables))
-        reps += [(irreps.pullback(gog.injections[e], rho.vertex_reps[gog.graph.terminus(e)]),
-                  ctx.edge_tables[e // 2]) for e in range(gog.graph.n_oriented_edges)]
+        reps += [(irreps.pullback(gog.injections[e], rho.vertex_reps[gog.graph.terminus(e)],
+                                  ctx.edge_tables[e // 2]), ctx.edge_tables[e // 2])
+                 for e in range(gog.graph.n_oriented_edges)]
     for rep, tab in reps:
         _assert_carried_frame(rep, tab)
 
@@ -386,7 +387,8 @@ def test_library_built_representations_carry_their_isotypic_frames(request, monk
     # intertwiner: the averages of these close pairs are nonsingular
     monkeypatch.undo()
     for e in range(gog.graph.n_oriented_edges):
-        rep = irreps.pullback(gog.injections[e], out.vertex_reps[gog.graph.terminus(e)])
+        rep = irreps.pullback(gog.injections[e], out.vertex_reps[gog.graph.terminus(e)],
+                              ctx.edge_tables[e // 2])
         w, v = np.linalg.eigh(random_hermitian(12, rng))
         near = rs.conjugate_rep(rep, (v * np.exp(1e-2j * w / np.abs(w).max())) @ v.conj().T)
         twins = [rs.unitary_rep(r.group, r.matrices, check=False) for r in (rep, near)]
@@ -394,6 +396,42 @@ def test_library_built_representations_carry_their_isotypic_frames(request, monk
         assert twins[0]._frame is None
         frameless = rs.unitary_intertwiner(*twins, table=ctx.edge_tables[e // 2])
         assert np.abs(framed - frameless).max() <= 1e-12
+
+
+@pytest.mark.parametrize("dim", [12, 47])
+@pytest.mark.parametrize("name", rs.graph_preset_names() + RICH_GRAPHS)
+def test_realize_synthesizes_no_whole_representation(request, monkeypatch, name, dim):
+    # realize builds every vertex representation as a frame: no matrices of
+    # a whole group are synthesized and no representation is built from
+    # dense matrices; the outputs' matrices, read afterwards, pass the gates
+    from repstab import irreps
+    gog = request.getfixturevalue(name) if name in RICH_GRAPHS else rs.graph_preset(name)
+    ctx = rs.CorrectionContext.build(gog, p=2.0, seed=0)
+    lam = rs.uniform_lambda(ctx, dim)
+    whole, dense = [], []
+    synthesize, init = irreps._synthesize, irreps.UnitaryRep.__init__
+
+    def counted_synthesize(frame):
+        whole.append(frame)
+        return synthesize(frame)
+
+    def counted_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self._dense is not None:
+            dense.append(self)
+
+    monkeypatch.setattr(irreps, "_synthesize", counted_synthesize)
+    monkeypatch.setattr(irreps.UnitaryRep, "__init__", counted_init)
+    out = rs.realize(lam, ctx)
+    assert whole == [] and dense == []
+    assert all(rep._dense is None and "matrices" not in vars(rep) for rep in out.vertex_reps)
+    monkeypatch.undo()
+    # dense twins of the synthesized matrices: checked unitary homomorphisms
+    twins = rs.almost_rep(gog, [rs.unitary_rep(r.group, r.matrices) for r in out.vertex_reps],
+                          out.edge_unitaries)
+    assert rs.rep_multiplicities(twins, ctx.vertex_tables) == lam
+    assert rs.rep_multiplicities(out, ctx.vertex_tables) == lam
+    assert rs.measure_defect(twins, gog, 2.0) <= 1e-10
 
 
 def _check_letters_against_the_twisted_average(ctx, rho, out):
@@ -408,8 +446,8 @@ def _check_letters_against_the_twisted_average(ctx, rho, out):
         if k in gog.graph.tree.geometric_edges:
             continue
         s, letter, table = rho.edge_unitaries[k], out.edge_unitaries[k], ctx.edge_tables[k]
-        origin = pullback(gog.injections[2 * k + 1], out.vertex_reps[o])
-        terminus = pullback(gog.injections[2 * k], out.vertex_reps[t])
+        origin = pullback(gog.injections[2 * k + 1], out.vertex_reps[o], table)
+        terminus = pullback(gog.injections[2 * k], out.vertex_reps[t], table)
         f = (terminus.matrices @ s @ origin.matrices.conj().transpose(0, 2, 1)).mean(axis=0)
         sv = singular_values(f)
         full = sv[-1] > 1e-6 * sv[0]

@@ -7,14 +7,13 @@ import pytest
 import repstab as rs
 from repstab.errors import GuardExceededError, IsomorphyError, NumericalError, ValidationError
 from repstab.graphs import generator_distance
-from repstab.groups import trivial_embedding
 import repstab.irreps as irreps_mod
 from repstab.irreps import pullback
 from repstab.presets import group_preset
 from repstab.rng import random_hermitian, random_unitary
-from repstab.stabilize import boundary_defect_bound, replace_summands
+from repstab.stabilize import replace_summands
 
-from conftest import random_rep
+from conftest import boundary_defect_bound, random_rep, trivial_embedding
 
 
 @pytest.fixture(scope="module")
@@ -157,7 +156,7 @@ def test_replace_summands_synthesizes_the_conjugated_canonical_representation(
         used += (t - c) * d
     q = np.hstack(q)
     out = replace_summands(rho, target, table)
-    assert np.array_equal(out._frame.basis, q) and out._frame.exact
+    assert np.array_equal(out._frame.basis, q) and out._dense is None
     oracle = q @ rs.rep_from_multiplicities(table, target).matrices @ q.conj().T
     assert np.abs(out.matrices - oracle).max() <= 1e-13
 
@@ -180,7 +179,7 @@ def test_correct_vertex_nothing_to_do(z2, z2_table, s3, s3_table):
     rng = np.random.default_rng(2)
     rho = random_rep(s3_table, 8, rng)
     hom = rs.group_hom(z2, s3, [0, 1], require_injective=True)
-    tau = pullback(hom, rho)
+    tau = pullback(hom, rho, z2_table)
     target = rs.multiplicities(rho, s3_table)
     out = rs.correct_vertex(hom, tau, rho, target, z2_table, s3_table, 2.0)
     assert rs.rep_distance(out, rho, 2.0) <= 1e-8
@@ -233,7 +232,7 @@ def test_correct_vertex_near_exact_pair_at_p1_takes_no_svd(z2, z2_table, s3, s3_
     rho = random_rep(s3_table, 9, rng)
     hom = rs.group_hom(z2, s3, [0, 1], require_injective=True)
     w, v = np.linalg.eigh(random_hermitian(9, rng) * 1e-3)
-    tau = rs.conjugate_rep(pullback(hom, rho), (v * np.exp(1j * w)) @ v.conj().T)
+    tau = rs.conjugate_rep(pullback(hom, rho, z2_table), (v * np.exp(1j * w)) @ v.conj().T)
     target = rs.multiplicities(rho, s3_table)
     real_svd = np.linalg.svd
 
@@ -246,7 +245,7 @@ def test_correct_vertex_near_exact_pair_at_p1_takes_no_svd(z2, z2_table, s3, s3_
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         out = rs.correct_vertex(hom, tau, rho, target, z2_table, s3_table, 1.0)
-    assert np.abs(pullback(hom, out).matrices - tau.matrices).max() < 1e-8
+    assert np.abs(pullback(hom, out, z2_table).matrices - tau.matrices).max() < 1e-8
 
 
 # the swap moves the pullback by 0.34, so the intertwiner also warns that its
@@ -262,10 +261,10 @@ def test_correct_vertex_swapped_multiplicity(z2, z2_table, s3, s3_table):
     target = np.array([2, 1, 3])
     assert (rs.restriction_matrix(hom, z2_table, s3_table) @ target).tolist() == \
            (rs.restriction_matrix(hom, z2_table, s3_table) @ np.array([3, 2, 2])).tolist()
-    tau = pullback(hom, rho)
+    tau = pullback(hom, rho, z2_table)
     out = rs.correct_vertex(hom, tau, rho, target, z2_table, s3_table, 2.0)
     assert rs.multiplicities(out, s3_table).tolist() == target.tolist()
-    err = np.abs(pullback(hom, out).matrices - tau.matrices).max()
+    err = np.abs(pullback(hom, out, z2_table).matrices - tau.matrices).max()
     assert err < 1e-8
     d = rs.rep_distance(out, rho, 2.0)
     assert d <= 2 * (2 / 9) ** 0.5 + 1e-6  # replaced block of dimension 2 in dim 9
@@ -274,7 +273,7 @@ def test_correct_vertex_swapped_multiplicity(z2, z2_table, s3, s3_table):
 def test_correct_vertex_rejects_mismatched_constraint(z2, z2_table, s3, s3_table):
     rho = rs.rep_from_multiplicities(s3_table, [2, 2, 1])
     hom = rs.group_hom(z2, s3, [0, 1], require_injective=True)
-    tau = pullback(hom, rs.rep_from_multiplicities(s3_table, [4, 1, 1]))
+    tau = pullback(hom, rs.rep_from_multiplicities(s3_table, [4, 1, 1]), z2_table)
     with pytest.raises(IsomorphyError):
         rs.correct_vertex(hom, tau, rho, np.array([2, 2, 1]), z2_table, s3_table, 2.0)
 
@@ -283,7 +282,7 @@ def test_correct_vertex_rejects_a_target_restricting_otherwise(z2, z2_table, s3,
     # same dimension 7 on both sides, across the nontrivial Z2: the target
     # restricts to (4, 3), the constraint has (5, 2), read off its frame
     hom = rs.group_hom(z2, s3, [0, 1], require_injective=True)
-    tau = pullback(hom, rs.rep_from_multiplicities(s3_table, [4, 1, 1]))
+    tau = pullback(hom, rs.rep_from_multiplicities(s3_table, [4, 1, 1]), z2_table)
     target = np.array([2, 1, 2])
     rho = rs.rep_from_multiplicities(s3_table, target)
     with pytest.raises(IsomorphyError, match=r"restrict to \[4, 3\].* has \[5, 2\]") as info:
@@ -293,28 +292,27 @@ def test_correct_vertex_rejects_a_target_restricting_otherwise(z2, z2_table, s3,
     assert info.value.right.tolist() == rs.multiplicities(tau, z2_table).tolist() == [5, 2]
 
 
-def test_correct_vertex_splits_a_pending_frame_only_for_its_intertwiner(z2, z2_table, s3,
-                                                                         s3_table):
-    # a pullback's frame is split along its homomorphism when first read:
-    # across a trivial edge group its multiplicities are R m, read off the
-    # parent's frame, and nothing reads its split basis; across Z2 the
-    # intertwiner does
+def test_correct_vertex_reads_the_split_frame_of_a_pullback(z2, z2_table, s3, s3_table):
+    # a pullback of a framed representation is its parent's frame split into
+    # the edge table: across a trivial edge group its multiplicities are R m,
+    # and across Z2 the intertwiner reads the split basis
     z1 = rs.cyclic_group(1)
     parent = rs.conjugate_rep(rs.rep_from_multiplicities(s3_table, [3, 2, 2]),
                               random_unitary(9, np.random.default_rng(5)))
     hom = trivial_embedding(s3, z1)
-    tau = pullback(hom, parent)
+    tau = pullback(hom, parent, rs.irrep_table(z1))
+    assert tau._dense is None and tau._frame.mults.tolist() == [9]
     out = rs.correct_vertex(hom, tau, parent, np.array([2, 1, 3]), rs.irrep_table(z1),
                             s3_table, 2.0)
-    assert tau._frame.hom is hom
     assert rs.multiplicities(out, s3_table).tolist() == [2, 1, 3]
     with pytest.raises(IsomorphyError, match=r"restrict to \[7\].* has \[9\]"):
         rs.correct_vertex(hom, tau, parent, np.array([1, 2, 2]), rs.irrep_table(z1),
                           s3_table, 2.0)
     hom = rs.group_hom(z2, s3, [0, 1], require_injective=True)
-    tau = pullback(hom, parent)
-    rs.correct_vertex(hom, tau, parent, np.array([3, 2, 2]), z2_table, s3_table, 2.0)
-    assert tau._frame.hom is None and tau._frame.mults.tolist() == [5, 4]
+    tau = pullback(hom, parent, z2_table)
+    assert tau._dense is None and tau._frame.mults.tolist() == [5, 4]
+    out = rs.correct_vertex(hom, tau, parent, np.array([3, 2, 2]), z2_table, s3_table, 2.0)
+    assert np.abs(pullback(hom, out, z2_table).matrices - tau.matrices).max() < 1e-8
 
 
 def test_correct_vertex_rejects_a_constraint_of_another_group(s3, s3_table):
@@ -344,7 +342,8 @@ def test_stabilize_child_is_correct_vertex_bit_for_bit(z2_amalgam, blocks, p):
     (step,) = ctx.gog.graph.tree.steps
     edge = step.edge_to_parent
     child = rs.correct_vertex(ctx.gog.injections[ctx.gog.graph.opposite(edge)],
-                              pullback(ctx.gog.injections[edge], out.vertex_reps[step.parent]),
+                              pullback(ctx.gog.injections[edge], out.vertex_reps[step.parent],
+                                       ctx.edge_tables[edge // 2]),
                               inst.vertex_reps[step.child], report.lambda_out.blocks[step.child],
                               ctx.edge_tables[edge // 2], ctx.vertex_tables[step.child], p)
     assert np.array_equal(child.matrices, out.vertex_reps[step.child].matrices)
@@ -609,8 +608,8 @@ def test_letter_far_warning_follows_the_twisted_distance(preset_contexts, p):
     for mode in ("edges-only", "edges-and-conjugate-vertices"):
         for eps in (0.1, 0.15, 0.2, 0.25, 0.3, 0.5):
             rho = rs.perturb(base, gog, eps, mode=mode, rng=rng)
-            origin = pullback(gog.injections[1], rho.vertex_reps[0])
-            terminus = pullback(gog.injections[0], rho.vertex_reps[0])
+            origin = pullback(gog.injections[1], rho.vertex_reps[0], ctx.edge_tables[0])
+            terminus = pullback(gog.injections[0], rho.vertex_reps[0], ctx.edge_tables[0])
             far = rs.rep_distance(rs.conjugate_rep(origin, rho.edge_unitaries[0]), terminus, p)
             with warnings.catch_warnings(record=True) as records:
                 warnings.simplefilter("always")
