@@ -311,10 +311,12 @@ def generator_distance(rho1: AlmostRep, rho2: AlmostRep, p: float) -> float:
     stable letters. Both vertex representations are exact, so the identity
     element adds nothing but rounding; it is left out, as in `relators`. A
     vertex representation compared with itself (the same object on both
-    sides) is skipped: it moved by exactly zero, and its matrices were
-    checked finite when it was built. The letters are always compared."""
+    sides) is skipped, its matrices never formed: it moved by exactly zero,
+    and its matrices were checked finite when it was built. The letters are
+    always compared."""
     def shapes(rho):
-        return [r.matrices.shape for r in rho.vertex_reps] + [u.shape for u in rho.edge_unitaries]
+        return ([(r.group.order, r.dim) for r in rho.vertex_reps]
+                + [u.shape for u in rho.edge_unitaries])
 
     if shapes(rho1) != shapes(rho2):
         raise ValidationError("almost-representations are not comparable")

@@ -12,8 +12,11 @@ blocks' singular values gives the partial isometry, on subspaces invariant
 by construction, and their polar factors the unitary intertwiner, at any
 rank of E. The stable letters of `stabilize` are the polar factors of the
 twisted average of rho2(g) s rho1(g)^{-1} for a letter s, of which the
-unitary intertwiner is the case s = I. Nothing here draws a random
-number. Over the trivial group every unitary intertwines and the unitary
+unitary intertwiner is the case s = I. An operator is checked unitary and
+intertwining once, where it is an output: the unitary intertwiner and each
+letter check theirs, and a tree step of `stabilize.correct_vertex` checks the
+representation it conjugates instead. Nothing here draws a random number.
+Over the trivial group every unitary intertwines and the unitary
 intertwiner is the exact identity, built without an SVD. The unitary
 intertwiner warns about far inputs only when it is given a Schatten
 exponent.
@@ -145,38 +148,54 @@ def _isotypic_polar(frame1, frame2, table: IrrepTable, s=None) -> np.ndarray:
 def _polar_letter(rho1: UnitaryRep, rho2: UnitaryRep, table: IrrepTable, s=None,
                   far=None) -> np.ndarray:
     """The polar factor L of F = mean_h rho2(h) s rho1(h)^H (`_isotypic_polar`),
-    verified unitary to UNITARY_ATOL and to satisfy rho2(x) L = L rho1(x),
-    on the images of the generators x alone, to INTERTWINE_ATOL. With s = I
-    (None) over the trivial group L is the exact identity. Given `far`, a
-    callable returning the inputs' distance, a distance of FAR_DISTANCE or
-    more warns, over a nontrivial group and only once the inputs are known
-    to be isomorphic."""
+    for isomorphic inputs (IsomorphyError otherwise), unchecked: a caller
+    returning L checks it (`_check_letter`), and `correct_vertex` checks its
+    output instead. With s = I (None) over the trivial group L is the exact
+    identity. Given `far`, a callable returning the inputs' distance, a
+    distance of FAR_DISTANCE or more warns, over a nontrivial group and only
+    once the inputs are known to be isomorphic."""
     frame1, frame2 = _frames(rho1, rho2, table)
     m1, m2 = frame1.mults, frame2.mults
     if not np.array_equal(m1, m2):
         raise IsomorphyError(
             f"representations are not isomorphic: multiplicities {m1.tolist()} vs {m2.tolist()}",
             left=m1, right=m2)
-
-    dim = rho1.dim
     if rho1.group.order == 1 and s is None:
         # nothing to intertwine: I is the exact polar factor of F = I
-        return np.eye(dim, dtype=complex)
+        return np.eye(rho1.dim, dtype=complex)
     if far is not None and rho1.group.order > 1:
         _warn_far(far(), "the intertwiner may be far from the identity", stacklevel=3)
-    letter = _isotypic_polar(frame1, frame2, table, s)
+    return _isotypic_polar(frame1, frame2, table, s)
+
+
+def _check_letter(letter: np.ndarray, rho1: UnitaryRep, rho2: UnitaryRep, s=None) -> np.ndarray:
+    """`letter`, the L of `_polar_letter` for the same s, once it is unitary to
+    UNITARY_ATOL and satisfies rho2(x) L = L rho1(x), on the images of the
+    generators x alone, to INTERTWINE_ATOL; NumericalError otherwise, also on
+    a NaN. The exact identity of s = I over the trivial group is not checked."""
+    if rho1.group.order == 1 and s is None:
+        return letter
     gram = letter @ letter.conj().T
-    diagonal = np.arange(dim)
+    diagonal = np.arange(len(gram))
     gram[diagonal, diagonal] -= 1.0
     uerr = np.abs(gram).max()
-    if uerr > UNITARY_ATOL:
+    if not uerr <= UNITARY_ATOL:
         raise NumericalError(f"assembled intertwiner is not unitary (deviation {uerr:.3e})")
     moved = rho2._generator_images @ letter
     moved -= letter @ rho1._generator_images
     ierr = np.abs(moved).max(initial=0.0)
-    if ierr > INTERTWINE_ATOL:
+    if not ierr <= INTERTWINE_ATOL:
         raise NumericalError(f"assembled operator fails to intertwine (deviation {ierr:.3e})")
     return letter
+
+
+def _far(rho1: UnitaryRep, rho2: UnitaryRep, p: float | None):
+    """The `far` of `_polar_letter` at the Schatten exponent `p`, checked
+    (ValidationError), or None without one."""
+    if p is None:
+        return None
+    p = _check_exponent(p)
+    return lambda: _distance_or_bound(rho1, rho2, p, FAR_DISTANCE)
 
 
 def unitary_intertwiner(rho1: UnitaryRep, rho2: UnitaryRep, p: float | None = None, *,
@@ -189,15 +208,15 @@ def unitary_intertwiner(rho1: UnitaryRep, rho2: UnitaryRep, p: float | None = No
     read off the frames at any rank of E: at p = 2 the closest unitary
     intertwiner to the identity, and within 3x of the closest at every p.
     It is the s = I case of the stable letter that `stabilize` fits, built
-    and verified by the same routine (`_polar_letter`): on the trivial group
-    T is the exact identity; elsewhere T is verified unitary to
-    UNITARY_ATOL and intertwining on the group's generators to
-    INTERTWINE_ATOL. Given a Schatten exponent `p`, a pair at distance
-    FAR_DISTANCE or more warns; without it no distance is measured.
+    by the same routine (`_polar_letter`) and, being the output, checked as
+    a letter is (`_check_letter`): on the trivial group T is the exact
+    identity; elsewhere T is verified unitary to UNITARY_ATOL and
+    intertwining on the group's generators to INTERTWINE_ATOL. Given a
+    Schatten exponent `p`, a pair at distance FAR_DISTANCE or more warns;
+    without it no distance is measured.
     """
-    p = None if p is None else _check_exponent(p)
-    far = None if p is None else (lambda: _distance_or_bound(rho1, rho2, p, FAR_DISTANCE))
-    return _polar_letter(rho1, rho2, table, far=far)
+    letter = _polar_letter(rho1, rho2, table, far=_far(rho1, rho2, p))
+    return _check_letter(letter, rho1, rho2)
 
 
 def direct_sum_padding_distance(rho: UnitaryRep, sigma1: UnitaryRep,

@@ -35,7 +35,7 @@ from .groups import GroupHom
 from .irreps import (INTERTWINE_ATOL, IrrepTable, UnitaryRep, _check_identity, _column_blocks,
                      _Frame, _images, _isotypic_frame, conjugate_rep, irrep_table, pullback,
                      rep_from_multiplicities, restriction_matrix)
-from .intertwiners import _polar_letter, unitary_intertwiner
+from .intertwiners import _check_letter, _far, _polar_letter
 from .rng import derived_generator
 from .schatten import BOUND_RTOL, _check_exponent
 
@@ -153,9 +153,12 @@ def correct_vertex(hom: GroupHom, tau: UnitaryRep, rho: UnitaryRep, target,
     off its isotypic frame, then returns `rho` with the target
     multiplicities (`replace_summands`), conjugated by the unitary
     intertwiner from its pullback along `hom` to `tau` (none across a
-    trivial edge group, which constrains nothing), and checked to pull back
-    to `tau` on the images of the edge group's generators alone, to
-    INTERTWINE_ATOL. Given `p`, the intertwiner warns when the two
+    trivial edge group, which constrains nothing). The intertwiner is
+    assembled unchecked (`intertwiners._polar_letter`) and certified through
+    the output alone: `conjugate_rep` checks it unitary to UNITARY_ATOL, and
+    the output is checked to pull back to `tau` on the images of the edge
+    group's generators to INTERTWINE_ATOL; either failure, or a NaN, is a
+    NumericalError. Given `p`, the intertwiner warns when the two
     restrictions are far apart; `realize` passes None. The distance moved
     is of the order of max(d(pullback(rho), tau), replaced fraction^(1/p)).
     """
@@ -171,10 +174,14 @@ def correct_vertex(hom: GroupHom, tau: UnitaryRep, rho: UnitaryRep, target,
     rho = replace_summands(rho, target, table)
     if tau.group.order == 1:
         return rho   # a trivial edge group has no generator to constrain
-    rho = conjugate_rep(rho, unitary_intertwiner(pullback(hom, rho, table_sub), tau, p,
-                                                 table=table_sub))
+    pulled = pullback(hom, rho, table_sub)
+    letter = _polar_letter(pulled, tau, table_sub, far=_far(pulled, tau, p))
+    try:
+        rho = conjugate_rep(rho, letter)
+    except ValidationError as exc:
+        raise NumericalError(f"assembled intertwiner: {exc}") from exc
     err = np.abs(_images(rho, hom.map[tau.group.generators]) - tau._generator_images).max()
-    if err > INTERTWINE_ATOL:
+    if not err <= INTERTWINE_ATOL:
         raise NumericalError(f"corrected vertex fails the edge constraint (deviation {err:.3e})")
     return rho
 
@@ -201,11 +208,11 @@ def _walk_tree(ctx: CorrectionContext, vertex_reps, blocks,
 def _stable_letters(ctx: CorrectionContext, reps, letters, edge_norms) -> list[np.ndarray]:
     """Stable-letter unitaries: the identity on tree edges, and on every other
     geometric edge k the polar factor of F(s) = mean_h b(h) s a(h)^H
-    (`_polar_letter`), a and b the restrictions of the origin and terminus
-    representations to the edge group and s the letter `letters[k]`, or I
-    without letters. Given the conjugation-relator norms of each edge,
-    `edge_norms[k]`, the letter warns when their largest reaches
-    FAR_DISTANCE."""
+    (`_polar_letter`), checked unitary and intertwining (`_check_letter`), a
+    and b the restrictions of the origin and terminus representations to the
+    edge group and s the letter `letters[k]`, or I without letters. Given
+    the conjugation-relator norms of each edge, `edge_norms[k]`, the letter
+    warns when their largest reaches FAR_DISTANCE."""
     graph = ctx.gog.graph
     eye = np.eye(reps[0].dim, dtype=complex)
     edges = []
@@ -213,11 +220,13 @@ def _stable_letters(ctx: CorrectionContext, reps, letters, edge_norms) -> list[n
         if k in graph.tree.geometric_edges:
             edges.append(eye)
             continue
-        edges.append(_polar_letter(
-            pullback(ctx.gog.injections[2 * k + 1], reps[o], ctx.edge_tables[k]),
-            pullback(ctx.gog.injections[2 * k], reps[t], ctx.edge_tables[k]), ctx.edge_tables[k],
-            None if letters is None else letters[k],
-            far=None if edge_norms is None else (lambda: edge_norms[k].max(initial=0.0))))
+        a = pullback(ctx.gog.injections[2 * k + 1], reps[o], ctx.edge_tables[k])
+        b = pullback(ctx.gog.injections[2 * k], reps[t], ctx.edge_tables[k])
+        s = None if letters is None else letters[k]
+        letter = _polar_letter(
+            a, b, ctx.edge_tables[k], s,
+            far=None if edge_norms is None else (lambda: edge_norms[k].max(initial=0.0)))
+        edges.append(_check_letter(letter, a, b, s))
     return edges
 
 

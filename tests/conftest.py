@@ -66,6 +66,23 @@ def z2_amalgam():
     return rs.graph_of_groups(graph, [z2, z2], [z2], [[0, 1], [0, 1]], name="z2_amalgam")
 
 
+@pytest.fixture(scope="session")
+def s3_twisted_amalgam():
+    """Two S3 vertices glued over S3 itself, one side twisted by conjugation.
+
+    Inner automorphisms fix characters, so the boundary map vanishes and
+    every cone vector is realizable, but the two pullbacks across the edge
+    differ as matrix representations and the stable letter must intertwine
+    a 2-dimensional irreducible block.
+    """
+    s3 = rs.symmetric_group(3)
+    graph = rs.serre_graph(2, [(0, 1)])
+    g0 = 1  # a transposition
+    twist = [int(s3.mult[s3.mult[g0, x], s3.inv[g0]]) for x in range(6)]
+    return rs.graph_of_groups(graph, [s3, s3], [s3],
+                              [list(range(6)), twist], name="s3_twisted_amalgam")
+
+
 @pytest.fixture
 def milp_calls(monkeypatch):
     """A list that grows by one entry per `repstab.cones.milp` call."""

@@ -229,7 +229,7 @@ def test_generator_distance_of_a_representation_to_itself_takes_no_svd(
         monkeypatch, preset_contexts, name):
     # every vertex representation is the same object on both sides and is
     # skipped; only the letters are read, and their exact zeros take no kernel
-    from repstab import graphs
+    from repstab import graphs, irreps
     ctx = preset_contexts[(name, 1.0)]
     rho = rs.perturb(rs.realize(rs.uniform_lambda(ctx, 12), ctx, seed=0), ctx.gog, 1e-2,
                      mode="edges-and-conjugate-vertices", rng=np.random.default_rng(3))
@@ -246,8 +246,12 @@ def test_generator_distance_of_a_representation_to_itself_takes_no_svd(
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     monkeypatch.setattr(graphs, "max_normalized_norm", recorded_max)
+    synthesized, real_synthesize = [], irreps._synthesize
+    monkeypatch.setattr(irreps, "_synthesize",
+                        lambda frame: synthesized.append(None) or real_synthesize(frame))
     assert generator_distance(rho, rho, 1.0) == 0.0
     assert svds == []
+    assert synthesized == []   # the shapes compared are read off the frames
     assert stacks == [ctx.gog.graph.n_geometric_edges]
 
 

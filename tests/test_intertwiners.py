@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 
 import repstab as rs
-from repstab.errors import IsomorphyError
+from repstab.errors import IsomorphyError, NumericalError
 from repstab.intertwiners import DEFAULT_THRESHOLD
 import repstab.irreps as irreps_mod
 from repstab.intertwiners import _isotypic_polar
@@ -566,3 +566,24 @@ def test_isotypic_polar_takes_a_real_frame_on_either_side(name):
         letter = _isotypic_polar(frame1, frame2, table)
         u, _, vh = np.linalg.svd(dense_average(rho1, rho2))
         assert np.abs(letter - u @ vh).max() <= 1e-12
+
+
+def test_an_operator_with_a_nan_is_refused(monkeypatch, z3_table):
+    # a comparison with NaN is False, so each check asks that the deviation
+    # be within its tolerance: the unitary intertwiner and a stable letter
+    # refuse a NaN operator instead of returning it
+    from repstab import intertwiners
+    assembled = intertwiners._isotypic_polar
+
+    def with_nan(*args):
+        letter = assembled(*args)
+        letter[0, 0] = np.nan
+        return letter
+
+    rho1, rho2, _ = _phase_conjugated_pair(z3_table, 6, 1e-2, np.random.default_rng(8), 2.0)
+    ctx = rs.CorrectionContext.build(rs.graph_preset("hnn_Z4_over_Z2"), p=2.0)
+    monkeypatch.setattr(intertwiners, "_isotypic_polar", with_nan)
+    with pytest.raises(NumericalError, match=r"not unitary \(deviation nan\)"):
+        rs.unitary_intertwiner(rho1, rho2, table=z3_table)
+    with pytest.raises(NumericalError, match=r"not unitary \(deviation nan\)"):
+        rs.realize(rs.uniform_lambda(ctx, 12), ctx)

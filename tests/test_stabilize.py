@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 import warnings
 
 import numpy as np
@@ -347,6 +348,86 @@ def test_stabilize_child_is_correct_vertex_bit_for_bit(z2_amalgam, blocks, p):
                               inst.vertex_reps[step.child], report.lambda_out.blocks[step.child],
                               ctx.edge_tables[edge // 2], ctx.vertex_tables[step.child], p)
     assert np.array_equal(child.matrices, out.vertex_reps[step.child].matrices)
+
+
+def _near_identity(dim, rng):
+    w, v = np.linalg.eigh(random_hermitian(dim, rng) * 1e-3)
+    return (v * np.exp(1j * w)) @ v.conj().T
+
+
+def _with_nan(letter):
+    letter[0, 0] = np.nan
+    return letter
+
+
+# a tree step's intertwiner is assembled unchecked and certified through the
+# corrected vertex: conjugate_rep refuses a non-unitary or non-finite one, and
+# the edge constraint one that is unitary but does not intertwine
+BROKEN_INTERTWINERS = [
+    pytest.param("not unitary", lambda letter, rng: 1.001 * letter, id="scaled"),
+    pytest.param("fails the edge constraint",
+                 lambda letter, rng: letter @ _near_identity(len(letter), rng), id="turned"),
+    pytest.param("NaN or Inf", lambda letter, rng: _with_nan(letter), id="nan"),
+]
+
+
+def _break_intertwiners(monkeypatch, breaking):
+    from repstab import intertwiners
+    assembled, rng = intertwiners._isotypic_polar, np.random.default_rng(0)
+    monkeypatch.setattr(intertwiners, "_isotypic_polar",
+                        lambda *args: breaking(assembled(*args), rng))
+
+
+@pytest.mark.parametrize("match, breaking", BROKEN_INTERTWINERS)
+def test_realize_refuses_a_tree_step_whose_output_fails(monkeypatch, s3_twisted_amalgam,
+                                                        match, breaking):
+    ctx = rs.CorrectionContext.build(s3_twisted_amalgam, p=2.0)
+    lam = rs.MultiplicityVector("vertex", ((3, 2, 2), (3, 2, 2)))
+    _break_intertwiners(monkeypatch, breaking)
+    with pytest.raises(NumericalError, match=match):
+        rs.realize(lam, ctx)
+
+
+@pytest.mark.parametrize("given_as_matrices", [False, True])
+@pytest.mark.parametrize("match, breaking", BROKEN_INTERTWINERS)
+def test_stabilize_tags_a_tree_step_whose_output_fails(monkeypatch, amalgam_ctx, match,
+                                                       breaking, given_as_matrices):
+    # a framed child is conjugated as its frame, checked by W W^H = I; a
+    # child given as matrices by its matrices, checked by u u^H = I
+    rng = np.random.default_rng(1)
+    inst = rs.perturb(_imbalanced_instance(amalgam_ctx, (5, 5), (5, 5), 10), amalgam_ctx.gog,
+                      1e-3, rng=rng)
+    w = random_unitary(10, rng)
+    reps = [rs.conjugate_rep(r, w) for r in inst.vertex_reps]
+    if given_as_matrices:
+        reps = [rs.unitary_rep(r.group, r.matrices) for r in reps]
+    inst = rs.almost_rep(amalgam_ctx.gog, reps, [w @ inst.edge_unitaries[0] @ w.conj().T],
+                         check=False)
+    _break_intertwiners(monkeypatch, breaking)
+    with pytest.raises(NumericalError, match=r"^\[vertex_corrections\] .*" + match) as info:
+        rs.stabilize(inst, amalgam_ctx, guard=1.0)
+    if match == "not unitary":
+        assert ("matrix" if given_as_matrices else "frame") in str(info.value)
+
+
+def test_a_tree_step_forms_the_generator_images_twice(monkeypatch, s3_twisted_amalgam):
+    # the constraint's images and the corrected vertex's, which certify the
+    # step; the intertwiner's own are not formed
+    st = sys.modules["repstab.stabilize"]
+    ctx = rs.CorrectionContext.build(s3_twisted_amalgam, p=2.0)
+    lam = rs.MultiplicityVector("vertex", ((3, 2, 2), (3, 2, 2)))
+    calls, images = [], irreps_mod._images
+
+    def counted(*args):
+        calls.append(None)
+        return images(*args)
+
+    monkeypatch.setattr(irreps_mod, "_images", counted)
+    monkeypatch.setattr(st, "_images", counted)
+    rho = rs.realize(lam, ctx)
+    assert len(ctx.gog.graph.tree.steps) == 1
+    assert len(calls) == 2
+    assert rs.measure_defect(rho, ctx.gog, 2.0) < 1e-12
 
 
 @pytest.mark.parametrize("eta", [1e-9, 1e-7])
