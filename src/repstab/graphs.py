@@ -16,7 +16,7 @@ normalized p-Schatten distance from a relator image to the identity.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -125,13 +125,17 @@ def spanning_tree(graph: SerreGraph) -> SpanningTree:
 
 @dataclass(frozen=True, eq=False)
 class GraphOfGroups:
-    """Finite groups on vertices and edges with injective edge inclusions."""
+    """Finite groups on vertices and edges with injective edge inclusions.
+
+    The irreducible tables and boundary map of `CorrectionContext.build` are
+    kept per seed for the life of the graph, read-only (`_tables`)."""
 
     graph: SerreGraph
     vertex_groups: tuple[FiniteGroup, ...]
     edge_groups: tuple[FiniteGroup, ...]      # per geometric edge, shared by the pair
     injections: tuple[GroupHom, ...]          # per oriented edge e: G_e -> G_{terminus(e)}
     name: str = ""
+    _tables: dict = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
     def _relator_index(self) -> tuple[tuple[int, ...], tuple]:

@@ -171,11 +171,12 @@ def _synthesize(frame: _Frame) -> np.ndarray:
 
 
 def _images(rep: UnitaryRep, elements) -> np.ndarray:
-    """rep(g) for the group elements `elements`: rows of the matrices that
-    define `rep`, or (W D(g)) W^H of its frame, W D(g) formed per irreducible
-    from the copy slots of W: cheaper than `_synthesize` for a few elements."""
-    if rep._dense is not None:
-        return rep._dense[elements]
+    """rep(g) for the group elements `elements`: rows of the matrices of
+    `rep` once they are formed (given, or synthesized when read), or else
+    (W D(g)) W^H of its frame, W D(g) formed per irreducible from the copy
+    slots of W: cheaper than `_synthesize` for a few elements."""
+    if rep._dense is not None or "matrices" in vars(rep):
+        return rep.matrices[elements]
     table, mults, basis = rep._frame.table, rep._frame.mults, rep._frame.basis
     dim, n = basis.shape[0], len(elements)
     acted = np.empty((n, dim, dim), dtype=complex)
@@ -225,7 +226,9 @@ def pullback(hom: GroupHom, rep: UnitaryRep, table: IrrepTable) -> UnitaryRep:
     the split S_k of `_restriction`, and the copies of each l come in the
     order (k, j, i); into a trivial group the split is the identity frame.
     That frame defines the pullback when a frame defines `rep`; else the
-    pullback copies matrices of `rep`, read-only."""
+    pullback copies matrices of `rep`, read-only. A framed pullback of a
+    `rep` whose matrices are formed copies their rows at the generators
+    alone, as its generator images (`_images`)."""
     if rep.group is not hom.target or table.group is not hom.source:
         raise ValidationError("representation or table does not match the homomorphism")
     frame = rep._frame
@@ -247,8 +250,13 @@ def pullback(hom: GroupHom, rep: UnitaryRep, table: IrrepTable) -> UnitaryRep:
                     basis[:, col:col + turned.shape[1]] = turned
                     col += turned.shape[1]
         frame = _Frame(table, r @ frame.mults, basis)
-    return UnitaryRep(hom.source, None if rep._dense is None else _read_only(rep._dense[hom.map]),
-                      frame)
+    if rep._dense is not None:
+        return UnitaryRep(hom.source, _read_only(rep._dense[hom.map]), frame)
+    pulled = UnitaryRep(hom.source, None, frame)
+    if "matrices" in vars(rep):
+        vars(pulled)["_generator_images"] = _read_only(
+            _images(rep, hom.map[hom.source.generators]))
+    return pulled
 
 
 def compress(mats: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -412,6 +420,8 @@ def irrep_table(group: FiniteGroup, seed=0) -> IrrepTable:
     The regular representation contains every irreducible, so decomposing it
     and deduplicating by character yields a complete table. Completeness is
     certified by sum(dim^2) == |G| and pairwise character orthonormality.
+    `seed` is a nonnegative integer, or what `rng.as_generator` takes
+    (ValidationError otherwise).
     """
     reg = regular_representation(group)
     comps = irreducible_components(

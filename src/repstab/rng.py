@@ -12,22 +12,28 @@ import numpy as np
 from .errors import ValidationError
 
 
-def _check_seed(seed):
-    if isinstance(seed, (int, np.integer)) and seed < 0:
-        raise ValidationError(f"seed must be a nonnegative integer, got {seed}")
-    return seed
+def _check_seed(seed) -> int:
+    """`seed` as an int if it is a nonnegative integer (`int` or
+    `np.integer`); ValidationError otherwise."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
+    return int(seed)
 
 
 def as_generator(seed=None) -> np.random.Generator:
-    """Coerce a seed, SeedSequence, or Generator into a Generator."""
+    """Coerce a seed (a nonnegative integer or None), SeedSequence, or
+    Generator into a Generator; ValidationError for anything else."""
     if isinstance(seed, np.random.Generator):
         return seed
+    if seed is None or isinstance(seed, np.random.SeedSequence):
+        return np.random.default_rng(seed)
     return np.random.default_rng(_check_seed(seed))
 
 
 def derived_generator(master_seed: int, *key: int) -> np.random.Generator:
-    """Generator for a cell of a larger experiment, keyed by integer indices."""
-    ss = np.random.SeedSequence(entropy=int(_check_seed(master_seed)),
+    """Generator for a cell of a larger experiment, keyed by integer indices;
+    the master seed is a nonnegative integer (ValidationError otherwise)."""
+    ss = np.random.SeedSequence(entropy=_check_seed(master_seed),
                                 spawn_key=tuple(int(k) for k in key))
     return np.random.default_rng(ss)
 

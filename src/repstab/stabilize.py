@@ -36,7 +36,7 @@ from .irreps import (INTERTWINE_ATOL, IrrepTable, UnitaryRep, _check_identity, _
                      _Frame, _images, _isotypic_frame, conjugate_rep, irrep_table, pullback,
                      rep_from_multiplicities, restriction_matrix)
 from .intertwiners import _check_letter, _far, _polar_letter
-from .rng import derived_generator
+from .rng import _check_seed, derived_generator
 from .schatten import BOUND_RTOL, _check_exponent
 
 DEFAULT_GUARD = 0.2
@@ -56,7 +56,8 @@ def _stage(name: str, timings: dict):
 
 @dataclass(frozen=True, eq=False)
 class CorrectionContext:
-    """Precomputed tables and boundary map for one graph of groups."""
+    """Irreducible tables and boundary map of one graph of groups and seed,
+    with a Schatten exponent."""
 
     gog: GraphOfGroups
     p: float
@@ -66,13 +67,26 @@ class CorrectionContext:
 
     @classmethod
     def build(cls, gog: GraphOfGroups, p: float, seed: int = 0) -> "CorrectionContext":
+        """The context of `gog` at exponent `p`, its tables drawn from `seed`,
+        a nonnegative integer (ValidationError otherwise).
+
+        The tables and the boundary map depend on the graph and the seed
+        alone, so they are built once per graph object and seed and kept on
+        the graph for its lifetime: every build of that pair, at any p,
+        shares the same read-only objects, with the restriction splits and
+        cone tables they cache. A failed build keeps nothing.
+        """
         p = _check_exponent(p)
-        vertex_tables = tuple(irrep_table(g, seed=derived_generator(seed, 0, v))
-                              for v, g in enumerate(gog.vertex_groups))
-        edge_tables = tuple(irrep_table(g, seed=derived_generator(seed, 1, k))
-                            for k, g in enumerate(gog.edge_groups))
-        return cls(gog=gog, p=p, vertex_tables=vertex_tables, edge_tables=edge_tables,
-                   boundary=boundary_map(gog, vertex_tables, edge_tables))
+        seed = _check_seed(seed)
+        held = gog._tables.get(seed)
+        if held is None:
+            vertex_tables = tuple(irrep_table(g, seed=derived_generator(seed, 0, v))
+                                  for v, g in enumerate(gog.vertex_groups))
+            edge_tables = tuple(irrep_table(g, seed=derived_generator(seed, 1, k))
+                                for k, g in enumerate(gog.edge_groups))
+            held = gog._tables.setdefault(seed, (vertex_tables, edge_tables,
+                                                 boundary_map(gog, vertex_tables, edge_tables)))
+        return cls(gog, p, *held)
 
 
 @dataclass(frozen=True)

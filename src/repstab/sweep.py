@@ -14,12 +14,12 @@ import csv
 import io
 import math
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from .errors import RepStabError, ValidationError
 from .graphs import PERTURB_EDGES, PERTURB_FULL, perturb
 from .presets import graph_preset, graph_preset_names
-from .rng import derived_generator
+from .rng import _check_seed, derived_generator
 from .schatten import _check_exponent
 from .serialize import _overwrite
 from .stabilize import (DEFAULT_GUARD, CorrectionContext, realize, stabilize,
@@ -57,6 +57,7 @@ class SweepConfig:
             raise ValidationError(f"unknown perturbation mode {self.mode!r}")
         for p in self.p_grid:
             _check_exponent(p)
+        _check_seed(self.master_seed)
         if self.seeds_per_cell <= 0 or self.dim <= 0:
             raise ValidationError("seeds per cell and dimension must be positive")
 
@@ -90,20 +91,17 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     """Execute every cell of the grid; one row per (preset, eps, p, seed)."""
     rows = []
     for pi, name in enumerate(config.presets):
-        # the tables and the boundary map are seeded by master_seed alone, so
-        # one build per preset serves every p
-        base_ctx = CorrectionContext.build(graph_preset(name), p=config.p_grid[0],
-                                           seed=config.master_seed)
-        lam = uniform_lambda(base_ctx, config.dim)
+        contexts = [CorrectionContext.build(graph_preset(name), p=p, seed=config.master_seed)
+                    for p in config.p_grid]
+        lam = uniform_lambda(contexts[0], config.dim)
         base = None
         for ei, eps in enumerate(config.eps_grid):
-            for qi, p in enumerate(config.p_grid):
-                ctx = replace(base_ctx, p=float(p))
+            for qi, (p, ctx) in enumerate(zip(config.p_grid, contexts)):
                 for si in range(config.seeds_per_cell):
                     rng = derived_generator(config.master_seed, pi, ei, qi, si)
                     try:
                         if base is None:  # a failed realize is retried by each cell
-                            base = realize(lam, base_ctx)
+                            base = realize(lam, ctx)
                         inst = perturb(base, ctx.gog, eps, mode=config.mode, rng=rng)
                         tic = time.perf_counter()
                         _, report = stabilize(inst, ctx, guard=config.guard)

@@ -53,6 +53,20 @@ def preset_contexts():
     return out
 
 
+def context_apart(gog, p, seed=0):
+    """A CorrectionContext whose tables and boundary map are built here, from
+    `irrep_table`, `derived_generator` and `boundary_map` as `build` draws
+    them, so it shares no table or boundary map with those `build` keeps."""
+    from repstab.graphs import boundary_map
+    from repstab.rng import derived_generator
+    vertex_tables = tuple(rs.irrep_table(g, seed=derived_generator(seed, 0, v))
+                          for v, g in enumerate(gog.vertex_groups))
+    edge_tables = tuple(rs.irrep_table(g, seed=derived_generator(seed, 1, k))
+                        for k, g in enumerate(gog.edge_groups))
+    return rs.CorrectionContext(gog, float(p), vertex_tables, edge_tables,
+                                boundary_map(gog, vertex_tables, edge_tables))
+
+
 @pytest.fixture(scope="session")
 def z2_amalgam():
     """Two Z2 vertices over a Z2 edge with identity inclusions.

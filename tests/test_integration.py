@@ -13,6 +13,8 @@ import repstab as rs
 from repstab.errors import NumericalError
 from repstab.graphs import evaluate_word
 
+from conftest import context_apart
+
 
 @pytest.fixture(scope="module")
 def twisted_hnn():
@@ -236,7 +238,7 @@ def test_svd_budget_of_one_stabilize(preset_contexts, monkeypatch, name, p, svds
     # without one
     from repstab import irreps
     ctx = preset_contexts[(name, p)]
-    realizing = rs.CorrectionContext.build(ctx.gog, p=2.0, seed=0)
+    realizing = context_apart(ctx.gog, p=2.0)
     calls = []
     for module, kernel in ((np.linalg, "svd"), (np.linalg, "eigh"),
                            (irreps, "isotypic_components")):

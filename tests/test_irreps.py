@@ -404,6 +404,26 @@ def test_a_framed_pullback_synthesizes_what_the_dense_pullback_gives(name, dim):
             assert np.abs(moved.matrices - u @ rep.matrices[hom.map] @ u.conj().T).max() <= 1e-13
 
 
+def test_a_framed_pullback_of_formed_matrices_copies_their_generator_rows(s3_table):
+    # once the matrices of a framed representation are formed, a framed
+    # pullback copies their rows at the source's generators, and no other
+    # row, instead of forming (W D(x)) W^H again; stand-in rows, twice the
+    # matrices, show which were read
+    rng = np.random.default_rng(3)
+    rep = rs.conjugate_rep(rs.rep_from_multiplicities(s3_table, [1, 2, 2]),
+                           random_unitary(7, rng))
+    for hom in _subgroup_homs(s3_table.group):
+        unformed = irreps_mod.pullback(hom, rep, rs.irrep_table(hom.source))
+        assert "_generator_images" not in vars(unformed)
+    vars(rep)["matrices"] = irreps_mod._read_only(2.0 * rep.matrices)
+    for hom in _subgroup_homs(s3_table.group):
+        out = irreps_mod.pullback(hom, rep, rs.irrep_table(hom.source))
+        images = out._generator_images
+        assert out._dense is None and "matrices" not in vars(out)
+        assert np.array_equal(images, rep.matrices[hom.map[hom.source.generators]])
+        assert not np.shares_memory(images, rep.matrices) and not images.flags.writeable
+
+
 def test_an_irreducible_read_in_its_table_still_restricts(s3_table):
     # reading a table's irreducible in its own table gives it the frame
     # found there; restricting that table along a new homomorphism reads

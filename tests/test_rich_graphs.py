@@ -20,7 +20,8 @@ from repstab.irreps import pullback
 from repstab.schatten import BOUND_RTOL, max_normalized_norm, singular_values
 from repstab.rng import random_hermitian, random_unitary
 
-from conftest import brute_force_projection, enumerate_cone, enumerate_kernel_cone
+from conftest import (brute_force_projection, context_apart, enumerate_cone,
+                      enumerate_kernel_cone)
 
 
 @pytest.fixture(scope="module")
@@ -340,7 +341,7 @@ def test_library_built_representations_carry_their_isotypic_frames(request, monk
     gog = request.getfixturevalue(name) if name in RICH_GRAPHS else rs.graph_preset(name)
     ctx = rs.CorrectionContext.build(gog, p=2.0, seed=0)
     # stabilized with a context built apart from the one that realized
-    ctx_apart = rs.CorrectionContext.build(gog, p=1.0, seed=0)
+    ctx_apart = context_apart(gog, p=1.0)
     rng = np.random.default_rng(11)
     lam = rs.uniform_lambda(ctx, 12)
     realized = rs.realize(lam, ctx)

@@ -1,6 +1,8 @@
 """`run_sweep` realizes each preset's base representation once and shares it
 across the preset's cells; each cell runs only `perturb` and `stabilize`."""
 
+import sys
+
 import pytest
 
 import repstab.sweep as sweep
@@ -8,8 +10,10 @@ from repstab.errors import NumericalError, ValidationError
 from repstab.graphs import perturb
 from repstab.presets import graph_preset
 from repstab.rng import derived_generator
-from repstab.stabilize import CorrectionContext, realize, stabilize, uniform_lambda
+from repstab.stabilize import realize, stabilize, uniform_lambda
 from repstab.sweep import CSV_HEADER, SweepConfig, run_sweep
+
+from conftest import context_apart
 
 CONFIG = SweepConfig(presets=("Z2_free_Z3", "hnn_Z4_over_Z2"), dim=6, eps_grid=(1e-2, 1e-3),
                      p_grid=(1.0, 2.0), seeds_per_cell=2, master_seed=5)
@@ -23,7 +27,7 @@ def _reference_rows(config):
     for pi, name in enumerate(config.presets):
         for ei, eps in enumerate(config.eps_grid):
             for qi, p in enumerate(config.p_grid):
-                ctx = CorrectionContext.build(graph_preset(name), p=p, seed=config.master_seed)
+                ctx = context_apart(graph_preset(name), p, config.master_seed)
                 for si in range(config.seeds_per_cell):
                     rng = derived_generator(config.master_seed, pi, ei, qi, si)
                     base = realize(uniform_lambda(ctx, config.dim), ctx)
@@ -61,6 +65,29 @@ def test_rows_match_cells_run_on_their_own():
     rows = run_sweep(CONFIG)
     assert [_key(r) for r in rows] == _reference_rows(CONFIG)
     assert all(r.runtime_ms > 0 for r in rows)
+
+
+def test_a_repeated_sweep_builds_no_table(monkeypatch):
+    # the tables of a preset's graph are kept per seed, so a second identical
+    # sweep builds none and returns the same rows
+    st = sys.modules["repstab.stabilize"]
+    first = run_sweep(CONFIG)
+    calls = []
+
+    def counted(group, seed=0, _real=st.irrep_table):
+        calls.append(group)
+        return _real(group, seed=seed)
+
+    monkeypatch.setattr(st, "irrep_table", counted)
+    second = run_sweep(CONFIG)
+    assert calls == []
+    assert [_key(r) for r in second] == [_key(r) for r in first]
+
+
+@pytest.mark.parametrize("seed", [-1, 0.5, "3", None])
+def test_config_rejects_a_master_seed_that_is_not_a_nonnegative_integer(seed):
+    with pytest.raises(ValidationError, match="seed must be a nonnegative integer"):
+        SweepConfig(presets=("Z2_free_Z3",), master_seed=seed)
 
 
 def test_a_failing_realize_fills_every_cell_with_its_error(monkeypatch):
